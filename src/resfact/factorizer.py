@@ -28,11 +28,13 @@ trajectories exactly under the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
+from .packing import pack_words
 from .vsa import Codebook, random_bipolar, sign_to_bipolar
 
 VARIANT_KINDS = ("brn", "imf", "acf")
@@ -40,9 +42,14 @@ CONVERGENCE_MODES = ("early", "legacy")
 UPDATE_SCHEDULES = ("sequential", "parallel")
 #: Hard cap on the default iteration budget min(M**F, cap).
 DEFAULT_ITER_CAP = 10_000
-#: Kernel matrices stay float32 while M * D is comfortably below 2**24,
-#: where sums of +-1 products are still exact integers.
+#: Reconstruction matrices stay float32 while M * D is comfortably below
+#: 2**24, where integer-weighted sums of +-1 rows are still exact.  (The
+#: search is on packed bits; only its popcount row sums, at most D, share
+#: the dtype.)
 _FLOAT32_LIMIT = 2**22
+#: ``brn``/``acf`` reconstruction gathers the surviving rows while fewer
+#: than this share of M survive; the dense product is faster above it.
+_GATHER_BELOW = 0.25
 
 
 @dataclass(frozen=True)
@@ -167,6 +174,11 @@ class PerturbedCodebooks:
     search_books: tuple
     recon_books: tuple
     masks: Optional[tuple] = None
+
+    @cached_property
+    def _kernels(self) -> "_Kernels":
+        """The sweep's layouts of these books, built once on first use."""
+        return _Kernels(self)
 
 
 @dataclass
@@ -332,24 +344,45 @@ def detect_convergence_legacy(prev_estimates, curr_estimates) -> bool:
 
 
 class _Kernels:
-    """Float copies of the codebooks for BLAS matrix-vector products.
+    """Per-run codebook layouts for the update sweep.
 
-    float32 is used while sums of +-1 products stay exactly
-    representable; attention numerators are therefore exact integers in
-    either dtype.
+    ``search[f]`` is factor f's search codebook bit-packed by
+    ``packing.pack_words``: (M, ceil(D / 64)) uint64 words, so the dot
+    product of a row with a packed query is D - 2 * popcount(xor), an
+    exact integer.  ``recon[f]`` is a float copy of the reconstruction
+    codebook for BLAS products, float32 while ``_FLOAT32_LIMIT`` allows.
     """
 
-    __slots__ = ("search", "recon", "dtype")
+    __slots__ = ("search", "recon", "dtype", "_ones")
 
     def __init__(self, pbooks: PerturbedCodebooks):
-        size = pbooks.search_books[0].size
-        dim = pbooks.search_books[0].dim
+        size, dim = pbooks.search_books[0].codevectors.shape
         self.dtype = np.float32 if size * dim <= _FLOAT32_LIMIT else np.float64
-        self.search = [b.codevectors.astype(self.dtype) for b in pbooks.search_books]
-        if pbooks.recon_books is pbooks.search_books:
-            self.recon = self.search
-        else:
-            self.recon = [b.codevectors.astype(self.dtype) for b in pbooks.recon_books]
+        self.search = [pack_words(b.codevectors) for b in pbooks.search_books]
+        self.recon = [b.codevectors.astype(self.dtype) for b in pbooks.recon_books]
+        self._ones = np.ones(self.search[0].shape[1], dtype=self.dtype)
+
+    def numerators(self, f: int, query: np.ndarray) -> np.ndarray:
+        """Dot products of factor f's search rows with a ``pack_words`` query, as float64.
+
+        The popcounts sum exactly in ``dtype`` (at most D per row).  The
+        result is float64 so that dividing by D rounds like the exact
+        ratio: in float32, 550 / 1000 compares above 0.55.
+        """
+        popcounts = np.bitwise_count(self.search[f] ^ query)
+        hamming = (popcounts.astype(self.dtype) @ self._ones).astype(np.float64)
+        return self.recon[f].shape[1] - 2.0 * hamming
+
+    def superpose(self, f: int, weights: np.ndarray, rows=None) -> np.ndarray:
+        """Weighted sum of factor f's reconstruction rows.
+
+        With ``rows``, only those rows are gathered and summed, as if
+        every other weight were zero; the caller passes them only for
+        integer weights, whose sum is exact in any order.
+        """
+        if rows is None:
+            return weights.astype(self.dtype) @ self.recon[f]
+        return weights[rows].astype(self.dtype) @ np.take(self.recon[f], rows, axis=0)
 
 
 def _advance(estimates, x, kernels, cfg, streams):
@@ -365,6 +398,14 @@ def _advance(estimates, x, kernels, cfg, streams):
     variant = cfg.variant
     sigma = variant.sigma if variant.kind == "imf" else 0.0
     thresh = variant.activation_threshold
+    # brn and acf weights are integers (positive where attention
+    # survives), so a sum over the surviving rows alone is exact and
+    # equals the dense product.  imf keeps the dense product: its
+    # real-valued weights would round differently in another summation
+    # order.
+    sparse_below = 0 if variant.kind == "imf" else size * _GATHER_BELOW
+    # One packed query, refilled for each factor; its padding stays zero.
+    query = np.zeros(kernels.search[0].shape[1] * 8, dtype=np.uint8)
 
     working = estimates.copy()
     source = estimates if cfg.update_schedule == "parallel" else working
@@ -376,8 +417,7 @@ def _advance(estimates, x, kernels, cfg, streams):
         for g in range(n_factors):
             if g != f:
                 unbound *= source[g]
-        raw = kernels.search[f] @ unbound.astype(kernels.dtype)
-        numerators = raw.astype(np.float64)
+        numerators = kernels.numerators(f, pack_words(unbound, query))
         alpha = numerators / dim
         if variant.kind == "imf":
             noise = streams.noise.standard_normal(size)
@@ -385,12 +425,16 @@ def _advance(estimates, x, kernels, cfg, streams):
             weights = numerators + (dim * sigma) * noise
         else:
             weights = numerators
-        weights = np.where(alpha > thresh, weights, 0.0)
-        if not weights.any():
-            est = random_bipolar(dim, streams.ties)
+        alive = alpha > thresh
+        rows = np.flatnonzero(alive)
+        if 0 < rows.size < sparse_below:
+            est = sign_to_bipolar(kernels.superpose(f, weights, rows), streams.ties)
         else:
-            s = weights.astype(kernels.dtype) @ kernels.recon[f]
-            est = sign_to_bipolar(s, streams.ties)
+            weights = np.where(alive, weights, 0.0)
+            if not weights.any():
+                est = random_bipolar(dim, streams.ties)
+            else:
+                est = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
         attentions[f] = alpha
         new_estimates[f] = est
         if cfg.update_schedule == "sequential":
@@ -409,7 +453,7 @@ def step(
     """Apply one update sweep and return the successor state."""
     if state.converged:
         raise RuntimeError("step called on a converged state")
-    kernels = _Kernels(pbooks)
+    kernels = pbooks._kernels
     estimates, attentions = _advance(state.estimates, np.asarray(x), kernels, cfg, streams)
     return FactorizerState(
         estimates=estimates,
@@ -451,7 +495,7 @@ def run(
     _check_run_inputs(xv, books, cfg)
     streams = derive_streams(cfg.seed)
     pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
-    kernels = _Kernels(pbooks)
+    kernels = pbooks._kernels
     state = init_estimates(pbooks, streams.init)
     limit = cfg.resolved_max_iters()
 

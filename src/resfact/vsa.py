@@ -18,7 +18,7 @@ def as_bipolar(x, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
-    if not np.isin(arr, (-1, 1)).all():
+    if not ((arr == 1) | (arr == -1)).all():
         raise ValueError(f"{name} must contain only -1 and +1")
     return arr.astype(np.int8, copy=False)
 
@@ -117,7 +117,7 @@ class Codebook:
             raise ValueError(f"codebook size must be >= 2, got {arr.shape[0]}")
         if arr.shape[1] < 1:
             raise ValueError("codevector dimension must be >= 1")
-        if not np.isin(arr, (-1, 1)).all():
+        if not ((arr == 1) | (arr == -1)).all():
             raise ValueError("codevectors must contain only -1 and +1")
         object.__setattr__(self, "codevectors", arr.astype(np.int8, copy=False))
 

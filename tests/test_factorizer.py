@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from resfact import factorizer
 from resfact.factorizer import (
     DEFAULT_ITER_CAP,
     FactorizerConfig,
+    FactorizerState,
     VariantSpec,
     associative_search,
     derive_streams,
@@ -18,7 +20,8 @@ from resfact.factorizer import (
     threshold_activation,
     unbind_others,
 )
-from resfact.vsa import bind_product, generate_codebook, random_bipolar
+from resfact.packing import pack_words
+from resfact.vsa import bind_product, generate_codebook, random_bipolar, sign_to_bipolar
 
 
 def _instance(M, D, F, seed):
@@ -221,6 +224,117 @@ def test_reconstruct_length_mismatch(rng):
     book = generate_codebook(6, 100, rng)
     with pytest.raises(ValueError):
         reconstruct(np.ones(4), book, rng)
+
+
+# --- sweep kernels ---
+
+
+@pytest.mark.parametrize("D", [1, 7, 8, 63, 64, 65, 1000, 1500])
+def test_packed_numerators_are_exact_dots(D):
+    g = np.random.default_rng(D)
+    books = [generate_codebook(6, D, g) for _ in range(2)]
+    kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
+    assert kernels.search[1].dtype == np.uint64
+    assert kernels.search[1].shape == (6, -(-D // 64))
+    rows = books[1].codevectors
+    for q in (random_bipolar(D, g), rows[2], -rows[4]):
+        got = kernels.numerators(1, pack_words(q))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, rows.astype(np.int64) @ q.astype(np.int64))
+
+
+def _integer_weights(M, share, g):
+    """Numerator-like weights: integers on a random ``share`` of M rows, zero elsewhere."""
+    w = np.zeros(M)
+    rows = g.choice(M, max(1, round(share * M)), replace=False)
+    w[rows] = g.integers(1, 400, size=rows.size)
+    return w
+
+
+@pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.1)], ids=["brn", "acf"])
+@pytest.mark.parametrize("share", [0.01, 0.1, 0.24, 0.26, 0.5, 1.0])
+def test_survivor_rows_reconstruct_like_dense(variant, share):
+    M, D = 400, 1000
+    g = np.random.default_rng(int(share * 100))
+    books = [generate_codebook(M, D, g) for _ in range(2)]
+    kernels = factorizer._Kernels(perturb_codebooks(books, variant, g))
+    weights = [_integer_weights(M, share, g)]
+    # Two equal weights cancel on about half of the elements: exact-zero sums.
+    even = np.zeros(M)
+    even[g.choice(M, 2 * max(1, round(share * M / 2)), replace=False)] = 3.0
+    weights.append(even)
+    for w in weights:
+        dense = kernels.superpose(0, w)
+        rows = kernels.superpose(0, w, np.flatnonzero(w))
+        assert np.array_equal(dense, rows)
+        ties_dense, ties_rows = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(sign_to_bipolar(dense, ties_dense), sign_to_bipolar(rows, ties_rows))
+        assert ties_dense.bit_generator.state == ties_rows.bit_generator.state
+    assert (kernels.superpose(0, even) == 0).any()
+
+
+@pytest.mark.parametrize(
+    "variant, gathers",
+    [(VariantSpec.brn(0.05), True), (VariantSpec.acf(0.05, 0.05), True),
+     (VariantSpec.imf(0.007, 0.05), False), (VariantSpec.brn(), False)],
+    ids=["brn-sparse", "acf-sparse", "imf-sparse", "brn-dense"],
+)
+def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, gathers):
+    # imf weights are real-valued: gathering would change their summation order.
+    calls = []
+    superpose = factorizer._Kernels.superpose
+
+    def spy(self, f, weights, rows=None):
+        calls.append(rows is not None)
+        return superpose(self, f, weights, rows)
+
+    monkeypatch.setattr(factorizer._Kernels, "superpose", spy)
+    x, books, _ = _instance(200, 1000, 2, seed=4)
+    run(x, books, FactorizerConfig(variant=variant, F=2, M=200, D=1000, seed=4, max_iters=20))
+    assert calls and all(c == gathers for c in calls)
+
+
+def test_attention_of_550_is_not_above_055():
+    # Row 0 of each book is the truth.  Factor 1's starting estimate
+    # differs from it in 225 places, so factor 0's best numerator is
+    # exactly 1000 - 2 * 225 = 550; float32 division would put 550 / 1000
+    # above 0.55.
+    D = 1000
+    g = np.random.default_rng(3)
+    books = [generate_codebook(4, D, g) for _ in range(2)]
+    x = bind_product(books, (0, 0))
+    start = books[1][0].copy()
+    start[g.choice(D, 225, replace=False)] *= -1
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=4, D=D, seed=0)
+    streams = derive_streams(cfg.seed)
+    pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
+    state0 = FactorizerState(
+        estimates=np.stack([books[0][0], start]), attentions=np.full((2, 4), np.nan)
+    )
+    state = step(state0, x, pbooks, cfg, streams)
+    assert state.attentions[0].max() == 0.55
+    assert state.attentions[1].max() == 1.0
+    assert not detect_convergence_early(state, 0.55)
+    assert detect_convergence_early(state, 0.549)
+
+
+def test_step_builds_kernels_once(monkeypatch):
+    built = []
+
+    class CountingKernels(factorizer._Kernels):
+        def __init__(self, pbooks):
+            built.append(pbooks)
+            super().__init__(pbooks)
+
+    monkeypatch.setattr(factorizer, "_Kernels", CountingKernels)
+    x, books, _ = _instance(8, 64, 2, seed=3)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=8, D=64, seed=3)
+    streams = derive_streams(cfg.seed)
+    p = perturb_codebooks(books, cfg.variant, streams.masks)
+    state = init_estimates(p, streams.init)
+    for _ in range(3):
+        state = step(state, x, p, cfg, streams)
+    assert len(built) == 1 and built[0] is p
 
 
 # --- convergence detectors ---

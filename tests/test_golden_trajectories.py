@@ -1,0 +1,57 @@
+"""Golden trajectory digests: the decoder's sweep-by-sweep output, pinned.
+
+Each case decodes one seeded instance and hashes the estimates of every
+sweep, as ``run`` hands them to ``on_step``.  A kernel change that keeps
+these digests produces the same decodes bit for bit.  A change that
+means to alter trajectories re-baselines them here, on purpose, and
+says so in CHANGES.md.
+
+The cases cover all three variants, F=2 and F=3, activation thresholds
+0 and > 0, both update schedules, a row where few attentions survive
+(``acf`` 0.05/0.05 at M=2236) and rows where about half of them do
+(``brn`` at threshold 0).
+"""
+
+import hashlib
+
+import pytest
+
+from resfact.bench import make_instance
+from resfact.factorizer import FactorizerConfig, VariantSpec, run
+
+# (id, variant, F, M, D, instance seed, max_iters, extra config fields)
+CASES = [
+    ("brn-f2-dense", VariantSpec.brn(), 2, 1000, 1000, 7, 120, {}),
+    ("acf-f2-sparse", VariantSpec.acf(0.05, 0.05), 2, 2236, 1000, 11, 250, {}),
+    ("imf-f2-t0", VariantSpec.imf(0.008), 2, 1000, 1000, 3, 150, {}),
+    ("brn-f3-t05", VariantSpec.brn(0.05), 3, 215, 1500, 5, 200, {}),
+    ("acf-f3-t05", VariantSpec.acf(0.05, 0.05), 3, 215, 1500, 5, 200, {}),
+    ("imf-f3-t05", VariantSpec.imf(0.007, 0.05), 3, 215, 1500, 5, 200, {}),
+    ("acf-f2-parallel", VariantSpec.acf(0.1), 2, 150, 500, 2, 150,
+     {"update_schedule": "parallel"}),
+]
+
+DIGESTS = {
+    "brn-f2-dense": "3aad50aa7ef8ffbdea7c1fa3e472ef38cc86e9f2a763ad7fbd2f9dc553f52648",
+    "acf-f2-sparse": "e2215c428a66982e0a3a51bdebe36c9195e48826363e2e8602b4a7c3da34c49c",
+    "imf-f2-t0": "24f827dd5ae04ed3389ef40fca94115f38d990d8537654573727f44dc503b520",
+    "brn-f3-t05": "922ffbf28e0d10ef8b46a0662a1591b69ee0bbfff5429403886d15fffb68577d",
+    "acf-f3-t05": "6dcb4a50674fb2229c1bbcdb5f47651176145955ebb37481915f08d9b8292b3d",
+    "imf-f3-t05": "3a37e8f29bf0ce15826ab25fbc8751d05497cb8e38e2017c75be6add6e19b8fe",
+    "acf-f2-parallel": "3631be87207f37ceac27e61fb8a9d51aa83c3b44e956f7520de57465b96aeb36",
+}
+
+
+def trajectory_digest(variant, F, M, D, seed, max_iters, extra) -> str:
+    x, books, _, fact_seed = make_instance(seed, M, F, D)
+    cfg = FactorizerConfig(variant=variant, F=F, M=M, D=D, max_iters=max_iters,
+                           convergence_threshold=0.55, seed=fact_seed, **extra)
+    digest = hashlib.sha256()
+    run(x, books, cfg, on_step=lambda state: digest.update(state.estimates.tobytes()))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_trajectory_digest(case):
+    name, *args = case
+    assert trajectory_digest(*args) == DIGESTS[name]

@@ -17,6 +17,7 @@ from resfact.vsa import (
     similarity,
     unbind,
 )
+from resfact.packing import pack_bipolar
 
 dims = st.integers(min_value=1, max_value=512)
 
@@ -130,6 +131,30 @@ def test_codebook_validation():
     bad[0, 0] = 0
     with pytest.raises(ValueError):
         Codebook(bad)
+
+
+# Every entry point that checks the bipolar domain, as (M, D) rows.
+BIPOLAR_CHECKS = {
+    "Codebook": Codebook,
+    "as_bipolar": lambda rows: as_bipolar(rows[0]),
+    "pack_bipolar": lambda rows: pack_bipolar(rows[0]),
+}
+
+
+@pytest.mark.parametrize("check", BIPOLAR_CHECKS.values(), ids=BIPOLAR_CHECKS.keys())
+@pytest.mark.parametrize("value", [0, 2, -2, 1.5, np.nan])
+def test_bipolar_checks_reject(check, value):
+    rows = np.ones((3, 8))
+    rows[0, 5] = value
+    with pytest.raises(ValueError):
+        check(rows)
+
+
+@pytest.mark.parametrize("check", BIPOLAR_CHECKS.values(), ids=BIPOLAR_CHECKS.keys())
+def test_bipolar_checks_accept_float_signs(check):
+    rows = np.ones((3, 8))
+    rows[:, ::2] = -1.0
+    check(rows)
 
 
 def test_cleanup_recovers_noisy_codevector(rng):
