@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from statistics import fmean
 from typing import Callable, Optional, Sequence, Tuple
@@ -384,49 +385,55 @@ def run_sweep(
     size index, trial index), so any parallelism degree yields the same
     report.
     """
-    rows = []
-    for size_index, target in enumerate(cfg.search_space_sizes):
-        M, realized, D, variant, max_iters, preset_exact = _resolve_size(cfg, target)
-        n = cfg.trials_per_size
-        args = [
-            (
-                trial_seed_for(cfg.master_seed, size_index, t),
-                M, cfg.F, D, variant, max_iters, cfg.convergence_threshold,
-            )
-            for t in range(n)
-        ]
-        if cfg.parallelism > 1:
-            chunk = max(1, math.ceil(n / (cfg.parallelism * 4)))
-            with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                results = list(pool.map(_trial_worker, args, chunksize=chunk))
-        else:
-            results = [_trial_worker(a) for a in args]
-        successes = sum(1 for r in results if r.correct and r.converged)
-        ci_low, ci_high = wilson_interval(successes, n)
-        row = CapacityRow(
-            variant=cfg.variant_kind,
-            F=cfg.F,
-            M=M,
-            D=D,
-            search_space=realized,
-            trials=n,
-            accuracy=successes / n,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            mean_iterations=fmean(r.iterations for r in results),
-            sigma=variant.sigma,
-            flip_rate=variant.flip_rate,
-            activation_threshold=variant.activation_threshold,
-            convergence_threshold=cfg.convergence_threshold,
-            max_iters=max_iters,
-            preset_exact=preset_exact,
-        )
-        rows.append(row)
-        if progress is not None:
-            progress(row)
+    # One pool for the whole sweep: its workers start once, not once per size.
+    workers = ProcessPoolExecutor(cfg.parallelism) if cfg.parallelism > 1 else nullcontext()
+    with workers as pool:
+        rows = [_sweep_row(cfg, size_index, target, pool, progress)
+                for size_index, target in enumerate(cfg.search_space_sizes)]
     rows.sort(key=lambda r: r.search_space)
     return CapacityReport(
         config=cfg,
         rows=tuple(rows),
         operational_capacity=operational_capacity(rows),
     )
+
+
+def _sweep_row(cfg: SweepConfig, size_index: int, target: int, pool, progress) -> CapacityRow:
+    """Run one size's trials, in ``pool`` if given, and aggregate its row."""
+    M, realized, D, variant, max_iters, preset_exact = _resolve_size(cfg, target)
+    n = cfg.trials_per_size
+    args = [
+        (
+            trial_seed_for(cfg.master_seed, size_index, t),
+            M, cfg.F, D, variant, max_iters, cfg.convergence_threshold,
+        )
+        for t in range(n)
+    ]
+    if pool is not None:
+        chunk = max(1, math.ceil(n / (cfg.parallelism * 4)))
+        results = list(pool.map(_trial_worker, args, chunksize=chunk))
+    else:
+        results = [_trial_worker(a) for a in args]
+    successes = sum(1 for r in results if r.correct and r.converged)
+    ci_low, ci_high = wilson_interval(successes, n)
+    row = CapacityRow(
+        variant=cfg.variant_kind,
+        F=cfg.F,
+        M=M,
+        D=D,
+        search_space=realized,
+        trials=n,
+        accuracy=successes / n,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        mean_iterations=fmean(r.iterations for r in results),
+        sigma=variant.sigma,
+        flip_rate=variant.flip_rate,
+        activation_threshold=variant.activation_threshold,
+        convergence_threshold=cfg.convergence_threshold,
+        max_iters=max_iters,
+        preset_exact=preset_exact,
+    )
+    if progress is not None:
+        progress(row)
+    return row

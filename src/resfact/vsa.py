@@ -134,12 +134,29 @@ class Codebook:
 
 
 def generate_codebook(size: int, dim: int, rng: np.random.Generator) -> Codebook:
-    """Draw ``size`` independent random bipolar codevectors of ``dim`` each."""
+    """Draw ``size`` independent random bipolar codevectors of ``dim`` each.
+
+    Element i is +1 where the top bit of byte i of ``rng.bytes(size *
+    dim)`` is set and -1 elsewhere.  That is exactly the stream of
+    ``rng.integers(0, 2, size=(size, dim), dtype=np.int8) * 2 - 1``,
+    and it leaves ``rng`` in the same state, for any ``size * dim``:
+    both consume ceil(size * dim / 4) 32-bit draws, four bytes each,
+    low byte first.  The identity is kept because the golden instance
+    and trajectory digests pin the codebooks; the bytes are turned into
+    +-1 in place, without the int8 temporaries of the integer draw.
+    """
     if size < 2:
         raise ValueError(f"codebook size must be >= 2, got {size}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return Codebook(rng.integers(0, 2, size=(size, dim), dtype=np.int8) * 2 - 1)
+    n = size * dim
+    # The 32-bit words that rng.bytes(n) is made of, as little-endian bytes.
+    words = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32).astype("<u4", copy=False)
+    out = words.view(np.int8)[:n]
+    np.right_shift(out, 7, out=out)  # top bit set -> -1, clear -> 0
+    np.invert(out, out=out)  # -> 0 and -1
+    out |= 1  # -> +1 and -1
+    return Codebook(out.reshape(size, dim))
 
 
 def cleanup(query, book: Codebook) -> int:

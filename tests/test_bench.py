@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resfact import bench
 from resfact.bench import (
     CAPACITY_ACCURACY,
     CapacityRow,
@@ -16,6 +17,7 @@ from resfact.bench import (
     wilson_interval,
 )
 from resfact.factorizer import VariantSpec
+from resfact.report import report_to_csv_bytes
 from resfact.vsa import Codebook, bind_product, generate_codebook, random_bipolar
 
 
@@ -285,6 +287,27 @@ def test_run_sweep_parallelism_matches_serial():
     parallel = run_sweep(SweepConfig(**base, parallelism=2))
     assert serial.rows == parallel.rows
     assert serial.operational_capacity == parallel.operational_capacity
+
+
+def test_run_sweep_opens_one_pool_and_matches_serial_bytes(monkeypatch):
+    pools = []
+
+    class CountingPool(bench.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+    base = dict(
+        F=2, variant_kind="acf", search_space_sizes=(16, 64, 144), D=128,
+        flip_rate=0.05, trials_per_size=5, master_seed=3,
+    )
+    serial = report_to_csv_bytes(run_sweep(SweepConfig(**base, parallelism=1)))
+    assert pools == []
+    parallel = report_to_csv_bytes(run_sweep(SweepConfig(**base, parallelism=2)))
+    assert len(pools) == 1
+    assert serial == parallel
+    assert serial.count(b"\n") == 4  # header and three rows
 
 
 def test_run_sweep_with_preset_table(tmp_path):

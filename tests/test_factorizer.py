@@ -113,6 +113,23 @@ def test_generate_bfm_flip_fraction():
     assert abs(frac - 0.1) < 1e-3
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "M, D",
+    [(3, 5), (7, factorizer._MASK_BLOCK + 3), (2236, 1000)],
+    ids=["small", "row-longer-than-block", "blocks-cut-rows"],
+)
+def test_generate_bfm_is_the_uniform_draw(M, D, p):
+    # The digests pin masks drawn from one (M, D) float64 uniform; the
+    # block draw must give the same mask and leave the same stream behind.
+    fast, ref = np.random.default_rng(M + D), np.random.default_rng(M + D)
+    mask = generate_bfm(M, D, p, fast)
+    assert mask.dtype == np.int8 and mask.shape == (M, D)
+    assert np.array_equal(mask, np.where(ref.random((M, D)) < p, -1, 1))
+    assert fast.bit_generator.state == ref.bit_generator.state
+    assert fast.random() == ref.random()
+
+
 def test_generate_bfm_rejects_rate(rng):
     with pytest.raises(ValueError):
         generate_bfm(4, 16, -0.01, rng)

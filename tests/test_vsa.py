@@ -124,6 +124,29 @@ def test_generate_codebook_shape_and_determinism():
     assert np.array_equal(book.codevectors, again.codevectors)
 
 
+# (M, D) with M * D % 4 in {0, 1, 2, 3}, plus the shape of the F=3 benchmark row.
+@pytest.mark.parametrize("M, D", [(4, 8), (3, 7), (2, 9), (5, 3), (215, 1500), (100, 4000)])
+def test_generate_codebook_is_the_integer_draw(M, D):
+    # The digests pin codebooks drawn as rng.integers(0, 2, dtype=int8);
+    # consecutive draws, and the truth draw after them, must see the same stream.
+    seed = M * D
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        book = generate_codebook(M, D, fast).codevectors
+        want = ref.integers(0, 2, size=(M, D), dtype=np.int8) * 2 - 1
+        assert book.dtype == np.int8 and book.shape == (M, D)
+        assert np.array_equal(book, want)
+        assert fast.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(fast.integers(0, M, size=3), ref.integers(0, M, size=3))
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_generate_codebook_is_the_top_bit_of_rng_bytes():
+    book = generate_codebook(3, 7, np.random.default_rng(5)).codevectors
+    top = np.frombuffer(np.random.default_rng(5).bytes(21), dtype=np.uint8) >= 128
+    assert np.array_equal(book.ravel() == 1, top)
+
+
 def test_codebook_validation():
     with pytest.raises(ValueError):
         Codebook(np.ones((1, 8), dtype=np.int8))  # M >= 2
