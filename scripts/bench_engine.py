@@ -9,33 +9,41 @@ reach a typical mid-search state, then times on that fixed state:
 * ``recon_us``  -- the reconstruction product of one factor, over the
   attentions that survive the activation threshold in that state.
 
-For each set-up row it times the four set-up steps of a trial, each
-call on a freshly built instance, as a trial meets them, page faults
-included:
+For each set-up row it times the steps of a trial up to its first
+sweep, each call on a freshly built instance, as a trial meets them,
+page faults included:
 
 * ``make_instance_us`` -- codebooks, planted truth and product vector;
 * ``perturb_us`` -- ``perturb_codebooks`` (the ``acf`` flip masks);
 * ``kernel_build_us`` -- building the sweep's codebook layouts;
-* ``init_us`` -- ``init_estimates``.
+* ``init_us`` -- ``init_estimates``;
+* ``first_sweep_us`` -- the first update sweep, which pays for any
+  layout the kernels build lazily.
 
-The script refuses to time a set-up whose outputs differ from the
-reference draws (``rng.integers`` codebooks, ``rng.random`` masks, int64
-majority sums), as it refuses a search that is not the exact dot product.
+Each set-up step also records its minor page faults per call
+(``ru_minflt``), and each set-up row the bytes of float reconstruction
+copies the kernels hold after the build and after the first sweep
+(``float_bytes``); reading them never builds a lazy copy.  The script
+refuses to time a set-up whose outputs differ from the reference draws
+(``rng.integers`` codebooks, ``rng.random`` masks, int64 majority sums),
+as it refuses a search that is not the exact dot product.
 
-Each figure is the median and inter-quartile range of ``--repeats``
-repeats, each the mean of enough calls to fill about 50 ms.  The result
-is stored under ``--label`` in the ``--out`` JSON file, beside the
-entries of earlier runs, with the numpy, BLAS, core and BLAS-thread
-figures of this run.  To compare two versions of the engine, run the
-script once per version, pointing ``--src`` at each checkout's src/:
+Every repeat runs in a fresh child process and times each figure once,
+as the mean of enough calls to fill about 50 ms; a figure is the median
+and inter-quartile range over ``--repeats`` repeats.  With ``--against``
+the repeats alternate between the two source trees, each tree going
+first in every other round, so that drift of the machine falls on both
+alike:
 
-    python3 scripts/bench_engine.py --src ../parent/src --label before --out BENCH_3.json
-    python3 scripts/bench_engine.py --label after --out BENCH_3.json
+    python3 scripts/bench_engine.py --against ../parent/src --label after --out BENCH_4.json
 
-Only numpy and the standard library are needed.  Engines from before
-the packed search have no ``numerators``/``superpose`` kernels; for
-those the script times the float matrix-vector products that their
-sweep ran instead.
+stores this checkout's figures under ``after`` and the other tree's
+under ``before`` in the ``--out`` JSON file,
+beside the entries of earlier runs, with the numpy, BLAS, core and
+BLAS-thread figures of each.  Only numpy and the standard library are
+needed.  Engines from before the packed search have no
+``numerators``/``superpose`` kernels; for those the script times the
+float matrix-vector products that their sweep ran instead.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import ctypes
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -53,6 +62,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+CHILD = "--child"
+AGAINST_LABEL = "before"
 # (M, D, F, variant, knobs, warm-up sweeps): the shapes of the benchmark's
 # F=3 row at 1e7, its dense brn row at 1e6 and its sparse acf row at 5e6.
 ROWS = [
@@ -68,7 +79,10 @@ SETUP_ROWS = [
     (1000, 1000, 2, "brn", {}),
     (2236, 1000, 2, "acf", {"flip_rate": 0.05, "activation_threshold": 0.05}),
 ]
+SETUP_STEPS = ("make_instance_us", "perturb_us", "kernel_build_us", "init_us", "first_sweep_us")
+SWEEP_STEPS = ("sweep_us", "search_us", "recon_us")
 TARGET_S = 0.05
+WARM_CALLS = 5
 
 
 def blas_threads():
@@ -108,45 +122,62 @@ def environment(src: Path) -> dict:
     }
 
 
-def timed(fn, repeats: int) -> dict:
-    """Median and IQR, in microseconds per call, of ``repeats`` batches of calls."""
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed(fn) -> dict:
+    """Microseconds per call over a batch of calls that fills about ``TARGET_S``."""
     fn()
     t0 = time.perf_counter()
     fn()
     calls = max(1, int(TARGET_S / max(time.perf_counter() - t0, 1e-7)))
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        samples.append((time.perf_counter() - t0) / calls * 1e6)
-    return summary(samples, calls)
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return {"us": (time.perf_counter() - t0) / calls * 1e6, "calls": calls}
 
 
-def summary(samples, calls: int) -> dict:
-    q1, med, q3 = np.percentile(samples, [25, 50, 75])
-    return {"median": round(float(med), 2), "iqr": round(float(q3 - q1), 2),
-            "calls_per_repeat": calls, "repeats": [round(s, 2) for s in samples]}
+def timed_fresh(prepare, fn) -> dict:
+    """Like ``timed``, but each call gets fresh arguments from ``prepare(i)``, untimed.
 
-
-def timed_fresh(prepare, fn, repeats: int) -> dict:
-    """Like ``timed``, but each call gets fresh arguments from ``prepare(i)``, untimed."""
+    Also counts the minor page faults of the timed calls alone.  The
+    first ``WARM_CALLS`` calls, whose faults grow the heap once per
+    process, only calibrate the batch.
+    """
     def batch(first, calls):
-        total = 0.0
+        total, faults = 0.0, 0
         for i in range(first, first + calls):
             args = prepare(i)
+            f0 = minor_faults()
             t0 = time.perf_counter()
             fn(*args)
             total += time.perf_counter() - t0
-        return total
+            faults += minor_faults() - f0
+        return total, faults
 
-    once = batch(0, 2) / 2
+    once = batch(0, WARM_CALLS)[0] / WARM_CALLS
     calls = max(1, int(TARGET_S / max(once, 1e-7)))
-    return summary([batch(2 + r * calls, calls) / calls * 1e6 for r in range(repeats)], calls)
+    total, faults = batch(WARM_CALLS, calls)
+    return {"us": total / calls * 1e6, "minflt": faults / calls, "calls": calls}
 
 
-def check_setup(fz, make_instance, M, D, F, variant, seed) -> None:
-    """Refuse set-up outputs that differ from the reference draws of the same seed."""
+def float_bytes(kernels) -> int:
+    """Bytes of the float reconstruction copies ``kernels`` holds, without building one.
+
+    Engines that build the copies lazily keep them in ``_recon`` (None
+    until built); older ones hold them in ``recon`` from the start.
+    """
+    held = kernels._recon if hasattr(type(kernels), "_recon") else kernels.recon
+    return sum(a.nbytes for a in held or ())
+
+
+def check_setup(fz, make_instance, M, D, F, variant, seed) -> dict:
+    """Refuse set-up outputs that differ from the reference draws of the same seed.
+
+    Returns the float bytes the kernels hold after the build and after
+    the first sweep.
+    """
     from resfact.vsa import sign_to_bipolar
 
     x, books, truth, fact_seed = make_instance(seed, M, F, D)
@@ -167,19 +198,25 @@ def check_setup(fz, make_instance, M, D, F, variant, seed) -> None:
                      for _ in range(F)]
         ref_recon = [b * m for b, m in zip(ref_books, ref_masks)]
         same = same and all(np.array_equal(m, r) for m, r in zip(pbooks.masks, ref_masks))
+    same = same and all(np.array_equal(b.codevectors, r)
+                        for b, r in zip(pbooks.recon_books, ref_recon))
     kernels = fz._Kernels(pbooks)
-    same = same and all(np.array_equal(k, r) for k, r in zip(kernels.recon, ref_recon))
+    built = {"after_build": float_bytes(kernels)}
     init = fz.init_estimates(pbooks, streams.init).estimates
     ref_init = [sign_to_bipolar(b.sum(axis=0, dtype=np.int64), ref_streams.init)
                 for b in ref_books]
     same = same and np.array_equal(init, np.stack(ref_init))
     if not same:
         raise RuntimeError(f"set-up at M={M}, D={D} differs from the reference draws")
+    cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=fact_seed)
+    fz._advance(init, x, kernels, cfg, streams)
+    built["after_first_sweep"] = float_bytes(kernels)
+    return built
 
 
-def bench_setup(fz, make_instance, M, D, F, kind, knobs, repeats) -> dict:
+def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
     variant = fz.VariantSpec(kind, **knobs)
-    check_setup(fz, make_instance, M, D, F, variant, seed=7)
+    built = check_setup(fz, make_instance, M, D, F, variant, seed=7)
 
     # Call i of every step works on the instance of seed 1000 + i, built untimed.
     def instance_args(i):
@@ -195,16 +232,25 @@ def bench_setup(fz, make_instance, M, D, F, kind, knobs, repeats) -> dict:
     def init_args(i):
         return kernel_args(i)[0], np.random.default_rng(i)
 
+    def sweep_args(i):
+        x, books, _, seed = make_instance(*instance_args(i))
+        streams = fz.derive_streams(seed)
+        pbooks = fz.perturb_codebooks(books, variant, streams.masks)
+        kernels = fz._Kernels(pbooks)
+        cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=seed)
+        return fz.init_estimates(pbooks, streams.init).estimates, x, kernels, cfg, streams
+
     return {
-        "M": M, "D": D, "F": F, "variant": kind, **knobs,
-        "make_instance_us": timed_fresh(instance_args, make_instance, repeats),
-        "perturb_us": timed_fresh(perturb_args, fz.perturb_codebooks, repeats),
-        "kernel_build_us": timed_fresh(kernel_args, fz._Kernels, repeats),
-        "init_us": timed_fresh(init_args, fz.init_estimates, repeats),
+        "M": M, "D": D, "F": F, "variant": kind, **knobs, "float_bytes": built,
+        "make_instance_us": timed_fresh(instance_args, make_instance),
+        "perturb_us": timed_fresh(perturb_args, fz.perturb_codebooks),
+        "kernel_build_us": timed_fresh(kernel_args, fz._Kernels),
+        "init_us": timed_fresh(init_args, fz.init_estimates),
+        "first_sweep_us": timed_fresh(sweep_args, fz._advance),
     }
 
 
-def bench_row(fz, make_instance, M, D, F, kind, knobs, warm, repeats) -> dict:
+def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     variant = fz.VariantSpec(kind, **knobs)
     x, books, _, seed = make_instance(7, M, F, D)
     cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, max_iters=warm,
@@ -236,56 +282,119 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm, repeats) -> dict:
         def recon():
             return weights.astype(kernels.dtype) @ kernels.recon[0]
 
-    distinct = {id(a): a for a in kernels.search + kernels.recon}
-    return {
+    row = {
         "M": M, "D": D, "F": F, "variant": kind, **knobs,
         "warm_sweeps": warm,
         "survivors_frac": round(
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
         "recon_rows": int(rows.size),
-        "kernel_bytes": sum(a.nbytes for a in distinct.values()),
-        "sweep_us": timed(lambda: fz._advance(state.estimates, x, kernels, cfg, streams),
-                          repeats),
-        "search_us": timed(search, repeats),
-        "recon_us": timed(recon, repeats),
+        "sweep_us": timed(lambda: fz._advance(state.estimates, x, kernels, cfg, streams)),
+        "search_us": timed(search),
+        "recon_us": timed(recon),
     }
+    # Only the layouts that the timed sweep and products built.
+    row["kernel_bytes"] = sum(a.nbytes for a in kernels.search) + float_bytes(kernels)
+    return row
+
+
+def one_repeat(src: Path) -> dict:
+    """Time every row once, in this process, on the resfact package under ``src``."""
+    sys.path.insert(0, str(src))
+    import resfact.factorizer as fz
+    from resfact.bench import make_instance
+
+    if Path(fz.__file__).resolve().parents[1] != src:
+        sys.exit(f"bench_engine: resfact was imported from {fz.__file__}, not {src}")
+    return {"environment": environment(src),
+            "setup_rows": [bench_setup(fz, make_instance, *row) for row in SETUP_ROWS],
+            "rows": [bench_row(fz, make_instance, *row) for row in ROWS]}
+
+
+def child_repeat(src: Path) -> dict:
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), CHILD, str(src)],
+                         capture_output=True, text=True, timeout=600)
+    if out.returncode != 0:
+        raise RuntimeError(f"repeat on {src} failed:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def summary(samples) -> dict:
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": round(float(med), 2), "iqr": round(float(q3 - q1), 2),
+            "repeats": [round(s, 2) for s in samples]}
+
+
+def merge(repeats: list) -> dict:
+    """One run from its repeats: median and IQR of every timed figure."""
+    def rows(key, steps):
+        merged = []
+        for i, first in enumerate(repeats[0][key]):
+            row = {k: v for k, v in first.items() if k not in steps}
+            for step in steps:
+                samples = [rep[key][i][step] for rep in repeats]
+                row[step] = {**summary([s["us"] for s in samples]),
+                             "calls_per_repeat": [s["calls"] for s in samples]}
+                if "minflt" in samples[0]:
+                    row[step]["minflt_per_call"] = summary([s["minflt"] for s in samples])
+            merged.append(row)
+        return merged
+
+    return {"environment": repeats[0]["environment"],
+            "setup_rows": rows("setup_rows", SETUP_STEPS), "rows": rows("rows", SWEEP_STEPS)}
+
+
+def report(label: str, run: dict) -> None:
+    for row in run["setup_rows"]:
+        faults = sum(row[s]["minflt_per_call"]["median"] for s in SETUP_STEPS)
+        print(f"{label}: M={row['M']} D={row['D']} {row['variant']} set-up:"
+              f"  instance {row['make_instance_us']['median']:.0f} us"
+              f"  perturb {row['perturb_us']['median']:.0f} us"
+              f"  build {row['kernel_build_us']['median']:.0f} us"
+              f"  init {row['init_us']['median']:.0f} us"
+              f"  sweep 1 {row['first_sweep_us']['median']:.0f} us"
+              f"  minflt {faults:.1f}"
+              f"  float MB {row['float_bytes']['after_first_sweep'] / 1e6:.1f}")
+    for row in run["rows"]:
+        print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
+              f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us"
+              f"  search {row['search_us']['median']:.0f} us"
+              f"  recon {row['recon_us']['median']:.0f} us")
 
 
 def main(argv=None) -> int:
+    if argv is None and sys.argv[1:2] == [CHILD]:
+        print(json.dumps(one_repeat(Path(sys.argv[2]).resolve())))
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the resfact package to time")
-    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--against", type=Path,
+                    help="a second src directory, timed in alternation with --src "
+                         f"and stored under {AGAINST_LABEL!r}")
+    ap.add_argument("--label", required=True, help="key of the --src run in the output file")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
     if args.repeats < 5:
         ap.error("--repeats must be at least 5")
+    trees = {args.label: args.src.resolve()}
+    if args.against is not None:
+        if args.label == AGAINST_LABEL:
+            ap.error(f"--label must not be {AGAINST_LABEL!r}, the key of the --against run")
+        trees = {AGAINST_LABEL: args.against.resolve(), **trees}
 
-    sys.path.insert(0, str(args.src.resolve()))
-    import resfact.factorizer as fz
-    from resfact.bench import make_instance
-
-    if Path(fz.__file__).resolve().parents[1] != args.src.resolve():
-        sys.exit(f"bench_engine: resfact was imported from {fz.__file__}, not {args.src}")
-    run = {"environment": environment(args.src.resolve()),
-           "setup_rows": [bench_setup(fz, make_instance, *row, args.repeats)
-                          for row in SETUP_ROWS],
-           "rows": [bench_row(fz, make_instance, *row, args.repeats) for row in ROWS]}
+    repeats = {label: [] for label in trees}
+    for r in range(args.repeats):
+        for label in (list(trees) if r % 2 == 0 else reversed(list(trees))):
+            repeats[label].append(child_repeat(trees[label]))
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
-    data["runs"][args.label] = run
+    for label, reps in repeats.items():
+        run = merge(reps)
+        if len(trees) > 1:
+            run["interleaved_with"] = [other for other in trees if other != label]
+        data["runs"][label] = run
+        report(label, run)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
-    for row in run["setup_rows"]:
-        print(f"{args.label}: M={row['M']} D={row['D']} {row['variant']} set-up:"
-              f"  instance {row['make_instance_us']['median']:.0f} us"
-              f"  perturb {row['perturb_us']['median']:.0f} us"
-              f"  build {row['kernel_build_us']['median']:.0f} us"
-              f"  init {row['init_us']['median']:.0f} us")
-    for row in run["rows"]:
-        print(f"{args.label}: M={row['M']} D={row['D']} {row['variant']} "
-              f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us"
-              f"  search {row['search_us']['median']:.0f} us"
-              f"  recon {row['recon_us']['median']:.0f} us")
     return 0
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .packing import pack_words
-from .vsa import Codebook, random_bipolar, sign_to_bipolar
+from .vsa import Codebook, as_bipolar, random_bipolar, sign_to_bipolar
 
 VARIANT_KINDS = ("brn", "imf", "acf")
 CONVERGENCE_MODES = ("early", "legacy")
@@ -169,13 +169,20 @@ class PerturbedCodebooks:
 
     For ``brn`` and ``imf`` the reconstruction books alias the search
     books and ``masks`` is None.  For ``acf``, ``masks[f]`` is the (M, D)
-    +-1 flip mask applied once to factor f's reconstruction copy; it is
-    generated at initialization and never changes during a run.
+    +-1 flip mask applied once, at initialization, to factor f's
+    reconstruction copy.  Only the books are stored; each read of
+    ``masks`` derives it as ``recon_books[f] * search_books[f]``.
     """
 
     search_books: tuple
     recon_books: tuple
-    masks: Optional[tuple] = None
+
+    @property
+    def masks(self) -> Optional[tuple]:
+        if self.recon_books is self.search_books:
+            return None
+        return tuple(r.codevectors * s.codevectors
+                     for r, s in zip(self.recon_books, self.search_books))
 
     @cached_property
     def _kernels(self) -> "_Kernels":
@@ -245,16 +252,19 @@ def perturb_codebooks(books, variant: VariantSpec, rng: np.random.Generator) -> 
     """Build the per-run codebook copies; only ``acf`` actually perturbs.
 
     The masks are drawn here, once, so the same asymmetry applies at
-    every subsequent iteration.
+    every subsequent iteration.  Each ``acf`` reconstruction book is
+    built in place in its mask's buffer: a product of +-1 arrays, so it
+    needs no validation.
     """
     search = tuple(books)
     if variant.kind != "acf":
-        return PerturbedCodebooks(search_books=search, recon_books=search, masks=None)
-    masks = tuple(generate_bfm(b.size, b.dim, variant.flip_rate, rng) for b in search)
-    recon = tuple(
-        Codebook(b.codevectors * m) for b, m in zip(search, masks)
-    )
-    return PerturbedCodebooks(search_books=search, recon_books=recon, masks=masks)
+        return PerturbedCodebooks(search_books=search, recon_books=search)
+    recon = []
+    for b in search:
+        mask = generate_bfm(b.size, b.dim, variant.flip_rate, rng)
+        mask *= b.codevectors
+        recon.append(Codebook._unchecked(mask))
+    return PerturbedCodebooks(search_books=search, recon_books=tuple(recon))
 
 
 def init_estimates(pbooks: PerturbedCodebooks, rng: np.random.Generator) -> FactorizerState:
@@ -368,24 +378,30 @@ class _Kernels:
     ``search[f]`` is factor f's search codebook bit-packed by
     ``packing.pack_words``: (M, ceil(D / 64)) uint64 words, so the dot
     product of a row with a packed query is D - 2 * popcount(xor), an
-    exact integer.  ``recon[f]`` is a float copy of the reconstruction
-    codebook for BLAS products, float32 while ``_FLOAT32_LIMIT`` allows.
-    The F reconstruction copies are views of one (F, M, D) block: a
-    single allocation page-faults far less than F separate ones, and
-    every trial makes a fresh set.
+    exact integer.  ``books[f]`` is factor f's int8 reconstruction book,
+    from which survivor-only products gather and convert their rows.
+    ``recon[f]`` is its float copy for the dense BLAS product, float32
+    while ``_FLOAT32_LIMIT`` allows, built on first read: the run's
+    first dense product.  The F copies are views of one (F, M, D) block,
+    since one allocation page-faults far less than F separate ones.
     """
 
-    __slots__ = ("search", "recon", "dtype", "_ones")
+    __slots__ = ("search", "books", "dtype", "_recon", "_ones")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
         self.dtype = np.float32 if size * dim <= _FLOAT32_LIMIT else np.float64
         self.search = [pack_words(b.codevectors) for b in pbooks.search_books]
-        recon = np.empty((len(pbooks.recon_books), size, dim), dtype=self.dtype)
-        for f, b in enumerate(pbooks.recon_books):
-            recon[f] = b.codevectors
-        self.recon = list(recon)
+        self.books = [b.codevectors for b in pbooks.recon_books]
+        self._recon = None
         self._ones = np.ones(self.search[0].shape[1], dtype=self.dtype)
+
+    @property
+    def recon(self) -> list:
+        """Float copies of the reconstruction books, built once, on first read."""
+        if self._recon is None:
+            self._recon = list(np.array(self.books, dtype=self.dtype))
+        return self._recon
 
     def numerators(self, f: int, query: np.ndarray) -> np.ndarray:
         """Dot products of factor f's search rows with a ``pack_words`` query, as float64.
@@ -396,7 +412,7 @@ class _Kernels:
         """
         popcounts = np.bitwise_count(self.search[f] ^ query)
         hamming = (popcounts.astype(self.dtype) @ self._ones).astype(np.float64)
-        return self.recon[f].shape[1] - 2.0 * hamming
+        return self.books[f].shape[1] - 2.0 * hamming
 
     def superpose(self, f: int, weights: np.ndarray, rows=None) -> np.ndarray:
         """Weighted sum of factor f's reconstruction rows.
@@ -407,7 +423,7 @@ class _Kernels:
         """
         if rows is None:
             return weights.astype(self.dtype) @ self.recon[f]
-        return weights[rows].astype(self.dtype) @ np.take(self.recon[f], rows, axis=0)
+        return weights[rows].astype(self.dtype) @ self.books[f][rows].astype(self.dtype)
 
 
 def _advance(estimates, x, kernels, cfg, streams):
@@ -478,8 +494,8 @@ def step(
     """Apply one update sweep and return the successor state."""
     if state.converged:
         raise RuntimeError("step called on a converged state")
-    kernels = pbooks._kernels
-    estimates, attentions = _advance(state.estimates, np.asarray(x), kernels, cfg, streams)
+    xv = _check_run_inputs(x, pbooks.search_books, cfg)
+    estimates, attentions = _advance(state.estimates, xv, pbooks._kernels, cfg, streams)
     return FactorizerState(
         estimates=estimates,
         attentions=attentions,
@@ -488,7 +504,8 @@ def step(
     )
 
 
-def _check_run_inputs(x, books, cfg: FactorizerConfig) -> None:
+def _check_run_inputs(x, books, cfg: FactorizerConfig) -> np.ndarray:
+    """Validate the books against ``cfg`` and return ``x`` as a bipolar int8 vector."""
     if len(books) != cfg.F:
         raise ValueError(f"config expects F={cfg.F} codebooks, got {len(books)}")
     for f, b in enumerate(books):
@@ -496,8 +513,9 @@ def _check_run_inputs(x, books, cfg: FactorizerConfig) -> None:
             raise ValueError(f"codebook {f} has size {b.size}, config says M={cfg.M}")
         if b.dim != cfg.D:
             raise ValueError(f"codebook {f} has dim {b.dim}, config says D={cfg.D}")
-    if np.asarray(x).shape[0] != cfg.D:
-        raise ValueError(f"input vector has dim {np.asarray(x).shape[0]}, config says D={cfg.D}")
+    if np.shape(x) != (cfg.D,):
+        raise ValueError(f"input vector has shape {np.shape(x)}, config says ({cfg.D},)")
+    return as_bipolar(x, "input vector")
 
 
 def run(
@@ -516,8 +534,7 @@ def run(
     ``on_step`` (if given) observes every post-sweep state; useful for
     trajectory comparisons and debugging.
     """
-    xv = np.asarray(x)
-    _check_run_inputs(xv, books, cfg)
+    xv = _check_run_inputs(x, books, cfg)
     streams = derive_streams(cfg.seed)
     pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
     kernels = pbooks._kernels

@@ -121,6 +121,17 @@ class Codebook:
             raise ValueError("codevectors must contain only -1 and +1")
         object.__setattr__(self, "codevectors", arr.astype(np.int8, copy=False))
 
+    @classmethod
+    def _unchecked(cls, codevectors: np.ndarray) -> "Codebook":
+        """Wrap an (M, D) int8 array that is bipolar by construction, without the checks.
+
+        For books the library builds itself from products of +-1 arrays,
+        so that validation stays at the API boundary and out of every trial.
+        """
+        book = object.__new__(cls)
+        object.__setattr__(book, "codevectors", codevectors)
+        return book
+
     @property
     def size(self) -> int:
         return self.codevectors.shape[0]
@@ -156,7 +167,7 @@ def generate_codebook(size: int, dim: int, rng: np.random.Generator) -> Codebook
     np.right_shift(out, 7, out=out)  # top bit set -> -1, clear -> 0
     np.invert(out, out=out)  # -> 0 and -1
     out |= 1  # -> +1 and -1
-    return Codebook(out.reshape(size, dim))
+    return Codebook._unchecked(out.reshape(size, dim))
 
 
 def cleanup(query, book: Codebook) -> int:

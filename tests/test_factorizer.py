@@ -150,11 +150,13 @@ def test_perturb_codebooks_acf_masks(rng):
     books = [generate_codebook(8, 64, rng) for _ in range(2)]
     p1 = perturb_codebooks(books, VariantSpec.acf(flip_rate=0.3), np.random.default_rng(4))
     p2 = perturb_codebooks(books, VariantSpec.acf(flip_rate=0.3), np.random.default_rng(4))
+    ref = np.random.default_rng(4)
     for f in range(2):
+        mask = generate_bfm(8, 64, 0.3, ref)
         assert np.array_equal(p1.masks[f], p2.masks[f])
-        assert np.array_equal(
-            p1.recon_books[f].codevectors, books[f].codevectors * p1.masks[f]
-        )
+        assert np.array_equal(p1.masks[f], mask)
+        assert np.array_equal(p1.recon_books[f].codevectors, books[f].codevectors * mask)
+        assert p1.masks[f].dtype == p1.recon_books[f].codevectors.dtype == np.int8
     # search copy must stay clean
     assert p1.search_books[0] is books[0]
 
@@ -309,6 +311,91 @@ def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, g
     x, books, _ = _instance(200, 1000, 2, seed=4)
     run(x, books, FactorizerConfig(variant=variant, F=2, M=200, D=1000, seed=4, max_iters=20))
     assert calls and all(c == gathers for c in calls)
+
+
+def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
+    """One sequential sweep built from the int64 phase references.
+
+    Reconstruction weights are the surviving attentions times D, rounded
+    back to the integer numerators the sweep weights by.  With
+    ``follow``, factor f's new estimate is taken from it instead of
+    reconstructed, so that only the attentions are compared.
+    """
+    working = estimates.copy()
+    attentions = np.empty((len(working), pbooks.search_books[0].size))
+    for f in range(len(working)):
+        unbound = unbind_others(x, working, f)
+        alpha = associative_search(unbound, pbooks.search_books[f], variant, streams.noise)
+        attentions[f] = alpha
+        if follow is not None:
+            working[f] = follow[f]
+            continue
+        weights = np.rint(threshold_activation(alpha, variant.activation_threshold) * x.size)
+        working[f] = reconstruct(weights, pbooks.recon_books[f], streams.ties)
+    return working, attentions
+
+
+@pytest.mark.parametrize("F, M, D", [(2, 300, 1000), (3, 120, 1500)], ids=["f2", "f3"])
+@pytest.mark.parametrize(
+    "variant, dense",
+    [(VariantSpec.brn(), True), (VariantSpec.brn(0.05), False),
+     (VariantSpec.acf(0.05), True), (VariantSpec.acf(0.05, 0.05), False),
+     (VariantSpec.imf(0.02), True), (VariantSpec.imf(0.02, 0.05), False)],
+    ids=["brn-dense", "brn-gather", "acf-dense", "acf-gather", "imf-t0", "imf-t05"],
+)
+def test_sweep_matches_int64_references(F, M, D, variant, dense):
+    # brn and acf weights are integers, so the float32 sweep must equal the
+    # int64/float64 references bit for bit, tie-break draws included, on
+    # both sides of _GATHER_BELOW.  imf's real-valued weights sum in
+    # another precision, so only its attentions must match.
+    x, books, _ = _instance(M, D, F, seed=M + F)
+    cfg = FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=11)
+    streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
+    pbooks = perturb_codebooks(books, variant, streams.masks)
+    estimates = init_estimates(pbooks, streams.init).estimates
+    for _ in range(4):
+        new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
+        follow = new if variant.kind == "imf" else None
+        ref_new, ref_attentions = _reference_sweep(
+            x, estimates, pbooks, variant, ref_streams, follow)
+        assert np.array_equal(attentions, ref_attentions)
+        assert np.array_equal(new, ref_new)
+        survivors = (attentions > variant.activation_threshold).sum(axis=1)
+        assert (survivors > 0).all()
+        assert ((survivors >= M * factorizer._GATHER_BELOW) == dense).all()
+        estimates = new
+    assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "variant, builds",
+    [(VariantSpec.acf(0.05, 0.05), 0), (VariantSpec.brn(), 1), (VariantSpec.imf(0.007, 0.05), 1)],
+    ids=["acf-sparse", "brn-t0", "imf"],
+)
+def test_float_block_is_built_on_the_first_dense_product(monkeypatch, variant, builds):
+    built = []
+
+    class SpyKernels(factorizer._Kernels):
+        @property
+        def recon(self):
+            if self._recon is None:
+                built.append(self)
+            return super().recon
+
+    monkeypatch.setattr(factorizer, "_Kernels", SpyKernels)
+    M = 200
+    x, books, _ = _instance(M, 1000, 2, seed=4)
+    survivors, seen = [], []
+
+    def on_step(state):
+        survivors.append((state.attentions > variant.activation_threshold).sum(axis=1).max())
+        seen.append(len(built))
+
+    cfg = FactorizerConfig(variant=variant, F=2, M=M, D=1000, seed=4, max_iters=30)
+    run(x, books, cfg, on_step=on_step)
+    assert seen and all(n == builds for n in seen)
+    if not builds:
+        assert max(survivors) < M * factorizer._GATHER_BELOW
 
 
 def test_attention_of_550_is_not_above_055():
@@ -491,6 +578,19 @@ def test_run_input_validation():
         run(x, books, FactorizerConfig(**{**ok, "D": 65}))
     with pytest.raises(ValueError):
         run(np.ones(65, dtype=np.int8), books, FactorizerConfig(**ok))
+    # x must be a +-1 vector, for step() as for run().
+    cfg = FactorizerConfig(**ok)
+    streams = derive_streams(cfg.seed)
+    p = perturb_codebooks(books, cfg.variant, streams.masks)
+    state = init_estimates(p, streams.init)
+    for bad in (np.zeros(64, dtype=np.int8), 3 * x.astype(np.int16), 0.5 * x, x[None, :]):
+        with pytest.raises(ValueError, match="input vector"):
+            run(bad, books, cfg)
+        with pytest.raises(ValueError, match="input vector"):
+            step(state, bad, p, cfg, streams)
+    # Any dtype holding only +-1 is accepted and decodes like int8.
+    assert run(x.astype(np.float64), books, cfg).state.estimates.tobytes() == (
+        run(x, books, cfg).state.estimates.tobytes())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
