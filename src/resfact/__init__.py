@@ -1,112 +1,54 @@
-"""Resonator factorization of bipolar product vectors, with capacity benchmarks."""
+"""Resonator factorization of bipolar product vectors, with capacity benchmarks.
 
-from .vsa import (
-    Codebook,
-    bind,
-    bind_product,
-    bundle,
-    cleanup,
-    dot,
-    generate_codebook,
-    permute,
-    random_bipolar,
-    similarity,
-    unbind,
-)
-from .packing import pack_bipolar, packed_dot, packed_similarity
+The package exports what the experiment scripts, the benchmark and the
+acceptance tests import; everything else lives in its submodule.
+"""
+
+from .vsa import bind, bundle, dot, random_bipolar, sign_to_bipolar, similarity, unbind
+from .packing import pack_bipolar, pack_words, packed_dot
 from .factorizer import (
-    FactorizeResult,
     FactorizerConfig,
     FactorizerState,
-    PerturbedCodebooks,
     VariantSpec,
-    associative_search,
     derive_streams,
-    detect_convergence_early,
-    detect_convergence_legacy,
-    generate_bfm,
     init_estimates,
     perturb_codebooks,
-    reconstruct,
     run,
     step,
-    threshold_activation,
-    unbind_others,
 )
-from .presets import PresetLookup, PresetRow, load_preset_table, lookup_preset
-from .bench import (
-    CapacityReport,
-    CapacityRow,
-    OracleCheck,
-    OracleResult,
-    SweepConfig,
-    TrialResult,
-    brute_force_oracle,
-    make_instance,
-    operational_capacity,
-    oracle_agreement,
-    run_sweep,
-    run_trial,
-    trial_seed_for,
-    wilson_interval,
-)
-from .report import CSV_HEADER, emit_report, report_to_csv_bytes, report_to_json_bytes
+from .presets import load_preset_table, lookup_preset
+from .bench import SweepConfig, make_instance, oracle_agreement, run_sweep, trial_seed_for
+from .report import emit_report, report_to_csv_bytes
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Codebook",
     "bind",
-    "bind_product",
     "bundle",
-    "cleanup",
     "dot",
-    "generate_codebook",
-    "permute",
     "random_bipolar",
+    "sign_to_bipolar",
     "similarity",
     "unbind",
     "pack_bipolar",
+    "pack_words",
     "packed_dot",
-    "packed_similarity",
-    "FactorizeResult",
     "FactorizerConfig",
     "FactorizerState",
-    "PerturbedCodebooks",
     "VariantSpec",
-    "associative_search",
     "derive_streams",
-    "detect_convergence_early",
-    "detect_convergence_legacy",
-    "generate_bfm",
     "init_estimates",
     "perturb_codebooks",
-    "reconstruct",
     "run",
     "step",
-    "threshold_activation",
-    "unbind_others",
-    "PresetLookup",
-    "PresetRow",
     "load_preset_table",
     "lookup_preset",
-    "CapacityReport",
-    "CapacityRow",
-    "OracleCheck",
-    "OracleResult",
     "SweepConfig",
-    "TrialResult",
-    "brute_force_oracle",
     "make_instance",
-    "operational_capacity",
     "oracle_agreement",
     "run_sweep",
-    "run_trial",
     "trial_seed_for",
-    "wilson_interval",
-    "CSV_HEADER",
     "emit_report",
     "report_to_csv_bytes",
-    "report_to_json_bytes",
     "__version__",
 ]

@@ -134,20 +134,9 @@ class SweepConfig:
         else:
             if self.D is None:
                 raise ValueError("D is required when use_presets is not set")
-            if self.variant_kind == "imf" and self.sigma is None:
-                raise ValueError("sigma is required for imf when use_presets is not set")
-            if self.variant_kind == "acf" and self.flip_rate is None:
-                raise ValueError(
-                    "flip_rate is required for acf when use_presets is not set"
-                )
-
-    def explicit_variant(self) -> VariantSpec:
-        thresh = self.activation_threshold if self.activation_threshold is not None else 0.0
-        if self.variant_kind == "brn":
-            return VariantSpec.brn(activation_threshold=thresh)
-        if self.variant_kind == "imf":
-            return VariantSpec.imf(sigma=self.sigma, activation_threshold=thresh)
-        return VariantSpec.acf(flip_rate=self.flip_rate, activation_threshold=thresh)
+            # Raises on a missing knob and on one the variant does not take.
+            VariantSpec(self.variant_kind, sigma=self.sigma, flip_rate=self.flip_rate,
+                        activation_threshold=self.activation_threshold)
 
 
 @dataclass(frozen=True)
@@ -221,8 +210,6 @@ def run_trial(
     variant: VariantSpec,
     max_iters: Optional[int] = None,
     convergence_threshold: float = 0.8,
-    convergence_mode: str = "early",
-    update_schedule: str = "sequential",
 ) -> TrialResult:
     """One seeded trial: fresh instance, one decode, scored against truth."""
     x, books, truth, fact_seed = make_instance(trial_seed, M, F, D)
@@ -233,8 +220,6 @@ def run_trial(
         D=D,
         max_iters=max_iters,
         convergence_threshold=convergence_threshold,
-        convergence_mode=convergence_mode,
-        update_schedule=update_schedule,
         seed=fact_seed,
     )
     res = run(x, books, cfg)
@@ -358,7 +343,8 @@ def _resolve_size(cfg: SweepConfig, target: int):
         variant, D = hit.variant, hit.D
         preset_exact = "true" if hit.exact else "false"
     else:
-        variant = cfg.explicit_variant()
+        variant = VariantSpec(cfg.variant_kind, sigma=cfg.sigma, flip_rate=cfg.flip_rate,
+                              activation_threshold=cfg.activation_threshold)
         D = cfg.D
         preset_exact = "n/a"
     max_iters = cfg.max_iters if cfg.max_iters is not None else min(realized, DEFAULT_ITER_CAP)

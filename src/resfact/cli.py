@@ -58,21 +58,14 @@ def _require(value, name: str):
     return value
 
 
-def _variant_from(kind: str, sigma, flip_rate, activation_threshold) -> VariantSpec:
-    thresh = activation_threshold if activation_threshold is not None else 0.0
-    if kind == "imf":
-        if sigma is None:
-            raise ValueError("sigma is required for variant imf")
-        return VariantSpec.imf(sigma=sigma, activation_threshold=thresh)
-    if kind == "acf":
-        if flip_rate is None:
-            raise ValueError("flip_rate is required for variant acf")
-        return VariantSpec.acf(flip_rate=flip_rate, activation_threshold=thresh)
-    if kind == "brn":
-        return VariantSpec(
-            "brn", sigma=sigma, flip_rate=flip_rate, activation_threshold=thresh
-        )
-    raise ValueError(f"unknown variant {kind!r}")
+def _variant(args, config: dict) -> VariantSpec:
+    """The variant named by ``--variant`` and its knobs, from flags or the config file."""
+    return VariantSpec(
+        _require(_pick(args, config, "variant"), "variant"),
+        sigma=_pick(args, config, "sigma"),
+        flip_rate=_pick(args, config, "flip_rate"),
+        activation_threshold=_pick(args, config, "activation_threshold"),
+    )
 
 
 def _parse_sizes(value) -> tuple:
@@ -107,8 +100,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--convergence-threshold", type=float, help="attention level that ends a run (default 0.8)"
     )
-    p.add_argument("--convergence-mode", choices=("early", "legacy"))
-    p.add_argument("--update-schedule", choices=("sequential", "parallel"))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -121,13 +112,7 @@ def cmd_factorize(args) -> int:
     F = _require(_pick(args, config, "F"), "F")
     M = _require(_pick(args, config, "M"), "M")
     D = _require(_pick(args, config, "D"), "D")
-    kind = _require(_pick(args, config, "variant"), "variant")
-    variant = _variant_from(
-        kind,
-        _pick(args, config, "sigma"),
-        _pick(args, config, "flip_rate"),
-        _pick(args, config, "activation_threshold"),
-    )
+    variant = _variant(args, config)
     seed = _pick(args, config, "seed", default=0)
     x, books, truth, fact_seed = make_instance(seed, M, F, D)
     cfg = FactorizerConfig(
@@ -137,8 +122,6 @@ def cmd_factorize(args) -> int:
         D=D,
         max_iters=_pick(args, config, "max_iters"),
         convergence_threshold=_pick(args, config, "convergence_threshold", default=0.8),
-        convergence_mode=_pick(args, config, "convergence_mode", default="early"),
-        update_schedule=_pick(args, config, "update_schedule", default="sequential"),
         seed=fact_seed,
     )
     result = run(x, books, cfg)
@@ -213,18 +196,11 @@ def cmd_oracle_check(args) -> int:
     F = _require(_pick(args, config, "F"), "F")
     M = _require(_pick(args, config, "M"), "M")
     D = _require(_pick(args, config, "D"), "D")
-    kind = _require(_pick(args, config, "variant"), "variant")
-    variant = _variant_from(
-        kind,
-        _pick(args, config, "sigma"),
-        _pick(args, config, "flip_rate"),
-        _pick(args, config, "activation_threshold"),
-    )
     check = oracle_agreement(
         M=M,
         F=F,
         D=D,
-        variant=variant,
+        variant=_variant(args, config),
         n_trials=_pick(args, config, "trials", default=50),
         master_seed=_pick(args, config, "seed", "master_seed", default=0),
         cap=_pick(args, config, "cap", default=DEFAULT_ORACLE_CAP),

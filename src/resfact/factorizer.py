@@ -38,8 +38,6 @@ from .packing import pack_words
 from .vsa import Codebook, as_bipolar, random_bipolar, sign_to_bipolar
 
 VARIANT_KINDS = ("brn", "imf", "acf")
-CONVERGENCE_MODES = ("early", "legacy")
-UPDATE_SCHEDULES = ("sequential", "parallel")
 #: Hard cap on the default iteration budget min(M**F, cap).
 DEFAULT_ITER_CAP = 10_000
 #: Reconstruction matrices stay float32 while M * D is comfortably below
@@ -60,8 +58,8 @@ class VariantSpec:
 
     ``sigma`` is only meaningful (and only allowed) for ``imf``;
     ``flip_rate`` only for ``acf``.  ``activation_threshold`` applies to
-    every variant: attentions at or below it are zeroed before
-    reconstruction (strict comparison).  At the default of 0 positive
+    every variant (None means 0): attentions at or below it are zeroed
+    before reconstruction (strict comparison).  At the default of 0 positive
     attentions pass through untouched, but negative ones are still
     dropped; keeping them turns out to stabilize spurious two-factor
     states where each estimate locks to the complement of the other.
@@ -70,21 +68,23 @@ class VariantSpec:
     kind: str
     sigma: Optional[float] = None
     flip_rate: Optional[float] = None
-    activation_threshold: float = 0.0
+    activation_threshold: Optional[float] = 0.0
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"variant kind must be one of {VARIANT_KINDS}, got {self.kind!r}")
+        if self.activation_threshold is None:
+            object.__setattr__(self, "activation_threshold", 0.0)
         if self.kind == "imf":
             if self.sigma is None:
-                raise ValueError("imf requires sigma")
+                raise ValueError("sigma is required for imf")
             if self.sigma < 0:
                 raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         elif self.sigma is not None:
             raise ValueError(f"sigma only applies to imf, not {self.kind}")
         if self.kind == "acf":
             if self.flip_rate is None:
-                raise ValueError("acf requires flip_rate")
+                raise ValueError("flip_rate is required for acf")
             if not 0.0 <= self.flip_rate <= 1.0:
                 raise ValueError(f"flip_rate must be in [0, 1], got {self.flip_rate}")
         elif self.flip_rate is not None:
@@ -117,9 +117,6 @@ class FactorizerConfig:
     D: int
     max_iters: Optional[int] = None
     convergence_threshold: float = 0.8
-    convergence_mode: str = "early"
-    convergence_quantifier: str = "all"
-    update_schedule: str = "sequential"
     seed: int = 0
 
     def __post_init__(self):
@@ -135,12 +132,6 @@ class FactorizerConfig:
             raise ValueError(
                 f"convergence_threshold must be in (0, 1], got {self.convergence_threshold}"
             )
-        if self.convergence_mode not in CONVERGENCE_MODES:
-            raise ValueError(f"convergence_mode must be one of {CONVERGENCE_MODES}")
-        if self.convergence_quantifier not in ("all", "any"):
-            raise ValueError("convergence_quantifier must be 'all' or 'any'")
-        if self.update_schedule not in UPDATE_SCHEDULES:
-            raise ValueError(f"update_schedule must be one of {UPDATE_SCHEDULES}")
 
     def resolved_max_iters(self) -> int:
         if self.max_iters is not None:
@@ -346,30 +337,15 @@ def reconstruct(activated, recon_book: Codebook, rng: np.random.Generator) -> np
     return sign_to_bipolar(s, rng)
 
 
-def detect_convergence_early(
-    state: FactorizerState, threshold: float, quantifier: str = "all"
-) -> bool:
-    """Converged when the max attention of every factor exceeds ``threshold``.
+def detect_convergence_early(state: FactorizerState, threshold: float) -> bool:
+    """The decoder's one stopping rule: every factor's max attention exceeds ``threshold``.
 
     Strict comparison, evaluated on the pre-activation attentions of the
-    latest sweep.  ``quantifier='any'`` relaxes the check to a single
-    factor (kept for comparison studies; not the default).
+    latest sweep.
     """
     if np.isnan(state.attentions).any():
         raise ValueError("attentions not populated; run at least one step first")
-    maxes = state.attentions.max(axis=1)
-    if quantifier == "any":
-        return bool((maxes > threshold).any())
-    return bool((maxes > threshold).all())
-
-
-def detect_convergence_legacy(prev_estimates, curr_estimates) -> bool:
-    """Converged when no estimate changed between consecutive iterations."""
-    prev = np.asarray(prev_estimates)
-    curr = np.asarray(curr_estimates)
-    if prev.shape != curr.shape:
-        raise ValueError(f"shape mismatch: {prev.shape} vs {curr.shape}")
-    return bool(np.array_equal(prev, curr))
+    return bool((state.attentions.max(axis=1) > threshold).all())
 
 
 class _Kernels:
@@ -427,9 +403,11 @@ class _Kernels:
 
 
 def _advance(estimates, x, kernels, cfg, streams):
-    """One full update sweep over all factors.
+    """One full update sweep over all factors, in order.
 
-    Returns fresh (estimates, attentions) arrays.  Reconstruction weights
+    Each factor unbinds the others' latest estimates: those already
+    updated in this sweep, the previous sweep's for the rest.  Returns
+    fresh (estimates, attentions) arrays.  Reconstruction weights
     are the attention *numerators* (dot products) rather than the
     normalized attentions: the positive rescaling cannot change any sign,
     and it keeps exact-zero ties exact in float arithmetic.
@@ -449,15 +427,13 @@ def _advance(estimates, x, kernels, cfg, streams):
     query = np.zeros(kernels.search[0].shape[1] * 8, dtype=np.uint8)
 
     working = estimates.copy()
-    source = estimates if cfg.update_schedule == "parallel" else working
-    new_estimates = np.empty_like(estimates)
     attentions = np.empty((n_factors, size), dtype=np.float64)
 
     for f in range(n_factors):
         unbound = x.astype(np.int8, copy=True)
         for g in range(n_factors):
             if g != f:
-                unbound *= source[g]
+                unbound *= working[g]
         numerators = kernels.numerators(f, pack_words(unbound, query))
         alpha = numerators / dim
         if variant.kind == "imf":
@@ -477,11 +453,9 @@ def _advance(estimates, x, kernels, cfg, streams):
             else:
                 est = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
         attentions[f] = alpha
-        new_estimates[f] = est
-        if cfg.update_schedule == "sequential":
-            working[f] = est
+        working[f] = est
 
-    return new_estimates, attentions
+    return working, attentions
 
 
 def step(
@@ -526,10 +500,11 @@ def run(
 ) -> FactorizeResult:
     """Factorize ``x`` against ``books`` under ``cfg``.
 
-    Iterates update sweeps until the configured convergence test fires or
-    the iteration budget runs out, then decodes each factor as the argmax
-    of its final attention vector.  The whole trajectory is a pure
-    function of ``cfg.seed``.
+    Iterates update sweeps until every factor's max attention exceeds
+    ``cfg.convergence_threshold`` (``detect_convergence_early``, the one
+    stopping rule) or the iteration budget runs out, then decodes each
+    factor as the argmax of its final attention vector.  The whole
+    trajectory is a pure function of ``cfg.seed``.
 
     ``on_step`` (if given) observes every post-sweep state; useful for
     trajectory comparisons and debugging.
@@ -542,21 +517,14 @@ def run(
     limit = cfg.resolved_max_iters()
 
     while state.iteration < limit:
-        prev = state.estimates if cfg.convergence_mode == "legacy" else None
         estimates, attentions = _advance(state.estimates, xv, kernels, cfg, streams)
         state = FactorizerState(
             estimates=estimates, attentions=attentions, iteration=state.iteration + 1
         )
-        if cfg.convergence_mode == "early":
-            converged = detect_convergence_early(
-                state, cfg.convergence_threshold, cfg.convergence_quantifier
-            )
-        else:
-            converged = detect_convergence_legacy(prev, state.estimates)
-        state.converged = converged
+        state.converged = detect_convergence_early(state, cfg.convergence_threshold)
         if on_step is not None:
             on_step(state)
-        if converged:
+        if state.converged:
             break
 
     indices = tuple(int(np.argmax(state.attentions[f])) for f in range(cfg.F))

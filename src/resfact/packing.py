@@ -55,8 +55,3 @@ def packed_dot(p1: np.ndarray, p2: np.ndarray, dim: int) -> int:
         raise ValueError(f"packed length mismatch: {p1.shape} vs {p2.shape}")
     hamming = int(np.bitwise_count(np.bitwise_xor(p1, p2)).sum())
     return dim - 2 * hamming
-
-
-def packed_similarity(p1: np.ndarray, p2: np.ndarray, dim: int) -> float:
-    """Cosine similarity computed on packed vectors."""
-    return packed_dot(p1, p2, dim) / dim

@@ -123,7 +123,8 @@ def lookup_preset(
     Exact-size rows are returned as-is.  Otherwise the row whose size is
     nearest on a log scale substitutes, flagged ``exact=False`` (ties go
     to the smaller size).  ``brn`` has no tuned knobs; it gets the row's
-    dimension and a zero activation threshold.
+    dimension and a zero activation threshold.  An unknown ``kind`` is
+    rejected by the ``VariantSpec`` constructor.
     """
     if F not in PRESET_FACTOR_COUNTS:
         raise ValueError(f"no presets for F={F}; available F: {PRESET_FACTOR_COUNTS}")
@@ -139,16 +140,9 @@ def lookup_preset(
         target = math.log(search_space)
         row = min(rows, key=lambda r: (abs(math.log(r.search_space) - target), r.search_space))
         is_exact = False
-    if kind == "brn":
-        variant = VariantSpec.brn()
-    elif kind == "imf":
-        variant = VariantSpec.imf(
-            sigma=row.imf_sigma, activation_threshold=row.imf_activation_threshold
-        )
-    elif kind == "acf":
-        variant = VariantSpec.acf(
-            flip_rate=row.acf_flip_rate, activation_threshold=row.acf_activation_threshold
-        )
-    else:
-        raise ValueError(f"unknown variant kind {kind!r}")
-    return PresetLookup(variant=variant, D=row.D, exact=is_exact, row=row)
+    knobs = {
+        "imf": dict(sigma=row.imf_sigma, activation_threshold=row.imf_activation_threshold),
+        "acf": dict(flip_rate=row.acf_flip_rate,
+                    activation_threshold=row.acf_activation_threshold),
+    }.get(kind, {})
+    return PresetLookup(variant=VariantSpec(kind, **knobs), D=row.D, exact=is_exact, row=row)

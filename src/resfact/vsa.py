@@ -93,11 +93,6 @@ def similarity(x1, x2) -> float:
     return d / np.asarray(x1).shape[0]
 
 
-def permute(x, k: int) -> np.ndarray:
-    """Cyclic rotation of coordinates by ``k`` positions (mod dim)."""
-    return np.roll(np.asarray(x), k)
-
-
 @dataclass(frozen=True)
 class Codebook:
     """A stack of M codevectors of shared dimension D, stored as (M, D) int8.
@@ -168,18 +163,6 @@ def generate_codebook(size: int, dim: int, rng: np.random.Generator) -> Codebook
     np.invert(out, out=out)  # -> 0 and -1
     out |= 1  # -> +1 and -1
     return Codebook._unchecked(out.reshape(size, dim))
-
-
-def cleanup(query, book: Codebook) -> int:
-    """Associative-memory lookup: index of the most similar codevector.
-
-    Ties resolve to the lowest index.
-    """
-    q = np.asarray(query)
-    if q.shape[0] != book.dim:
-        raise ValueError(f"dimension mismatch: query {q.shape[0]} vs codebook {book.dim}")
-    sims = (book.codevectors.astype(np.int64) * q.astype(np.int64)).sum(axis=1)
-    return int(np.argmax(sims))
 
 
 def bind_product(books, indices) -> np.ndarray:

@@ -216,6 +216,10 @@ def test_sweep_config_sorts_sizes():
         (dict(variant_kind="acf"), "flip_rate is required"),
         (dict(use_presets=True), "must be omitted"),
         (dict(use_presets=True, D=None, F=5), "presets cover F"),
+        # A knob the variant does not take is refused, not dropped from the report.
+        (dict(sigma=0.1), "sigma only applies to imf"),
+        (dict(variant_kind="acf", flip_rate=0.1, sigma=0.3), "sigma only applies to imf"),
+        (dict(variant_kind="imf", sigma=0.01, flip_rate=0.1), "flip_rate only applies to acf"),
     ],
 )
 def test_sweep_config_rejects(kwargs, needle):
@@ -230,8 +234,11 @@ def test_explicit_variant_resolution():
         F=2, variant_kind="imf", search_space_sizes=(16,), D=64,
         sigma=0.02, activation_threshold=0.1,
     )
-    v = cfg.explicit_variant()
-    assert (v.kind, v.sigma, v.activation_threshold) == ("imf", 0.02, 0.1)
+    M, realized, D, v, max_iters, preset_exact = bench._resolve_size(cfg, 16)
+    assert v == VariantSpec("imf", sigma=0.02, activation_threshold=0.1)
+    assert (M, realized, D, max_iters, preset_exact) == (4, 16, 64, 16, "n/a")
+    brn = SweepConfig(F=2, variant_kind="brn", search_space_sizes=(16,), D=64)
+    assert bench._resolve_size(brn, 16)[3] == VariantSpec("brn")
 
 
 # --- sweeps ---

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,16 @@ def test_factorize_invalid_rate_is_usage_error(capsys):
     )
     assert code == 2
     assert "flip_rate" in err and "[0, 1]" in err
+
+
+def test_factorize_help_lists_no_schedule_or_stopping_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factorize", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--convergence-threshold" in out
+    assert "--convergence-mode" not in out
+    assert "--update-schedule" not in out
 
 
 def test_factorize_missing_required_is_usage_error(capsys):
@@ -126,6 +137,42 @@ def test_sweep_missing_variant_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "-F", "2", "-D", "64", "--sizes", "16")
     assert code == 2
     assert "variant is required" in err
+
+
+def test_sweep_refuses_a_knob_the_variant_does_not_take(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "-F", "2", "--variant", "brn", "--sigma", "0.1", "-D", "128",
+        "--sizes", "16", "--trials", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "sigma only applies to imf" in err
+
+
+# SHA-256 of the CSV report of one small sweep per variant.  A change to
+# the decoder, the harness or the report writer that keeps these keeps
+# every report byte; one that means to change them re-baselines them
+# here, on purpose, and says so in CHANGES.md.
+REPORT_CASES = [
+    (("--variant", "brn"),
+     "91f6dd4e4704cd8c544c7be0577112391654d40f51e43d0fab4bf5a7aa4e1c25"),
+    (("--variant", "imf", "--sigma", "0.01"),
+     "78f1e51475fdfd0dc05877a43e0af8f378e82dedb2856cd6652ec0b36ec8c1d6"),
+    (("--variant", "acf", "--flip-rate", "0.05", "--activation-threshold", "0.05"),
+     "9b1f489c3c2425dc2ef4078f5f5fd03457b1e8296a8725ef4b3675708a34cbb0"),
+]
+
+
+@pytest.mark.parametrize("variant_args,digest", REPORT_CASES,
+                         ids=[c[0][1] for c in REPORT_CASES])
+def test_sweep_report_bytes_are_pinned(tmp_path, capsys, variant_args, digest):
+    dest = tmp_path / "report.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "-F", "2", "-D", "200", "--sizes", "2500,10000", "--trials", "5",
+        "--max-iters", "100", "--format", "csv", "-o", str(dest), *variant_args,
+    )
+    assert code == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
 
 
 def test_sweep_output_file(tmp_path, capsys):

@@ -10,7 +10,6 @@ from resfact.factorizer import (
     associative_search,
     derive_streams,
     detect_convergence_early,
-    detect_convergence_legacy,
     generate_bfm,
     init_estimates,
     perturb_codebooks,
@@ -39,6 +38,8 @@ def test_variant_spec_constructors():
     assert VariantSpec.imf(sigma=0.01).sigma == 0.01
     assert VariantSpec.acf(flip_rate=0.1).flip_rate == 0.1
     assert VariantSpec.acf(flip_rate=0.1, activation_threshold=0.05).activation_threshold == 0.05
+    # an unset threshold from a flag or a config file means the default
+    assert VariantSpec("brn", activation_threshold=None) == VariantSpec.brn()
 
 
 @pytest.mark.parametrize(
@@ -70,9 +71,6 @@ def test_variant_spec_rejects(kwargs):
         dict(max_iters=0),
         dict(convergence_threshold=0.0),
         dict(convergence_threshold=1.2),
-        dict(convergence_mode="sometimes"),
-        dict(convergence_quantifier="most"),
-        dict(update_schedule="diagonal"),
     ],
 )
 def test_config_rejects(kwargs):
@@ -456,8 +454,6 @@ def test_detect_early_strict_and_quantifier():
     state.attentions = np.array([[0.1, 0.8, 0.0, 0.0], [0.2, 0.0, 0.9, 0.0]])
     assert detect_convergence_early(state, 0.7)
     assert not detect_convergence_early(state, 0.8)  # 0.8 is not > 0.8
-    assert detect_convergence_early(state, 0.8, quantifier="any")
-    assert not detect_convergence_early(state, 0.95, quantifier="any")
 
 
 def test_detect_early_requires_populated_attentions():
@@ -466,16 +462,6 @@ def test_detect_early_requires_populated_attentions():
     state = init_estimates(p, np.random.default_rng(0))
     with pytest.raises(ValueError):
         detect_convergence_early(state, 0.8)
-
-
-def test_detect_legacy():
-    a = np.ones((2, 8), dtype=np.int8)
-    b = a.copy()
-    assert detect_convergence_legacy(a, b)
-    b[0, 0] = -1
-    assert not detect_convergence_legacy(a, b)
-    with pytest.raises(ValueError):
-        detect_convergence_legacy(a, np.ones((3, 8), dtype=np.int8))
 
 
 # --- stepping and full runs ---
@@ -489,22 +475,25 @@ def test_step_attentions_are_pre_activation():
         F=2,
         M=M,
         D=D,
-        update_schedule="parallel",
         seed=5,
     )
     streams = derive_streams(cfg.seed)
     p = perturb_codebooks(books, cfg.variant, streams.masks)
     state0 = init_estimates(p, streams.init)
-    prev = state0.estimates.copy()
     state1 = step(state0, x, p, cfg, streams)
     assert state1.iteration == 1
-    for f in range(2):
-        expected = associative_search(
-            unbind_others(x, prev, f), books[f], VariantSpec.brn(), streams.noise
-        )
+    # Factor 0 unbinds factor 1's starting estimate; factor 1 then unbinds
+    # factor 0's estimate from this same sweep.
+    queries = [
+        unbind_others(x, state0.estimates, 0),
+        unbind_others(x, state1.estimates, 1),
+    ]
+    for f, query in enumerate(queries):
+        expected = associative_search(query, books[f], VariantSpec.brn(), streams.noise)
         # stored before activation: negatives and sub-threshold values intact
         assert np.array_equal(state1.attentions[f], expected)
     assert (state1.attentions < 0).any()
+    assert ((state1.attentions > 0) & (state1.attentions <= 0.5)).any()
 
 
 def test_step_refuses_converged_state():
@@ -527,19 +516,10 @@ def test_run_decodes_easy_instance():
     assert res.iterations <= 5
 
 
-@pytest.mark.parametrize("schedule", ["sequential", "parallel"])
-@pytest.mark.parametrize("mode", ["early", "legacy"])
-def test_run_modes_and_schedules(schedule, mode):
+def test_run_modes_and_schedules():
+    # The one schedule (sequential) and stopping rule (early) decode F=3.
     x, books, truth = _instance(12, 800, 3, seed=11)
-    cfg = FactorizerConfig(
-        variant=VariantSpec.brn(),
-        F=3,
-        M=12,
-        D=800,
-        seed=11,
-        convergence_mode=mode,
-        update_schedule=schedule,
-    )
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=3, M=12, D=800, seed=11)
     res = run(x, books, cfg)
     assert res.indices == truth
     assert res.converged

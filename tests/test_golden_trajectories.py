@@ -7,7 +7,7 @@ means to alter trajectories re-baselines them here, on purpose, and
 says so in CHANGES.md.
 
 The cases cover all three variants, F=2 and F=3, activation thresholds
-0 and > 0, both update schedules, a row where few attentions survive
+0 and > 0, small and large codebooks, a row where few attentions survive
 (``acf`` 0.05/0.05 at M=2236) and rows where about half of them do
 (``brn`` at threshold 0).
 
@@ -30,21 +30,20 @@ from resfact.factorizer import (
     run,
 )
 
-# (id, variant, F, M, D, instance seed, max_iters, extra config fields)
+# (id, variant, F, M, D, instance seed, max_iters)
 CASES = [
-    ("brn-f2-dense", VariantSpec.brn(), 2, 1000, 1000, 7, 120, {}),
-    ("acf-f2-sparse", VariantSpec.acf(0.05, 0.05), 2, 2236, 1000, 11, 250, {}),
-    ("imf-f2-t0", VariantSpec.imf(0.008), 2, 1000, 1000, 3, 150, {}),
-    ("brn-f3-t05", VariantSpec.brn(0.05), 3, 215, 1500, 5, 200, {}),
-    ("acf-f3-t05", VariantSpec.acf(0.05, 0.05), 3, 215, 1500, 5, 200, {}),
-    ("imf-f3-t05", VariantSpec.imf(0.007, 0.05), 3, 215, 1500, 5, 200, {}),
-    ("acf-f2-parallel", VariantSpec.acf(0.1), 2, 150, 500, 2, 150,
-     {"update_schedule": "parallel"}),
+    ("brn-f2-dense", VariantSpec.brn(), 2, 1000, 1000, 7, 120),
+    ("acf-f2-sparse", VariantSpec.acf(0.05, 0.05), 2, 2236, 1000, 11, 250),
+    ("imf-f2-t0", VariantSpec.imf(0.008), 2, 1000, 1000, 3, 150),
+    ("brn-f3-t05", VariantSpec.brn(0.05), 3, 215, 1500, 5, 200),
+    ("acf-f3-t05", VariantSpec.acf(0.05, 0.05), 3, 215, 1500, 5, 200),
+    ("imf-f3-t05", VariantSpec.imf(0.007, 0.05), 3, 215, 1500, 5, 200),
+    ("acf-f2-small", VariantSpec.acf(0.1), 2, 150, 500, 2, 150),
 ]
 
 # Set-up only: the (100, 4000) brn shape of the benchmark's set-up-bound workload.
 INSTANCE_CASES = [
-    ("brn-f2-setup", VariantSpec.brn(), 2, 100, 4000, 13, None, {}),
+    ("brn-f2-setup", VariantSpec.brn(), 2, 100, 4000, 13, None),
 ]
 
 DIGESTS = {
@@ -54,7 +53,7 @@ DIGESTS = {
     "brn-f3-t05": "922ffbf28e0d10ef8b46a0662a1591b69ee0bbfff5429403886d15fffb68577d",
     "acf-f3-t05": "6dcb4a50674fb2229c1bbcdb5f47651176145955ebb37481915f08d9b8292b3d",
     "imf-f3-t05": "3a37e8f29bf0ce15826ab25fbc8751d05497cb8e38e2017c75be6add6e19b8fe",
-    "acf-f2-parallel": "3631be87207f37ceac27e61fb8a9d51aa83c3b44e956f7520de57465b96aeb36",
+    "acf-f2-small": "de75c743ab38fa2aaadc6e4d0466f48ca44387590c14afb15a1eaae9f8db7912",
 }
 
 
@@ -65,14 +64,14 @@ INSTANCE_DIGESTS = {
     "brn-f3-t05": "631bf2d8bcf4f9f12e5484faacd643f8916f65e2a959fd83ed138be0a86d26b8",
     "acf-f3-t05": "631bf2d8bcf4f9f12e5484faacd643f8916f65e2a959fd83ed138be0a86d26b8",
     "imf-f3-t05": "631bf2d8bcf4f9f12e5484faacd643f8916f65e2a959fd83ed138be0a86d26b8",
-    "acf-f2-parallel": "dc3b627108f2a45d15356d631e5e83aa0735a6bc0871767f55a0b558b62ba5ca",
+    "acf-f2-small": "dc3b627108f2a45d15356d631e5e83aa0735a6bc0871767f55a0b558b62ba5ca",
     "brn-f2-setup": "2ecd1621200674556f2b3ce081b3198d2ce2339fd051e42762a78f352d6f042b",
 }
 
 MASK_DIGESTS = {
     "acf-f2-sparse": "c0d6cee920bc50d9ab18f1ec1273e37f544fc11ff99c0bf1e9cba07c82d91e84",
     "acf-f3-t05": "867d032dd5cd4b718f6254019c7f2bc36ff865d4a329833d7f5c3d35a482f745",
-    "acf-f2-parallel": "e69d1fd00095461b4e7021f61bce88d6a61714d31887c72b7c39cddc479382dd",
+    "acf-f2-small": "e69d1fd00095461b4e7021f61bce88d6a61714d31887c72b7c39cddc479382dd",
 }
 
 
@@ -94,10 +93,10 @@ def mask_digest(variant, F, M, D, seed) -> str:
     return digest.hexdigest()
 
 
-def trajectory_digest(variant, F, M, D, seed, max_iters, extra) -> str:
+def trajectory_digest(variant, F, M, D, seed, max_iters) -> str:
     x, books, _, fact_seed = make_instance(seed, M, F, D)
     cfg = FactorizerConfig(variant=variant, F=F, M=M, D=D, max_iters=max_iters,
-                           convergence_threshold=0.55, seed=fact_seed, **extra)
+                           convergence_threshold=0.55, seed=fact_seed)
     digest = hashlib.sha256()
     run(x, books, cfg, on_step=lambda state: digest.update(state.estimates.tobytes()))
     return digest.hexdigest()

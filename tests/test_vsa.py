@@ -8,10 +8,8 @@ from resfact.vsa import (
     bind,
     bind_product,
     bundle,
-    cleanup,
     dot,
     generate_codebook,
-    permute,
     random_bipolar,
     sign_to_bipolar,
     similarity,
@@ -92,17 +90,6 @@ def test_sign_to_bipolar_resolves_zeros_randomly():
     assert abs(out.sum()) < 6 * np.sqrt(2000)
 
 
-@given(dims, st.integers(-600, 600), st.integers(0, 2**32 - 1))
-def test_permute_roundtrip(d, k, s):
-    x = vec(d, s)
-    assert np.array_equal(permute(permute(x, k), -k), x)
-
-
-def test_permute_shifts():
-    x = np.array([1, -1, -1, 1], dtype=np.int8)
-    assert np.array_equal(permute(x, 1), np.array([1, 1, -1, -1], dtype=np.int8))
-
-
 def test_as_bipolar_rejects_other_values():
     with pytest.raises(ValueError):
         as_bipolar(np.array([1, 0, -1]), "x")
@@ -178,21 +165,6 @@ def test_bipolar_checks_accept_float_signs(check):
     rows = np.ones((3, 8))
     rows[:, ::2] = -1.0
     check(rows)
-
-
-def test_cleanup_recovers_noisy_codevector(rng):
-    book = generate_codebook(20, 512, rng)
-    target = 7
-    noisy = book[target].copy()
-    noisy[:25] *= -1  # ~5% flips
-    assert cleanup(noisy, book) == target
-
-
-def test_cleanup_tie_breaks_to_lowest_index(rng):
-    row = random_bipolar(64, rng)
-    vectors = np.stack([row, -row, row])  # indices 0 and 2 tie
-    book = Codebook(vectors.astype(np.int8))
-    assert cleanup(row, book) == 0
 
 
 def test_bind_product_matches_manual(rng):
