@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of a trial's set-up and of the decoder's update sweep.
+"""Micro-benchmark of a trial's set-up, of short decodes and of the update sweep.
 
 For each sweep row it decodes one seeded instance for a few sweeps, to
-reach a typical mid-search state, then times on that fixed state:
+reach a typical mid-search state, then sweeps that state as many times
+again, so that kernels which build a layout only once enough products
+need it (the float reconstruction block) have done so, and times on
+that fixed state the steady state of a long decode:
 
 * ``sweep_us``  -- one full update sweep (``factorizer._advance``);
 * ``search_us`` -- the associative search of one factor;
@@ -20,13 +23,19 @@ page faults included:
 * ``first_sweep_us`` -- the first update sweep, which pays for any
   layout the kernels build lazily.
 
+For each decode row it times ``factorizer.run`` on freshly built
+instances of a shape whose decodes converge within a few sweeps, set-up
+and every sweep included (``decode_us``), and records the sweeps each
+took: the cost of the short trials that most of a capacity sweep runs.
+
 Each set-up step also records its minor page faults per call
 (``ru_minflt``), and each set-up row the bytes of float reconstruction
 copies the kernels hold after the build and after the first sweep
 (``float_bytes``); reading them never builds a lazy copy.  The script
 refuses to time a set-up whose outputs differ from the reference draws
 (``rng.integers`` codebooks, ``rng.random`` masks, int64 majority sums),
-as it refuses a search that is not the exact dot product.
+and the int16 majority sums that differ from the int64 ones, as it
+refuses a search that is not the exact dot product.
 
 Every repeat runs in a fresh child process and times each figure once,
 as the mean of enough calls to fill about 50 ms; a figure is the median
@@ -79,7 +88,13 @@ SETUP_ROWS = [
     (1000, 1000, 2, "brn", {}),
     (2236, 1000, 2, "acf", {"flip_rate": 0.05, "activation_threshold": 0.05}),
 ]
+# (M, D, F, variant, knobs, convergence threshold): the benchmark's
+# set-up-bound brn row at 1e4, whose decodes converge in 2 sweeps.
+DECODE_ROWS = [
+    (100, 4000, 2, "brn", {}, 0.55),
+]
 SETUP_STEPS = ("make_instance_us", "perturb_us", "kernel_build_us", "init_us", "first_sweep_us")
+DECODE_STEPS = ("decode_us",)
 SWEEP_STEPS = ("sweep_us", "search_us", "recon_us")
 TARGET_S = 0.05
 WARM_CALLS = 5
@@ -203,9 +218,12 @@ def check_setup(fz, make_instance, M, D, F, variant, seed) -> dict:
     kernels = fz._Kernels(pbooks)
     built = {"after_build": float_bytes(kernels)}
     init = fz.init_estimates(pbooks, streams.init).estimates
-    ref_init = [sign_to_bipolar(b.sum(axis=0, dtype=np.int64), ref_streams.init)
-                for b in ref_books]
+    ref_sums = [b.sum(axis=0, dtype=np.int64) for b in ref_books]
+    ref_init = [sign_to_bipolar(s, ref_streams.init) for s in ref_sums]
     same = same and np.array_equal(init, np.stack(ref_init))
+    if M < 2**15:
+        same = same and all(np.array_equal(b.codevectors.sum(axis=0, dtype=np.int16), s)
+                            for b, s in zip(books, ref_sums))
     if not same:
         raise RuntimeError(f"set-up at M={M}, D={D} differs from the reference draws")
     cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=fact_seed)
@@ -250,6 +268,27 @@ def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
     }
 
 
+def bench_decode(fz, make_instance, M, D, F, kind, knobs, threshold) -> dict:
+    variant = fz.VariantSpec(kind, **knobs)
+    sweeps = []
+
+    def decode_args(i):
+        x, books, _, seed = make_instance(1000 + i, M, F, D)
+        return x, books, fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=seed,
+                                             convergence_threshold=threshold)
+
+    def decode(x, books, cfg):
+        result = fz.run(x, books, cfg)
+        sweeps.append(result.iterations if result.converged else None)
+
+    timing = timed_fresh(decode_args, decode)
+    if None in sweeps:
+        raise RuntimeError(f"a decode at M={M}, D={D} did not converge")
+    return {"M": M, "D": D, "F": F, "variant": kind, **knobs,
+            "convergence_threshold": threshold, "max_sweeps": max(sweeps),
+            "decode_us": timing}
+
+
 def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     variant = fz.VariantSpec(kind, **knobs)
     x, books, _, seed = make_instance(7, M, F, D)
@@ -259,6 +298,8 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     streams = fz.derive_streams(seed)
     pbooks = fz.perturb_codebooks(books, variant, streams.masks)
     kernels = fz._Kernels(pbooks)
+    for _ in range(warm):
+        fz._advance(state.estimates, x, kernels, cfg, streams)
 
     unbound = (x * state.estimates[1:].prod(axis=0)).astype(np.int8)
     if hasattr(kernels, "numerators"):
@@ -307,6 +348,7 @@ def one_repeat(src: Path) -> dict:
         sys.exit(f"bench_engine: resfact was imported from {fz.__file__}, not {src}")
     return {"environment": environment(src),
             "setup_rows": [bench_setup(fz, make_instance, *row) for row in SETUP_ROWS],
+            "decode_rows": [bench_decode(fz, make_instance, *row) for row in DECODE_ROWS],
             "rows": [bench_row(fz, make_instance, *row) for row in ROWS]}
 
 
@@ -340,7 +382,8 @@ def merge(repeats: list) -> dict:
         return merged
 
     return {"environment": repeats[0]["environment"],
-            "setup_rows": rows("setup_rows", SETUP_STEPS), "rows": rows("rows", SWEEP_STEPS)}
+            "setup_rows": rows("setup_rows", SETUP_STEPS),
+            "decode_rows": rows("decode_rows", DECODE_STEPS), "rows": rows("rows", SWEEP_STEPS)}
 
 
 def report(label: str, run: dict) -> None:
@@ -354,6 +397,9 @@ def report(label: str, run: dict) -> None:
               f"  sweep 1 {row['first_sweep_us']['median']:.0f} us"
               f"  minflt {faults:.1f}"
               f"  float MB {row['float_bytes']['after_first_sweep'] / 1e6:.1f}")
+    for row in run["decode_rows"]:
+        print(f"{label}: M={row['M']} D={row['D']} {row['variant']} decode of at most"
+              f" {row['max_sweeps']} sweeps: {row['decode_us']['median']:.0f} us")
     for row in run["rows"]:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
               f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us"

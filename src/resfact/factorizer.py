@@ -46,8 +46,13 @@ DEFAULT_ITER_CAP = 10_000
 #: the dtype.)
 _FLOAT32_LIMIT = 2**22
 #: ``brn``/``acf`` reconstruction gathers the surviving rows while fewer
-#: than this share of M survive; the dense product is faster above it.
+#: than this share of M survive; the dense product is faster above it,
+#: once the float block is built (see ``_Kernels``).
 _GATHER_BELOW = 0.25
+#: Gathered products convert at most this many bytes of float rows at a
+#: time: small temporaries are reused from the heap, while a large one
+#: page-faults afresh on each product and outlives it in the heap.
+_GATHER_BYTES = 1 << 19
 #: ``generate_bfm`` draws its uniforms this many at a time (128 KiB of float64).
 _MASK_BLOCK = 1 << 14
 
@@ -262,16 +267,16 @@ def init_estimates(pbooks: PerturbedCodebooks, rng: np.random.Generator) -> Fact
     """Start every factor at the majority bundle of its full search codebook.
 
     That gives each candidate codevector a small positive expected
-    attention, so no candidate starts invisible.
+    attention, so no candidate starts invisible.  A column sum of M
+    +-1 entries is exact in int16 while M < 2**15, and about twice as
+    fast there as in int32.
     """
-    estimates = np.stack(
-        [
-            sign_to_bipolar(b.codevectors.sum(axis=0, dtype=np.int32), rng)
-            for b in pbooks.search_books
-        ]
-    )
     n_factors = len(pbooks.search_books)
     size = pbooks.search_books[0].size
+    dtype = np.int16 if size < 2**15 else np.int32
+    estimates = np.stack(
+        [sign_to_bipolar(b.codevectors.sum(axis=0, dtype=dtype), rng) for b in pbooks.search_books]
+    )
     attentions = np.full((n_factors, size), np.nan)
     return FactorizerState(estimates=estimates, attentions=attentions)
 
@@ -355,14 +360,23 @@ class _Kernels:
     ``packing.pack_words``: (M, ceil(D / 64)) uint64 words, so the dot
     product of a row with a packed query is D - 2 * popcount(xor), an
     exact integer.  ``books[f]`` is factor f's int8 reconstruction book,
-    from which survivor-only products gather and convert their rows.
+    from which gathered products take and convert their rows.
     ``recon[f]`` is its float copy for the dense BLAS product, float32
-    while ``_FLOAT32_LIMIT`` allows, built on first read: the run's
-    first dense product.  The F copies are views of one (F, M, D) block,
-    since one allocation page-faults far less than F separate ones.
+    while ``_FLOAT32_LIMIT`` allows, built on first read.  The F copies
+    are views of one (F, M, D) block, since one allocation page-faults
+    far less than F separate ones.
+
+    ``superpose`` decides when to build the block by rent-or-buy: a
+    gathered row costs the same int8-to-float conversion as a row of
+    the block, so integer-weighted products that would read the block
+    gather instead ("rent") until the rows gathered that way reach the
+    F * M rows of the block ("price"), and the next one builds it.  A
+    decode that converges in a few sweeps never pays for the block; a
+    long one converts at most about twice the rows it would have
+    converted by building the block on its first product.
     """
 
-    __slots__ = ("search", "books", "dtype", "_recon", "_ones")
+    __slots__ = ("search", "books", "dtype", "_recon", "_rented", "_gather_rows", "_ones")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
@@ -370,6 +384,8 @@ class _Kernels:
         self.search = [pack_words(b.codevectors) for b in pbooks.search_books]
         self.books = [b.codevectors for b in pbooks.recon_books]
         self._recon = None
+        self._rented = 0
+        self._gather_rows = max(1, _GATHER_BYTES // (dim * np.dtype(self.dtype).itemsize))
         self._ones = np.ones(self.search[0].shape[1], dtype=self.dtype)
 
     @property
@@ -393,13 +409,33 @@ class _Kernels:
     def superpose(self, f: int, weights: np.ndarray, rows=None) -> np.ndarray:
         """Weighted sum of factor f's reconstruction rows.
 
-        With ``rows``, only those rows are gathered and summed, as if
-        every other weight were zero; the caller passes them only for
-        integer weights, whose sum is exact in any order.
+        Without ``rows`` the product is dense over all M weights.  The
+        sweep passes ``rows`` only for integer weights, whose sum is exact
+        in any order; then only those rows count, as if every other weight
+        were zero.  They are gathered and summed alone while fewer than
+        ``_GATHER_BELOW`` of M survive, or while the block is rented (see
+        the class docstring); otherwise the product is dense.
         """
-        if rows is None:
-            return weights.astype(self.dtype) @ self.recon[f]
-        return weights[rows].astype(self.dtype) @ self.books[f][rows].astype(self.dtype)
+        if rows is not None:
+            few = rows.size < weights.size * _GATHER_BELOW
+            if few or (self._recon is None and self._rented < len(self.books) * weights.size):
+                if not few:
+                    self._rented += rows.size
+                return self._gathered(f, weights, rows)
+            survivors = np.zeros(weights.size, self.dtype)
+            survivors[rows] = weights[rows]
+            weights = survivors
+        return weights.astype(self.dtype, copy=False) @ self.recon[f]
+
+    def _gathered(self, f: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Sum of the given rows of factor f's book times their weights, a few rows at a time."""
+        book, dtype, step = self.books[f], self.dtype, self._gather_rows
+        r = rows[:step]
+        sums = weights[r].astype(dtype) @ book[r].astype(dtype)
+        for start in range(step, rows.size, step):
+            r = rows[start:start + step]
+            sums += weights[r].astype(dtype) @ book[r].astype(dtype)
+        return sums
 
 
 def _advance(estimates, x, kernels, cfg, streams):
@@ -417,12 +453,6 @@ def _advance(estimates, x, kernels, cfg, streams):
     variant = cfg.variant
     sigma = variant.sigma if variant.kind == "imf" else 0.0
     thresh = variant.activation_threshold
-    # brn and acf weights are integers (positive where attention
-    # survives), so a sum over the surviving rows alone is exact and
-    # equals the dense product.  imf keeps the dense product: its
-    # real-valued weights would round differently in another summation
-    # order.
-    sparse_below = 0 if variant.kind == "imf" else size * _GATHER_BELOW
     # One packed query, refilled for each factor; its padding stays zero.
     query = np.zeros(kernels.search[0].shape[1] * 8, dtype=np.uint8)
 
@@ -439,19 +469,19 @@ def _advance(estimates, x, kernels, cfg, streams):
         if variant.kind == "imf":
             noise = streams.noise.standard_normal(size)
             alpha = alpha + sigma * noise
-            weights = numerators + (dim * sigma) * noise
-        else:
-            weights = numerators
         alive = alpha > thresh
         rows = np.flatnonzero(alive)
-        if 0 < rows.size < sparse_below:
-            est = sign_to_bipolar(kernels.superpose(f, weights, rows), streams.ties)
+        if not rows.size:
+            est = random_bipolar(dim, streams.ties)
+        elif variant.kind == "imf":
+            # Real-valued weights would round differently in another
+            # summation order, so imf always takes the dense product.
+            weights = np.where(alive, numerators + (dim * sigma) * noise, 0.0)
+            est = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
         else:
-            weights = np.where(alive, weights, 0.0)
-            if not weights.any():
-                est = random_bipolar(dim, streams.ties)
-            else:
-                est = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
+            # brn and acf weights are integers (positive where attention
+            # survives): a sum over the surviving rows alone is exact.
+            est = sign_to_bipolar(kernels.superpose(f, numerators, rows), streams.ties)
         attentions[f] = alpha
         working[f] = est
 

@@ -63,7 +63,14 @@ def report_to_csv_bytes(report: CapacityReport) -> bytes:
 
 
 def report_to_json_bytes(report: CapacityReport) -> bytes:
+    """JSON rendering of the report: its sweep config, rows and capacity.
+
+    ``parallelism`` is left out of the config: it changes how trials are
+    scheduled, not what they compute, and leaving it in would make the
+    bytes differ between two runs that agree on every result.
+    """
     config = dataclasses.asdict(report.config)
+    del config["parallelism"]
     config["search_space_sizes"] = list(config["search_space_sizes"])
     rows = []
     for row in report.rows:

@@ -290,25 +290,61 @@ def test_survivor_rows_reconstruct_like_dense(variant, share):
     assert (kernels.superpose(0, even) == 0).any()
 
 
+def _log_products(monkeypatch):
+    """Make every run log its reconstruction products.
+
+    Each entry is (survivors, dense, builds): whether the product read the
+    float block, and whether that read built it.
+    """
+    log = []
+
+    class LoggedKernels(factorizer._Kernels):
+        def superpose(self, f, weights, rows=None):
+            self.dense, had_block = False, self._recon is not None
+            out = super().superpose(f, weights, rows)
+            builds = self._recon is not None and not had_block
+            survivors = np.count_nonzero(weights) if rows is None else rows.size
+            log.append((int(survivors), self.dense, builds))
+            return out
+
+        @property
+        def recon(self):
+            self.dense = True
+            return super().recon
+
+    monkeypatch.setattr(factorizer, "_Kernels", LoggedKernels)
+    return log
+
+
 @pytest.mark.parametrize(
     "variant, gathers",
     [(VariantSpec.brn(0.05), True), (VariantSpec.acf(0.05, 0.05), True),
-     (VariantSpec.imf(0.007, 0.05), False), (VariantSpec.brn(), False)],
-    ids=["brn-sparse", "acf-sparse", "imf-sparse", "brn-dense"],
+     (VariantSpec.imf(0.007, 0.05), False)],
+    ids=["brn-sparse", "acf-sparse", "imf-sparse"],
 )
 def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, gathers):
     # imf weights are real-valued: gathering would change their summation order.
-    calls = []
-    superpose = factorizer._Kernels.superpose
-
-    def spy(self, f, weights, rows=None):
-        calls.append(rows is not None)
-        return superpose(self, f, weights, rows)
-
-    monkeypatch.setattr(factorizer._Kernels, "superpose", spy)
+    log = _log_products(monkeypatch)
     x, books, _ = _instance(200, 1000, 2, seed=4)
     run(x, books, FactorizerConfig(variant=variant, F=2, M=200, D=1000, seed=4, max_iters=20))
-    assert calls and all(c == gathers for c in calls)
+    assert log and all(dense != gathers for _, dense, _ in log)
+
+
+def test_superpose_rents_rows_until_they_reach_the_block(monkeypatch):
+    # Only products that would read the block count as rent: 8 of 40 rows
+    # gather at any time, while four products of 20 rows pay the F * M = 80
+    # rows of the block and the fifth builds it.
+    log = _log_products(monkeypatch)
+    F, M, D = 2, 40, 64
+    g = np.random.default_rng(8)
+    books = [generate_codebook(M, D, g) for _ in range(F)]
+    kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
+    few, many = _integer_weights(M, 0.2, g), _integer_weights(M, 0.5, g)
+    for w in [few] * 50 + [many] * 4 + [many, many, few]:
+        want = w.astype(np.int64) @ books[0].codevectors.astype(np.int64)
+        assert np.array_equal(kernels.superpose(0, w, np.flatnonzero(w)), want)
+    assert [dense for _, dense, _ in log] == [False] * 54 + [True, True, False]
+    assert [b for _, _, b in log] == [False] * 54 + [True, False, False]
 
 
 def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
@@ -367,33 +403,53 @@ def test_sweep_matches_int64_references(F, M, D, variant, dense):
 
 @pytest.mark.parametrize(
     "variant, builds",
-    [(VariantSpec.acf(0.05, 0.05), 0), (VariantSpec.brn(), 1), (VariantSpec.imf(0.007, 0.05), 1)],
-    ids=["acf-sparse", "brn-t0", "imf"],
+    [(VariantSpec.acf(0.05, 0.05), False), (VariantSpec.imf(0.007, 0.05), True)],
+    ids=["acf-sparse", "imf"],
 )
 def test_float_block_is_built_on_the_first_dense_product(monkeypatch, variant, builds):
-    built = []
-
-    class SpyKernels(factorizer._Kernels):
-        @property
-        def recon(self):
-            if self._recon is None:
-                built.append(self)
-            return super().recon
-
-    monkeypatch.setattr(factorizer, "_Kernels", SpyKernels)
+    # imf reads the block from its first product; acf with few survivors
+    # gathers every product and never builds it.
+    log = _log_products(monkeypatch)
     M = 200
     x, books, _ = _instance(M, 1000, 2, seed=4)
-    survivors, seen = [], []
-
-    def on_step(state):
-        survivors.append((state.attentions > variant.activation_threshold).sum(axis=1).max())
-        seen.append(len(built))
-
     cfg = FactorizerConfig(variant=variant, F=2, M=M, D=1000, seed=4, max_iters=30)
-    run(x, books, cfg, on_step=on_step)
-    assert seen and all(n == builds for n in seen)
+    run(x, books, cfg)
+    assert len(log) > 1
+    assert [b for _, _, b in log] == [builds] + [False] * (len(log) - 1)
+    assert all(dense == builds for _, dense, _ in log)
     if not builds:
-        assert max(survivors) < M * factorizer._GATHER_BELOW
+        assert max(n for n, _, _ in log) < M * factorizer._GATHER_BELOW
+
+
+def test_short_brn_decode_builds_no_float_block(monkeypatch):
+    # The shape of the benchmark's set-up-bound workload: a 2-sweep decode
+    # whose four products each keep about half of M, so a survivor-count
+    # rule alone would read the block; their rows never add up to it.
+    log = _log_products(monkeypatch)
+    F, M, D = 2, 100, 4000
+    x, books, truth = _instance(M, D, F, seed=5)
+    result = run(x, books, FactorizerConfig(variant=VariantSpec.brn(), F=F, M=M, D=D, seed=5))
+    assert result.converged and result.iterations == 2 and result.indices == truth
+    assert len(log) == 4
+    assert all(n >= M * factorizer._GATHER_BELOW and not dense for n, dense, _ in log)
+
+
+def test_brn_gathers_until_its_rows_reach_the_block(monkeypatch):
+    # At threshold 0 every product keeps about half of M.  They gather
+    # until the gathered rows reach the F * M rows of the block; the next
+    # product builds it, and every later one reads it.
+    log = _log_products(monkeypatch)
+    F, M, D = 2, 200, 1000
+    x, books, _ = _instance(M, D, F, seed=4)
+    run(x, books, FactorizerConfig(variant=VariantSpec.brn(), F=F, M=M, D=D, seed=4, max_iters=20))
+    survivors = np.array([n for n, _, _ in log])
+    assert (survivors >= M * factorizer._GATHER_BELOW).all()
+    bought = [i for i, (_, _, b) in enumerate(log) if b]
+    assert len(bought) == 1
+    k = bought[0]
+    assert survivors[:k - 1].sum() < F * M <= survivors[:k].sum()
+    assert [dense for _, dense, _ in log] == [False] * k + [True] * (len(log) - k)
+    assert len(log) > k + 1
 
 
 def test_attention_of_550_is_not_above_055():

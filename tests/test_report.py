@@ -134,3 +134,12 @@ def test_round_trip_from_real_sweep():
     assert crow["sigma"] == ""
     assert doc["rows"][0]["sigma"] is None
     assert doc["operational_capacity"] == report.operational_capacity == 16
+
+
+def test_json_bytes_do_not_depend_on_parallelism():
+    base = dict(F=2, variant_kind="brn", search_space_sizes=(16, 36), D=128,
+                trials_per_size=3, master_seed=5)
+    serial = report_to_json_bytes(run_sweep(SweepConfig(**base, parallelism=1)))
+    parallel = report_to_json_bytes(run_sweep(SweepConfig(**base, parallelism=2)))
+    assert serial == parallel
+    assert "parallelism" not in json.loads(serial)["config"]

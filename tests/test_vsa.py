@@ -128,6 +128,44 @@ def test_generate_codebook_is_the_integer_draw(M, D):
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
+def _state(g):
+    """``g``'s full bit-generator state, with arrays (Philox, MT19937) as lists."""
+    def plain(state):
+        return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+                for k, v in state.items()}
+    return plain(g.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("pending", [0, 1, 3])
+@pytest.mark.parametrize("M, D", [(4, 8), (3, 7), (2, 9), (5, 3), (2, 2), (100, 4000)])
+def test_generate_codebook_takes_a_buffered_half_first(bit_generator, pending, M, D):
+    # An odd-length 32-bit draw leaves a half word buffered; the codebook
+    # must start with it, and leave the state (has_uint32 and uinteger
+    # included) where the integer draw leaves it.
+    fast, ref = (np.random.Generator(bit_generator(M + D)) for _ in range(2))
+    for g in (fast, ref):
+        g.integers(0, 2**32, size=pending, dtype=np.uint32)
+    assert fast.bit_generator.state["has_uint32"] == pending % 2
+    for _ in range(2):
+        book = generate_codebook(M, D, fast).codevectors
+        want = ref.integers(0, 2, size=(M, D), dtype=np.int8) * 2 - 1
+        assert np.array_equal(book, want)
+        assert _state(fast) == _state(ref)
+    assert np.array_equal(fast.integers(0, 2**32, size=3, dtype=np.uint32),
+                          ref.integers(0, 2**32, size=3, dtype=np.uint32))
+
+
+def test_generate_codebook_on_mt19937():
+    # MT19937 buffers no half word, so its codebooks keep the 32-bit draw.
+    fast, ref = np.random.Generator(np.random.MT19937(3)), np.random.Generator(np.random.MT19937(3))
+    book = generate_codebook(3, 7, fast).codevectors
+    assert np.array_equal(book, ref.integers(0, 2, size=(3, 7), dtype=np.int8) * 2 - 1)
+    assert _state(fast) == _state(ref)
+    assert set(np.unique(book)) == {-1, 1}
+
+
 def test_generate_codebook_is_the_top_bit_of_rng_bytes():
     book = generate_codebook(3, 7, np.random.default_rng(5)).codevectors
     top = np.frombuffer(np.random.default_rng(5).bytes(21), dtype=np.uint8) >= 128
