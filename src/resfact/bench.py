@@ -17,6 +17,7 @@ scheduling order and a sweep is byte-reproducible at any parallelism.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +38,8 @@ from .factorizer import (
 from .presets import PRESET_FACTOR_COUNTS, load_preset_table, lookup_preset
 from .vsa import Codebook, bind_product, generate_codebook
 
+#: glibc ``mallopt`` parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 #: Refuse exhaustive search above this many index combinations.
 DEFAULT_ORACLE_CAP = 10**6
 #: Accuracy level defining operational capacity.
@@ -360,6 +363,26 @@ def _trial_worker(args) -> TrialResult:
     )
 
 
+def _retain_freed_memory() -> None:
+    """Let this process reuse the memory one trial frees in the next trial.
+
+    Every trial allocates and frees the same (M, D)-sized arrays.  By
+    default glibc serves arrays above a threshold with fresh mmap()s and
+    returns the freed top of its heap to the OS after a trial, unless an
+    earlier, larger block happened to raise both thresholds; either way
+    the next trial page-faults every page in again.  Serving arrays up
+    to 32 MiB from the heap and keeping up to 64 MiB of it once freed
+    makes trials reuse their pages.  A no-op where the C library has no
+    ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def run_sweep(
     cfg: SweepConfig,
     progress: Optional[Callable[[CapacityRow], None]] = None,
@@ -371,8 +394,10 @@ def run_sweep(
     size index, trial index), so any parallelism degree yields the same
     report.
     """
+    _retain_freed_memory()
     # One pool for the whole sweep: its workers start once, not once per size.
-    workers = ProcessPoolExecutor(cfg.parallelism) if cfg.parallelism > 1 else nullcontext()
+    workers = (ProcessPoolExecutor(cfg.parallelism, initializer=_retain_freed_memory)
+               if cfg.parallelism > 1 else nullcontext())
     with workers as pool:
         rows = [_sweep_row(cfg, size_index, target, pool, progress)
                 for size_index, target in enumerate(cfg.search_space_sizes)]

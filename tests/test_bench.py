@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -336,3 +342,29 @@ def test_run_sweep_with_preset_table(tmp_path):
     assert by_size[16].flip_rate == 0.05
     assert by_size[49].preset_exact == "false"  # nearest row substituted
     assert by_size[49].D == 96
+
+
+FAULTS_PER_INSTANCE = """
+import resource
+from resfact.bench import SweepConfig, make_instance, run_sweep
+
+def faults():
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in range(20):
+        make_instance(seed, 100, 2, 4000)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / 20
+
+run_sweep(SweepConfig(F=2, variant_kind="brn", search_space_sizes=(16,), D=64, trials_per_size=1))
+make_instance(99, 100, 2, 4000)  # the first instance grows the heap once
+print(faults())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_sweep_trials_reuse_the_memory_earlier_trials_freed():
+    # Two 400 KB codebooks per instance: without the sweep's malloc
+    # settings, a fresh process page-faults about 200 pages in per instance.
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_INSTANCE], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(Path(bench.__file__).parents[1])))
+    assert float(out.stdout) < 5
