@@ -379,6 +379,8 @@ def _retain_freed_memory() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
@@ -392,7 +394,8 @@ def run_sweep(
     ``progress`` (if given) observes each finished row; the CLI uses it
     for stderr status lines.  Trial seeds depend only on (master seed,
     size index, trial index), so any parallelism degree yields the same
-    report.
+    report.  The sweep sets glibc's malloc thresholds for its process and
+    its workers (``_retain_freed_memory``).
     """
     _retain_freed_memory()
     # One pool for the whole sweep: its workers start once, not once per size.

@@ -363,7 +363,7 @@ print(faults())
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
 def test_sweep_trials_reuse_the_memory_earlier_trials_freed():
     # Two 400 KB codebooks per instance: without the sweep's malloc
-    # settings, a fresh process page-faults about 200 pages in per instance.
+    # settings, a fresh process page-faults about 165 pages in per instance.
     out = subprocess.run([sys.executable, "-c", FAULTS_PER_INSTANCE], capture_output=True,
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=str(Path(bench.__file__).parents[1])))
