@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of a trial's set-up, of short decodes and of the update sweep.
+"""Micro-benchmark of a trial's set-up, of short trials and of the update sweep.
 
 For each sweep row it decodes one seeded instance for a few sweeps, to
 reach a typical mid-search state, then sweeps that state as many times
@@ -23,10 +23,11 @@ page faults included:
 * ``first_sweep_us`` -- the first update sweep, which pays for any
   layout the kernels build lazily.
 
-For each decode row it times ``factorizer.run`` on freshly built
-instances of a shape whose decodes converge within a few sweeps, set-up
-and every sweep included (``decode_us``), and records the sweeps each
-took: the cost of the short trials that most of a capacity sweep runs.
+For each trial row it times whole trials (``bench.run_trial``: the
+instance, the decoder's set-up and every sweep) of a shape whose decodes
+converge within a few sweeps (``trial_us``), and records the most sweeps
+one took: the cost of the short trials that most of a capacity sweep
+runs.
 
 Each set-up step also records its minor page faults per call
 (``ru_minflt``), and each set-up row the bytes of float reconstruction
@@ -90,11 +91,11 @@ SETUP_ROWS = [
 ]
 # (M, D, F, variant, knobs, convergence threshold): the benchmark's
 # set-up-bound brn row at 1e4, whose decodes converge in 2 sweeps.
-DECODE_ROWS = [
+TRIAL_ROWS = [
     (100, 4000, 2, "brn", {}, 0.55),
 ]
 SETUP_STEPS = ("make_instance_us", "perturb_us", "kernel_build_us", "init_us", "first_sweep_us")
-DECODE_STEPS = ("decode_us",)
+TRIAL_STEPS = ("trial_us",)
 SWEEP_STEPS = ("sweep_us", "search_us", "recon_us")
 TARGET_S = 0.05
 WARM_CALLS = 5
@@ -268,25 +269,23 @@ def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
     }
 
 
-def bench_decode(fz, make_instance, M, D, F, kind, knobs, threshold) -> dict:
+def bench_trial(fz, run_trial, M, D, F, kind, knobs, threshold) -> dict:
     variant = fz.VariantSpec(kind, **knobs)
     sweeps = []
 
-    def decode_args(i):
-        x, books, _, seed = make_instance(1000 + i, M, F, D)
-        return x, books, fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=seed,
-                                             convergence_threshold=threshold)
+    def trial_args(i):
+        return 1000 + i, M, F, D, variant
 
-    def decode(x, books, cfg):
-        result = fz.run(x, books, cfg)
+    def trial(*args):
+        result = run_trial(*args, convergence_threshold=threshold)
         sweeps.append(result.iterations if result.converged else None)
 
-    timing = timed_fresh(decode_args, decode)
+    timing = timed_fresh(trial_args, trial)
     if None in sweeps:
-        raise RuntimeError(f"a decode at M={M}, D={D} did not converge")
+        raise RuntimeError(f"a trial at M={M}, D={D} did not converge")
     return {"M": M, "D": D, "F": F, "variant": kind, **knobs,
             "convergence_threshold": threshold, "max_sweeps": max(sweeps),
-            "decode_us": timing}
+            "trial_us": timing}
 
 
 def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
@@ -342,13 +341,13 @@ def one_repeat(src: Path) -> dict:
     """Time every row once, in this process, on the resfact package under ``src``."""
     sys.path.insert(0, str(src))
     import resfact.factorizer as fz
-    from resfact.bench import make_instance
+    from resfact.bench import make_instance, run_trial
 
     if Path(fz.__file__).resolve().parents[1] != src:
         sys.exit(f"bench_engine: resfact was imported from {fz.__file__}, not {src}")
     return {"environment": environment(src),
             "setup_rows": [bench_setup(fz, make_instance, *row) for row in SETUP_ROWS],
-            "decode_rows": [bench_decode(fz, make_instance, *row) for row in DECODE_ROWS],
+            "trial_rows": [bench_trial(fz, run_trial, *row) for row in TRIAL_ROWS],
             "rows": [bench_row(fz, make_instance, *row) for row in ROWS]}
 
 
@@ -383,7 +382,7 @@ def merge(repeats: list) -> dict:
 
     return {"environment": repeats[0]["environment"],
             "setup_rows": rows("setup_rows", SETUP_STEPS),
-            "decode_rows": rows("decode_rows", DECODE_STEPS), "rows": rows("rows", SWEEP_STEPS)}
+            "trial_rows": rows("trial_rows", TRIAL_STEPS), "rows": rows("rows", SWEEP_STEPS)}
 
 
 def report(label: str, run: dict) -> None:
@@ -397,9 +396,9 @@ def report(label: str, run: dict) -> None:
               f"  sweep 1 {row['first_sweep_us']['median']:.0f} us"
               f"  minflt {faults:.1f}"
               f"  float MB {row['float_bytes']['after_first_sweep'] / 1e6:.1f}")
-    for row in run["decode_rows"]:
-        print(f"{label}: M={row['M']} D={row['D']} {row['variant']} decode of at most"
-              f" {row['max_sweeps']} sweeps: {row['decode_us']['median']:.0f} us")
+    for row in run["trial_rows"]:
+        print(f"{label}: M={row['M']} D={row['D']} {row['variant']} trial of at most"
+              f" {row['max_sweeps']} sweeps: {row['trial_us']['median']:.0f} us")
     for row in run["rows"]:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
               f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us"
