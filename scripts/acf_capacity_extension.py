@@ -18,12 +18,12 @@ and results/acf_5e6_reproduction_note.md.
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
 from resfact.bench import SweepConfig, run_sweep
+from resfact.report import emit_rows
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 TARGET = 5_000_000
@@ -60,7 +60,7 @@ perfection at small samples does not survive:
 {grid_table}
 
 A positive activation threshold is what makes the regime workable at
-all: only a few dozen attention entries survive each read, so the true
+all: it zeroes most attention entries at each read, so the true
 codevector dominates the reconstruction as soon as it clears the
 threshold once.  The best cell is flip rate 0.05, threshold 0.05.
 
@@ -130,25 +130,16 @@ def main(argv=None):
     for r in FLIP_RATES:
         for t in THRESHOLDS:
             row = _cell(r, t, args.grid_trials, args.grid_budget, args.conv, args.seed)
-            grid_rows.append((r, t, row))
+            grid_rows.append(row)
             print(
                 f"grid r={r} T={t}: acc={row.accuracy:.2f} "
                 f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
                 file=sys.stderr,
             )
-    with open(RESULTS / "acf_grid_f2_5e6.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["flip_rate", "activation_threshold", "trials", "accuracy",
-             "ci_low", "ci_high", "mean_iterations", "max_iters"]
-        )
-        for r, t, row in grid_rows:
-            w.writerow(
-                [r, t, row.trials, row.accuracy, f"{row.ci_low:.6g}",
-                 f"{row.ci_high:.6g}", f"{row.mean_iterations:.6g}", row.max_iters]
-            )
+    emit_rows(grid_rows, RESULTS / "acf_grid_f2_5e6.csv")
 
-    best_r, best_t, _ = max(grid_rows, key=lambda c: c[2].accuracy)
+    best = max(grid_rows, key=lambda row: row.accuracy)
+    best_r, best_t = best.flip_rate, best.activation_threshold
     print(f"best grid cell: r={best_r} T={best_t}", file=sys.stderr)
     headline = _cell(
         best_r, best_t, args.headline_trials, args.headline_budget, args.conv, args.seed
@@ -174,22 +165,11 @@ def main(argv=None):
             f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
             file=sys.stderr,
         )
-    with open(RESULTS / "acf_extension_curve.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["search_space", "M", "trials", "accuracy", "ci_low", "ci_high",
-             "mean_iterations", "max_iters"]
-        )
-        for row in curve:
-            w.writerow(
-                [row.search_space, row.M, row.trials, row.accuracy,
-                 f"{row.ci_low:.6g}", f"{row.ci_high:.6g}",
-                 f"{row.mean_iterations:.6g}", row.max_iters]
-            )
+    emit_rows(curve, RESULTS / "acf_extension_curve.csv")
 
     grid_table = "| flip rate | " + " | ".join(f"T={t:g}" for t in THRESHOLDS) + " |\n"
     grid_table += "|---" * (len(THRESHOLDS) + 1) + "|\n"
-    acc = {(r, t): row.accuracy for r, t, row in grid_rows}
+    acc = {(row.flip_rate, row.activation_threshold): row.accuracy for row in grid_rows}
     for r in FLIP_RATES:
         grid_table += (
             f"| {r:g} | " + " | ".join(f"{acc[(r, t)]:.2f}" for t in THRESHOLDS) + " |"

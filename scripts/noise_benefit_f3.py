@@ -9,12 +9,12 @@ variants decode almost everything in far fewer iterations.
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
 from resfact.bench import SweepConfig, run_sweep
+from resfact.report import emit_rows
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
@@ -47,18 +47,7 @@ def main(argv=None):
             f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
             file=sys.stderr,
         )
-    with open(RESULTS / "noise_benefit_f3_1e7.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["variant", "search_space", "M", "D", "trials", "accuracy",
-             "ci_low", "ci_high", "mean_iterations", "max_iters"]
-        )
-        for row in rows:
-            w.writerow(
-                [row.variant, row.search_space, row.M, row.D, row.trials,
-                 row.accuracy, f"{row.ci_low:.6g}", f"{row.ci_high:.6g}",
-                 f"{row.mean_iterations:.6g}", row.max_iters]
-            )
+    emit_rows(rows, RESULTS / "noise_benefit_f3_1e7.csv")
     print(f"wrote {RESULTS}/noise_benefit_f3_1e7.csv")
     return 0
 

@@ -17,12 +17,12 @@ its converged attention is exactly 1.
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
 from resfact.bench import SweepConfig, run_sweep
+from resfact.report import emit_rows
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -51,27 +51,13 @@ def main(argv=None):
                 master_seed=args.seed,
             )
             row = run_sweep(cfg).rows[0]
-            out.append((kind, conv, row))
+            out.append(row)
             print(
                 f"{kind} conv={conv}: acc={row.accuracy:.2f} "
                 f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
                 file=sys.stderr,
             )
-    with open(RESULTS / "convergence_threshold_tuning.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["variant", "convergence_threshold", "trials", "accuracy",
-             "ci_low", "ci_high", "mean_iterations", "flip_rate", "sigma",
-             "activation_threshold"]
-        )
-        for kind, conv, row in out:
-            w.writerow(
-                [kind, conv, row.trials, row.accuracy, f"{row.ci_low:.6g}",
-                 f"{row.ci_high:.6g}", f"{row.mean_iterations:.6g}",
-                 "" if row.flip_rate is None else row.flip_rate,
-                 "" if row.sigma is None else row.sigma,
-                 row.activation_threshold]
-            )
+    emit_rows(out, RESULTS / "convergence_threshold_tuning.csv")
     print(f"wrote {RESULTS}/convergence_threshold_tuning.csv")
     return 0
 

@@ -28,15 +28,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .factorizer import (
-    DEFAULT_ITER_CAP,
-    FactorizerConfig,
-    VariantSpec,
-    VARIANT_KINDS,
-    run,
-)
+from .factorizer import FactorizerConfig, VariantSpec, VARIANT_KINDS, run
 from .presets import PRESET_FACTOR_COUNTS, load_preset_table, lookup_preset
-from .vsa import Codebook, bind_product, generate_codebook
+from .vsa import bind_product, generate_codebook
 
 #: glibc ``mallopt`` parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -205,7 +199,7 @@ def make_instance(trial_seed: int, M: int, F: int, D: int):
     return x, books, truth, fact_seed
 
 
-def run_trial(
+def decode_instance(
     trial_seed: int,
     M: int,
     F: int,
@@ -213,8 +207,12 @@ def run_trial(
     variant: VariantSpec,
     max_iters: Optional[int] = None,
     convergence_threshold: float = 0.8,
-) -> TrialResult:
-    """One seeded trial: fresh instance, one decode, scored against truth."""
+):
+    """Build the seeded instance and decode it once.
+
+    Returns (x, books, truth, result): the instance as ``make_instance``
+    builds it and the decoder's result on it.
+    """
     x, books, truth, fact_seed = make_instance(trial_seed, M, F, D)
     cfg = FactorizerConfig(
         variant=variant,
@@ -225,7 +223,21 @@ def run_trial(
         convergence_threshold=convergence_threshold,
         seed=fact_seed,
     )
-    res = run(x, books, cfg)
+    return x, books, truth, run(x, books, cfg)
+
+
+def run_trial(
+    trial_seed: int,
+    M: int,
+    F: int,
+    D: int,
+    variant: VariantSpec,
+    max_iters: Optional[int] = None,
+    convergence_threshold: float = 0.8,
+) -> TrialResult:
+    """One seeded trial: fresh instance, one decode, scored against truth."""
+    _, _, truth, res = decode_instance(trial_seed, M, F, D, variant, max_iters,
+                                       convergence_threshold)
     return TrialResult(
         correct=res.indices == truth,
         iterations=res.iterations,
@@ -298,18 +310,8 @@ def oracle_agreement(
     converged = 0
     agreements = 0
     for t in range(n_trials):
-        seed = trial_seed_for(master_seed, 0, t)
-        x, books, _, fact_seed = make_instance(seed, M, F, D)
-        cfg = FactorizerConfig(
-            variant=variant,
-            F=F,
-            M=M,
-            D=D,
-            max_iters=max_iters,
-            convergence_threshold=convergence_threshold,
-            seed=fact_seed,
-        )
-        res = run(x, books, cfg)
+        x, books, _, res = decode_instance(trial_seed_for(master_seed, 0, t), M, F, D, variant,
+                                           max_iters, convergence_threshold)
         if not res.converged:
             continue
         converged += 1
@@ -350,17 +352,10 @@ def _resolve_size(cfg: SweepConfig, target: int):
                               activation_threshold=cfg.activation_threshold)
         D = cfg.D
         preset_exact = "n/a"
-    max_iters = cfg.max_iters if cfg.max_iters is not None else min(realized, DEFAULT_ITER_CAP)
+    max_iters = FactorizerConfig(
+        variant, F=cfg.F, M=M, D=D, max_iters=cfg.max_iters
+    ).resolved_max_iters()
     return M, realized, D, variant, max_iters, preset_exact
-
-
-def _trial_worker(args) -> TrialResult:
-    seed, M, F, D, variant, max_iters, conv_threshold = args
-    return run_trial(
-        seed, M, F, D, variant,
-        max_iters=max_iters,
-        convergence_threshold=conv_threshold,
-    )
 
 
 def _retain_freed_memory() -> None:
@@ -416,18 +411,14 @@ def _sweep_row(cfg: SweepConfig, size_index: int, target: int, pool, progress) -
     """Run one size's trials, in ``pool`` if given, and aggregate its row."""
     M, realized, D, variant, max_iters, preset_exact = _resolve_size(cfg, target)
     n = cfg.trials_per_size
-    args = [
-        (
-            trial_seed_for(cfg.master_seed, size_index, t),
-            M, cfg.F, D, variant, max_iters, cfg.convergence_threshold,
-        )
-        for t in range(n)
-    ]
+    seeds = [trial_seed_for(cfg.master_seed, size_index, t) for t in range(n)]
+    # run_trial's other arguments, the same for every trial
+    fixed = [[v] * n for v in (M, cfg.F, D, variant, max_iters, cfg.convergence_threshold)]
     if pool is not None:
         chunk = max(1, math.ceil(n / (cfg.parallelism * 4)))
-        results = list(pool.map(_trial_worker, args, chunksize=chunk))
+        results = list(pool.map(run_trial, seeds, *fixed, chunksize=chunk))
     else:
-        results = [_trial_worker(a) for a in args]
+        results = list(map(run_trial, seeds, *fixed))
     successes = sum(1 for r in results if r.correct and r.converged)
     ci_low, ci_high = wilson_interval(successes, n)
     row = CapacityRow(

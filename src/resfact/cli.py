@@ -19,14 +19,8 @@ import json
 import sys
 from typing import Optional
 
-from .bench import (
-    DEFAULT_ORACLE_CAP,
-    SweepConfig,
-    make_instance,
-    oracle_agreement,
-    run_sweep,
-)
-from .factorizer import FactorizerConfig, VariantSpec, run
+from .bench import DEFAULT_ORACLE_CAP, SweepConfig, decode_instance, oracle_agreement, run_sweep
+from .factorizer import VariantSpec
 from .presets import load_preset_table, lookup_preset
 from .report import emit_report
 
@@ -89,9 +83,10 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+def _add_problem_flags(p: argparse.ArgumentParser, codebook_size: bool = True) -> None:
     p.add_argument("-F", "--factors", dest="F", type=int, help="number of factors")
-    p.add_argument("-M", "--codebook-size", dest="M", type=int, help="codevectors per factor")
+    if codebook_size:
+        p.add_argument("-M", "--codebook-size", dest="M", type=int, help="codevectors per factor")
     p.add_argument("-D", "--dim", dest="D", type=int, help="vector dimension")
 
 
@@ -112,19 +107,11 @@ def cmd_factorize(args) -> int:
     F = _require(_pick(args, config, "F"), "F")
     M = _require(_pick(args, config, "M"), "M")
     D = _require(_pick(args, config, "D"), "D")
-    variant = _variant(args, config)
-    seed = _pick(args, config, "seed", default=0)
-    x, books, truth, fact_seed = make_instance(seed, M, F, D)
-    cfg = FactorizerConfig(
-        variant=variant,
-        F=F,
-        M=M,
-        D=D,
+    _, _, truth, result = decode_instance(
+        _pick(args, config, "seed", default=0), M, F, D, _variant(args, config),
         max_iters=_pick(args, config, "max_iters"),
         convergence_threshold=_pick(args, config, "convergence_threshold", default=0.8),
-        seed=fact_seed,
     )
-    result = run(x, books, cfg)
     correct = result.indices == truth
     print("decoded:", " ".join(str(i) for i in result.indices))
     print("truth:  ", " ".join(str(i) for i in truth))
@@ -266,9 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        p.add_argument("-F", "--factors", dest="F", type=int, help="number of factors")
+        # the codebook size follows from each swept size
+        _add_problem_flags(p, codebook_size=False)
         _add_variant_flags(p)
-        p.add_argument("-D", "--dim", dest="D", type=int, help="vector dimension")
+        _add_run_flags(p)
         p.add_argument("--sizes", help="comma-separated target search-space sizes")
         p.add_argument("--trials", dest="trials_per_size", type=int, help="trials per size")
         p.add_argument(
@@ -277,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="resolve D and variant hyperparameters from the tuned preset table",
         )
         p.add_argument("--presets-path", help="CSV file replacing the built-in preset table")
-        p.add_argument("--max-iters", type=int)
-        p.add_argument("--convergence-threshold", type=float)
         p.add_argument("--master-seed", type=int)
         p.add_argument("--parallelism", type=int)
         p.add_argument(
@@ -292,11 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_problem_flags(p)
     _add_variant_flags(p)
+    _add_run_flags(p)
     p.add_argument("--trials", type=int, help="number of seeded trials (default 50)")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--cap", type=int, help=f"oracle size cap (default {DEFAULT_ORACLE_CAP})")
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--convergence-threshold", type=float)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("presets", help="print the tuned hyperparameter table")

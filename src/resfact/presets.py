@@ -7,8 +7,7 @@ activation threshold, and the imf noise level and activation threshold.
 size is in the table and by nearest size on a log scale otherwise (the
 result says which).
 
-An alternative table can be supplied as a CSV file path, either directly
-or through the ``RESFACT_PRESETS`` environment variable; same header,
+An alternative table can be supplied as a CSV file path; same header,
 same semantics.
 """
 
@@ -16,14 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
 from .factorizer import VariantSpec
 
-PRESETS_ENV = "RESFACT_PRESETS"
 PRESET_FACTOR_COUNTS = (2, 3, 4)
 _COLUMNS = (
     "F",
@@ -65,10 +62,6 @@ class PresetLookup:
 _cache: dict = {}
 
 
-def _default_path() -> Optional[str]:
-    return os.environ.get(PRESETS_ENV) or None
-
-
 def _parse_rows(lines) -> tuple:
     reader = csv.DictReader(lines)
     missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
@@ -95,14 +88,13 @@ def _parse_rows(lines) -> tuple:
 def load_preset_table(path: Optional[str] = None) -> tuple:
     """Load the preset rows, sorted by (F, search_space).
 
-    Resolution order: explicit ``path``, then the ``RESFACT_PRESETS``
-    environment variable, then the table shipped inside the package.
+    ``path`` names a CSV file to load instead of the table shipped
+    inside the package.
     """
-    path = path or _default_path()
     key = path or "<builtin>"
     if key in _cache:
         return _cache[key]
-    if path is None:
+    if not path:
         text = resources.files("resfact").joinpath("data/presets.csv").read_text()
         rows = _parse_rows(text.splitlines())
     else:

@@ -54,12 +54,16 @@ def _json_value(value):
     return value
 
 
-def report_to_csv_bytes(report: CapacityReport) -> bytes:
+def _csv_bytes(rows) -> bytes:
     lines = [CSV_HEADER]
-    for row in report.rows:
+    for row in rows:
         record = dataclasses.asdict(row)
         lines.append(",".join(_csv_cell(record[c]) for c in CSV_COLUMNS))
     return ("\n".join(lines) + "\n").encode()
+
+
+def report_to_csv_bytes(report: CapacityReport) -> bytes:
+    return _csv_bytes(report.rows)
 
 
 def report_to_json_bytes(report: CapacityReport) -> bytes:
@@ -84,17 +88,29 @@ def report_to_json_bytes(report: CapacityReport) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
-def emit_report(report: CapacityReport, format: str, destination: Union[str, os.PathLike]) -> None:
-    """Write the report to ``destination`` ('-' for standard output).
+def emit_rows(rows, destination: Union[str, os.PathLike]) -> None:
+    """Write capacity rows as report CSV to ``destination`` ('-' for standard output).
 
-    File writes go through a sibling temp file and an atomic rename.
+    For rows gathered from several sweeps, e.g. one per grid cell.
     """
+    _write(_csv_bytes(rows), destination)
+
+
+def emit_report(report: CapacityReport, format: str, destination: Union[str, os.PathLike]) -> None:
+    """Write the report to ``destination`` ('-' for standard output)."""
     if format == "csv":
-        payload = report_to_csv_bytes(report)
+        emit_rows(report.rows, destination)
     elif format == "json":
-        payload = report_to_json_bytes(report)
+        _write(report_to_json_bytes(report), destination)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+
+
+def _write(payload: bytes, destination) -> None:
+    """Write ``payload`` to standard output, or atomically to a file.
+
+    File writes go through a sibling temp file and a rename.
+    """
     dest = os.fspath(destination)
     if dest == "-":
         sys.stdout.buffer.write(payload)

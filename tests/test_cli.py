@@ -66,6 +66,17 @@ def test_factorize_help_lists_no_schedule_or_stopping_options(capsys):
     assert "--convergence-threshold" in out
     assert "--convergence-mode" not in out
     assert "--update-schedule" not in out
+    # every subcommand that decodes shares the problem and run flags' help text
+    shared = ("-F F, --factors F", "-D D, --dim D", "--max-iters MAX_ITERS",
+              "iteration budget (default min(M^F, 10000))", "--convergence-threshold",
+              "attention level that ends a run (default 0.8)")
+    for sub in ("sweep", "capacity", "oracle-check"):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        sub_out = " ".join(capsys.readouterr().out.split())
+        for text in shared:
+            assert text in " ".join(out.split()) and text in sub_out, (sub, text)
+    assert "--codebook-size" in sub_out  # oracle-check takes M; the sweeps derive it
 
 
 def test_factorize_missing_required_is_usage_error(capsys):

@@ -7,20 +7,18 @@ from resfact.factorizer import (
     FactorizerConfig,
     FactorizerState,
     VariantSpec,
-    associative_search,
     derive_streams,
     detect_convergence_early,
     generate_bfm,
     init_estimates,
     perturb_codebooks,
-    reconstruct,
     run,
     step,
-    threshold_activation,
-    unbind_others,
 )
 from resfact.packing import pack_words
 from resfact.vsa import bind_product, generate_codebook, random_bipolar, sign_to_bipolar
+
+from phase_references import associative_search, reconstruct, threshold_activation, unbind_others
 
 
 def _instance(M, D, F, seed):

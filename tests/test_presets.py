@@ -2,7 +2,6 @@ import pytest
 
 from resfact.presets import (
     PRESET_FACTOR_COUNTS,
-    PRESETS_ENV,
     PresetRow,
     load_preset_table,
     lookup_preset,
@@ -84,22 +83,6 @@ def test_lookup_rejects():
 def _write_table(path, rows):
     path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
     return str(path)
-
-
-def test_env_var_overrides_builtin(tmp_path, monkeypatch):
-    p = _write_table(tmp_path / "alt.csv", ["2,10000,777,0.2,0.3,0.4,0.5"])
-    monkeypatch.setenv(PRESETS_ENV, p)
-    rows = load_preset_table()
-    assert len(rows) == 1
-    assert rows[0].D == 777
-
-
-def test_explicit_path_beats_env(tmp_path, monkeypatch):
-    via_env = _write_table(tmp_path / "env.csv", ["2,10,111,0,0,0.01,0"])
-    direct = _write_table(tmp_path / "direct.csv", ["2,10,222,0,0,0.01,0"])
-    monkeypatch.setenv(PRESETS_ENV, via_env)
-    rows = load_preset_table(direct)
-    assert rows[0].D == 222
 
 
 def test_custom_table_rejects_missing_column(tmp_path):

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from resfact.bench import CapacityReport, CapacityRow, SweepConfig, run_sweep
 from resfact.report import (
+    CSV_COLUMNS,
     CSV_HEADER,
     emit_report,
+    emit_rows,
     report_to_csv_bytes,
     report_to_json_bytes,
 )
@@ -16,6 +19,9 @@ EXPECTED_HEADER = (
     "variant,F,M,D,search_space,trials,accuracy,ci_low,ci_high,mean_iterations,"
     "sigma,flip_rate,activation_threshold,convergence_threshold,max_iters,preset_exact"
 )
+ARTIFACTS = sorted((Path(__file__).resolve().parents[1] / "results").glob("*.csv"))
+INT_COLUMNS = {"F", "M", "D", "search_space", "trials", "max_iters"}
+STR_COLUMNS = {"variant", "preset_exact"}
 
 
 def _report(rows=()):
@@ -143,3 +149,36 @@ def test_json_bytes_do_not_depend_on_parallelism():
     parallel = report_to_json_bytes(run_sweep(SweepConfig(**base, parallelism=2)))
     assert serial == parallel
     assert "parallelism" not in json.loads(serial)["config"]
+
+
+def _parse_cell(column: str, text: str):
+    if column in STR_COLUMNS:
+        return text
+    if text == "":
+        return None
+    return int(text) if column in INT_COLUMNS else float(text)
+
+
+def test_emit_rows_writes_the_report_csv(tmp_path, capsysbinary):
+    report = _report([_sample_row(), _sample_row(search_space=40000)])
+    emit_rows(report.rows, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == report_to_csv_bytes(report)
+    emit_rows(report.rows, "-")
+    assert capsysbinary.readouterr().out == report_to_csv_bytes(report)
+
+
+def test_results_artifacts_are_found():
+    assert len(ARTIFACTS) >= 5
+
+
+@pytest.mark.parametrize("path", ARTIFACTS, ids=lambda p: p.name)
+def test_results_artifact_is_a_report_csv(path, tmp_path):
+    # Every committed artifact comes from the one report writer: its header
+    # is the contract, and re-rendering its parsed rows gives its bytes.
+    data = path.read_bytes()
+    assert data.decode().split("\n", 1)[0] == CSV_HEADER
+    rows = [CapacityRow(**{c: _parse_cell(c, rec[c]) for c in CSV_COLUMNS})
+            for rec in csv.DictReader(io.StringIO(data.decode()))]
+    assert rows
+    emit_rows(rows, tmp_path / path.name)
+    assert (tmp_path / path.name).read_bytes() == data
