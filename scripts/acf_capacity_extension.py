@@ -62,7 +62,7 @@ perfection at small samples does not survive:
 A positive activation threshold is what makes the regime workable at
 all: it zeroes most attention entries at each read, so the true
 codevector dominates the reconstruction as soon as it clears the
-threshold once.  The best cell is flip rate 0.05, threshold 0.05.
+threshold once.  The best cell is flip rate {best_r:g}, threshold {best_t:g}.
 
 ## Headline measurement
 
@@ -71,18 +71,15 @@ accuracy {headline_acc:.2f} (Wilson 95% CI {headline_lo:.3f} to
 {headline_hi:.3f}), mean iterations {headline_iters:.0f}.
 
 Every failure is an unconverged run, not a wrong converged decode.
-The decode hitting time is heavy-tailed: a follow-up probe that reran
-the {headline_fails} stalled trials with budget 25000 recovered 12 of
-16, and of the 4 still stalled, 3 converge within a few hundred
-iterations when the decoder is reseeded (fresh masks and tie-breaks),
-while 1 instance resists every draw tried, idling in a low-attention
-mixture state (max attention about 0.14) indefinitely.  Pushing the
-budget therefore approaches but does not reach 0.99; a restart policy
-would, but the decoder deliberately runs single-shot.
+The decode hitting time is heavy-tailed: {headline_fails} of the
+{headline_trials} trials outlive the budget of {headline_budget}
+iterations, while the mean, which counts each of them at the budget,
+is {headline_iters:.0f}.  A longer budget or a restart policy would
+recover some of them, but the decoder deliberately runs single-shot.
 
 ## Where full reliability ends
 
-Accuracy of the (0.05, 0.05) cell by search-space size at budget
+Accuracy of the ({best_r:g}, {best_t:g}) cell by search-space size at budget
 {headline_budget} ({curve_trials} trials per size, {headline_trials}
 at the headline size; see acf_extension_curve.csv):
 
@@ -111,7 +108,41 @@ def _cell(flip_rate, threshold, trials, budget, conv, seed, target=TARGET):
     return run_sweep(cfg).rows[0]
 
 
-def main(argv=None):
+def render_note(args, grid_rows, best, headline, curve) -> str:
+    """The reproduction note, every number in it taken from the arguments and the rows."""
+    grid_table = "| flip rate | " + " | ".join(f"T={t:g}" for t in THRESHOLDS) + " |\n"
+    grid_table += "|---" * (len(THRESHOLDS) + 1) + "|\n"
+    acc = {(row.flip_rate, row.activation_threshold): row.accuracy for row in grid_rows}
+    for r in FLIP_RATES:
+        grid_table += (
+            f"| {r:g} | " + " | ".join(f"{acc[(r, t)]:.2f}" for t in THRESHOLDS) + " |"
+        )
+        grid_table += "\n"
+    curve_table = "| search space | accuracy | mean iterations |\n|---|---|---|\n"
+    for row in curve:
+        curve_table += f"| {row.search_space} | {row.accuracy:.2f} | {row.mean_iterations:.0f} |\n"
+
+    return NOTE_TEMPLATE.format(
+        grid_trials=args.grid_trials,
+        grid_budget=args.grid_budget,
+        conv=args.conv,
+        seed=args.seed,
+        grid_table=grid_table.rstrip(),
+        best_r=best.flip_rate,
+        best_t=best.activation_threshold,
+        headline_trials=args.headline_trials,
+        headline_budget=args.headline_budget,
+        headline_acc=headline.accuracy,
+        headline_lo=headline.ci_low,
+        headline_hi=headline.ci_high,
+        headline_iters=headline.mean_iterations,
+        headline_fails=round((1 - headline.accuracy) * headline.trials),
+        curve_trials=args.curve_trials,
+        curve_table=curve_table.rstrip(),
+    )
+
+
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid-trials", type=int, default=15)
     ap.add_argument("--grid-budget", type=int, default=3000)
@@ -121,7 +152,11 @@ def main(argv=None):
     ap.add_argument("--conv", type=float, default=0.55,
                     help="convergence threshold, below the (1-2r) attention plateau")
     ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args(argv)
+    return ap.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(argv)
 
     RESULTS.mkdir(exist_ok=True)
     t0 = time.time()
@@ -167,34 +202,7 @@ def main(argv=None):
         )
     emit_rows(curve, RESULTS / "acf_extension_curve.csv")
 
-    grid_table = "| flip rate | " + " | ".join(f"T={t:g}" for t in THRESHOLDS) + " |\n"
-    grid_table += "|---" * (len(THRESHOLDS) + 1) + "|\n"
-    acc = {(row.flip_rate, row.activation_threshold): row.accuracy for row in grid_rows}
-    for r in FLIP_RATES:
-        grid_table += (
-            f"| {r:g} | " + " | ".join(f"{acc[(r, t)]:.2f}" for t in THRESHOLDS) + " |"
-        )
-        grid_table += "\n"
-    curve_table = "| search space | accuracy | mean iterations |\n|---|---|---|\n"
-    for row in curve:
-        curve_table += f"| {row.search_space} | {row.accuracy:.2f} | {row.mean_iterations:.0f} |\n"
-
-    note = NOTE_TEMPLATE.format(
-        grid_trials=args.grid_trials,
-        grid_budget=args.grid_budget,
-        conv=args.conv,
-        seed=args.seed,
-        grid_table=grid_table.rstrip(),
-        headline_trials=args.headline_trials,
-        headline_budget=args.headline_budget,
-        headline_acc=headline.accuracy,
-        headline_lo=headline.ci_low,
-        headline_hi=headline.ci_high,
-        headline_iters=headline.mean_iterations,
-        headline_fails=round((1 - headline.accuracy) * headline.trials),
-        curve_trials=args.curve_trials,
-        curve_table=curve_table.rstrip(),
-    )
+    note = render_note(args, grid_rows, best, headline, curve)
     (RESULTS / "acf_5e6_reproduction_note.md").write_text(note)
     print(f"wrote {RESULTS}/acf_5e6_reproduction_note.md [{time.time()-t0:.0f}s]", file=sys.stderr)
     return 0

@@ -3,14 +3,17 @@
 
 For each sweep row it decodes one seeded instance for a few sweeps, to
 reach a typical mid-search state, then sweeps that state as many times
-again, so that kernels which build a layout only once enough products
-need it (the float reconstruction block) have done so, and times on
-that fixed state the steady state of a long decode:
+again, so that engines which build a layout only once enough products
+need it (the float reconstruction block, before the compiled kernels)
+have done so, and times on that fixed state the steady state of a long
+decode:
 
 * ``sweep_us``  -- one full update sweep (``factorizer._advance``);
 * ``search_us`` -- the associative search of one factor;
 * ``recon_us``  -- the reconstruction product of one factor, over the
-  attentions that survive the activation threshold in that state.
+  attentions that survive the activation threshold in that state, as
+  the sweep calls it: over the surviving rows for ``brn`` and ``acf``,
+  dense for ``imf``.
 
 For each set-up row it times the steps of a trial up to its first
 sweep, each call on a freshly built instance, as a trial meets them,
@@ -45,13 +48,13 @@ the repeats alternate between the two source trees, each tree going
 first in every other round, so that drift of the machine falls on both
 alike:
 
-    python3 scripts/bench_engine.py --against ../parent/src --label after --out BENCH_4.json
+    python3 scripts/bench_engine.py --against ../parent/src --label after --out BENCH_8.json
 
 stores this checkout's figures under ``after`` and the other tree's
 under ``before`` in the ``--out`` JSON file,
 beside the entries of earlier runs, with the numpy, BLAS, core and
-BLAS-thread figures of each.  Only numpy and the standard library are
-needed.  Engines from before the packed search have no
+BLAS-thread figures of each.  Beyond what resfact itself needs, only
+the standard library is needed.  Engines from before the packed search have no
 ``numerators``/``superpose`` kernels; for those the script times the
 float matrix-vector products that their sweep ran instead.
 """
@@ -317,7 +320,7 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     rows = np.flatnonzero(weights)
     if hasattr(kernels, "superpose"):
         def recon():
-            return kernels.superpose(0, weights, rows if rows.size < M * fz._GATHER_BELOW else None)
+            return kernels.superpose(0, weights, None if kind == "imf" else rows)
     else:
         def recon():
             return weights.astype(kernels.dtype) @ kernels.recon[0]

@@ -34,25 +34,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _sweep
 from .packing import pack_words
 from .vsa import Codebook, as_bipolar, random_bipolar, sign_to_bipolar
 
 VARIANT_KINDS = ("brn", "imf", "acf")
 #: Hard cap on the default iteration budget min(M**F, cap).
 DEFAULT_ITER_CAP = 10_000
-#: Reconstruction matrices stay float32 while M * D is comfortably below
-#: 2**24, where integer-weighted sums of +-1 rows are still exact.  (The
-#: search is on packed bits; only its popcount row sums, at most D, share
-#: the dtype.)
+#: The float reconstruction block of the dense product stays float32 while
+#: M * D is comfortably below 2**24, where integer-weighted sums of +-1 rows
+#: are still exact.
 _FLOAT32_LIMIT = 2**22
-#: ``brn``/``acf`` reconstruction gathers the surviving rows while fewer
-#: than this share of M survive; the dense product is faster above it,
-#: once the float block is built (see ``_Kernels``).
-_GATHER_BELOW = 0.25
-#: Gathered products convert at most this many bytes of float rows at a
-#: time: small temporaries are reused from the heap, while a large one
-#: page-faults afresh on each product and outlives it in the heap.
-_GATHER_BYTES = 1 << 19
 #: ``generate_bfm`` draws its uniforms this many at a time (128 KiB of float64).
 _MASK_BLOCK = 1 << 14
 
@@ -298,34 +290,31 @@ class _Kernels:
     ``search[f]`` is factor f's search codebook bit-packed by
     ``packing.pack_words``: (M, ceil(D / 64)) uint64 words, so the dot
     product of a row with a packed query is D - 2 * popcount(xor), an
-    exact integer.  ``books[f]`` is factor f's int8 reconstruction book,
-    from which gathered products take and convert their rows.
-    ``recon[f]`` is its float copy for the dense BLAS product, float32
-    while ``_FLOAT32_LIMIT`` allows, built on first read.  The F copies
-    are views of one (F, M, D) block, since one allocation page-faults
-    far less than F separate ones.
+    exact integer.  ``books[f]`` is factor f's reconstruction book as a
+    C-contiguous int8 array, made so once per run whatever the layout of
+    the codebook.  The compiled kernels of ``_sweep`` read both.
 
-    ``superpose`` decides when to build the block by rent-or-buy: a
-    gathered row costs the same int8-to-float conversion as a row of
-    the block, so integer-weighted products that would read the block
-    gather instead ("rent") until the rows gathered that way reach the
-    F * M rows of the block ("price"), and the next one builds it.  A
-    decode that converges in a few sweeps never pays for the block; a
-    long one converts at most about twice the rows it would have
-    converted by building the block on its first product.
+    ``recon[f]`` is a float copy of ``books[f]`` for the dense BLAS
+    product that ``imf``'s real-valued weights need, float32 while
+    ``_FLOAT32_LIMIT`` allows, built on first read.  The F copies are
+    views of one (F, M, D) block, since one allocation page-faults far
+    less than F separate ones.  ``brn`` and ``acf`` never read it.
     """
 
-    __slots__ = ("search", "books", "dtype", "_recon", "_rented", "_gather_rows", "_ones")
+    __slots__ = ("search", "books", "dtype", "_recon", "_search_at", "_books_at")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
+        if size * dim >= 2**31:
+            raise ValueError(f"M * D = {size * dim} would overflow the int32 "
+                             "reconstruction sums; it must be below 2**31")
         self.dtype = np.float32 if size * dim <= _FLOAT32_LIMIT else np.float64
         self.search = [pack_words(b.codevectors) for b in pbooks.search_books]
-        self.books = [b.codevectors for b in pbooks.recon_books]
+        self.books = [np.ascontiguousarray(b.codevectors, dtype=np.int8)
+                      for b in pbooks.recon_books]
+        self._search_at = [a.ctypes.data for a in self.search]
+        self._books_at = [b.ctypes.data for b in self.books]
         self._recon = None
-        self._rented = 0
-        self._gather_rows = max(1, _GATHER_BYTES // (dim * np.dtype(self.dtype).itemsize))
-        self._ones = np.ones(self.search[0].shape[1], dtype=self.dtype)
 
     @property
     def recon(self) -> list:
@@ -337,43 +326,41 @@ class _Kernels:
     def numerators(self, f: int, query: np.ndarray) -> np.ndarray:
         """Dot products of factor f's search rows with a ``pack_words`` query, as float64.
 
-        The popcounts sum exactly in ``dtype`` (at most D per row).  The
-        result is float64 so that dividing by D rounds like the exact
-        ratio: in float32, 550 / 1000 compares above 0.55.
+        float64, so that dividing by D rounds like the exact ratio: in
+        float32, 550 / 1000 compares above 0.55.
         """
-        popcounts = np.bitwise_count(self.search[f] ^ query)
-        hamming = (popcounts.astype(self.dtype) @ self._ones).astype(np.float64)
-        return self.books[f].shape[1] - 2.0 * hamming
+        size, words = self.search[f].shape
+        query = np.ascontiguousarray(query, dtype=np.uint64)
+        if query.size != words:
+            raise ValueError(f"packed query has {query.size} words, the rows have {words}")
+        out = np.empty(size)
+        _sweep.numerators(self._search_at[f], size, words, query.ctypes.data,
+                          self.books[f].shape[1], out.ctypes.data)
+        return out
 
     def superpose(self, f: int, weights: np.ndarray, rows=None) -> np.ndarray:
         """Weighted sum of factor f's reconstruction rows.
 
-        Without ``rows`` the product is dense over all M weights.  The
-        sweep passes ``rows`` only for integer weights, whose sum is exact
-        in any order; then only those rows count, as if every other weight
-        were zero.  They are gathered and summed alone while fewer than
-        ``_GATHER_BELOW`` of M survive, or while the block is rented (see
-        the class docstring); otherwise the product is dense.
+        Without ``rows`` the product is the dense float product over all
+        M weights.  With ``rows``, at most M indices of rows of the book,
+        only those rows count, as if every other weight were zero, and
+        their weights must be integers of at most D in magnitude, like the
+        sweep's numerators: the compiled kernel sums them exactly, in
+        int32, and refuses any other row or weight.
         """
-        if rows is not None:
-            few = rows.size < weights.size * _GATHER_BELOW
-            if few or (self._recon is None and self._rented < len(self.books) * weights.size):
-                if not few:
-                    self._rented += rows.size
-                return self._gathered(f, weights, rows)
-            survivors = np.zeros(weights.size, self.dtype)
-            survivors[rows] = weights[rows]
-            weights = survivors
-        return weights.astype(self.dtype, copy=False) @ self.recon[f]
-
-    def _gathered(self, f: int, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Sum of the given rows of factor f's book times their weights, a few rows at a time."""
-        book, dtype, step = self.books[f], self.dtype, self._gather_rows
-        r = rows[:step]
-        sums = weights[r].astype(dtype) @ book[r].astype(dtype)
-        for start in range(step, rows.size, step):
-            r = rows[start:start + step]
-            sums += weights[r].astype(dtype) @ book[r].astype(dtype)
+        if rows is None:
+            return weights.astype(self.dtype, copy=False) @ self.recon[f]
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        size, dim = self.books[f].shape
+        if weights.size != size:
+            raise ValueError(f"{weights.size} weights for a book of {size} rows")
+        sums = np.empty(dim, dtype=np.int32)
+        bad = _sweep.superpose(self._books_at[f], size, dim, rows.ctypes.data, rows.size,
+                               weights.ctypes.data, sums.ctypes.data)
+        if bad >= 0:
+            raise ValueError(f"superpose takes at most {size} rows, each in [0, {size}) with an "
+                             f"integer weight of at most {dim} in magnitude; entry {bad} is not")
         return sums
 
 
@@ -419,7 +406,8 @@ def _advance(estimates, x, kernels, cfg, streams):
             est = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
         else:
             # brn and acf weights are integers (positive where attention
-            # survives): a sum over the surviving rows alone is exact.
+            # survives): the compiled kernel sums the surviving rows alone,
+            # exactly.
             est = sign_to_bipolar(kernels.superpose(f, numerators, rows), streams.ties)
         attentions[f] = alpha
         working[f] = est

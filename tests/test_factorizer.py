@@ -16,7 +16,7 @@ from resfact.factorizer import (
     step,
 )
 from resfact.packing import pack_words
-from resfact.vsa import bind_product, generate_codebook, random_bipolar, sign_to_bipolar
+from resfact.vsa import Codebook, bind_product, generate_codebook, random_bipolar, sign_to_bipolar
 
 from phase_references import associative_search, reconstruct, threshold_activation, unbind_others
 
@@ -244,7 +244,7 @@ def test_reconstruct_length_mismatch(rng):
 # --- sweep kernels ---
 
 
-@pytest.mark.parametrize("D", [1, 7, 8, 63, 64, 65, 1000, 1500])
+@pytest.mark.parametrize("D", [1, 7, 8, 63, 64, 65, 1000, 1500, 4000])
 def test_packed_numerators_are_exact_dots(D):
     g = np.random.default_rng(D)
     books = [generate_codebook(6, D, g) for _ in range(2)]
@@ -256,6 +256,91 @@ def test_packed_numerators_are_exact_dots(D):
         got = kernels.numerators(1, pack_words(q))
         assert got.dtype == np.float64
         assert np.array_equal(got, rows.astype(np.int64) @ q.astype(np.int64))
+        assert np.array_equal(got / D, associative_search(q, books[1], VariantSpec.brn(), g))
+
+
+# The kernel pairs rows in int16 while 2 * D fits there: D = 16383 is its
+# largest D, where weights of +-D reach the int16 limit; D = 16384 and
+# 20000 take the int32 branch.
+@pytest.mark.parametrize("D", [1, 7, 63, 64, 65, 1000, 1500, 4000, 16383, 16384, 20000])
+def test_superpose_kernel_matches_int64_reference(D):
+    M = 9
+    g = np.random.default_rng(D)
+    books = [generate_codebook(M, D, g) for _ in range(2)]
+    pbooks = perturb_codebooks(books, VariantSpec.acf(0.2), g)
+    kernels = factorizer._Kernels(pbooks)
+    book = pbooks.recon_books[1].codevectors
+    numerators = g.integers(-D, D + 1, size=M).astype(np.float64)
+    # Equal weights on rows 1 and 2 cancel to exact zeros wherever the rows differ.
+    tied = np.zeros(M)
+    tied[[1, 2]] = D
+    extreme = np.where(np.arange(M) % 3, D, -D).astype(np.float64)
+    cases = [(numerators, np.array([], dtype=np.intp)), (numerators, np.array([4])),
+             (numerators, np.arange(M)), (numerators, np.flatnonzero(numerators > 0)),
+             (tied, np.array([1, 2])), (extreme, np.arange(M)), (np.full(M, D), np.arange(M))]
+    for weights, rows in cases:
+        sums = kernels.superpose(1, weights, rows)
+        assert sums.dtype == np.int32 and sums.shape == (D,)
+        want = weights[rows].astype(np.int64) @ book[rows].astype(np.int64)
+        assert np.array_equal(sums, want)
+        if not rows.size:
+            continue
+        kept = np.zeros(M)
+        kept[rows] = weights[rows]
+        ties, ref_ties = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(sign_to_bipolar(sums, ties),
+                              reconstruct(kept, pbooks.recon_books[1], ref_ties))
+        assert ties.bit_generator.state == ref_ties.bit_generator.state
+    if D > 1:
+        assert (kernels.superpose(1, tied, np.array([1, 2])) == 0).any()
+    assert kernels._recon is None
+
+
+def test_superpose_kernel_refuses_what_it_cannot_sum_exactly():
+    M, D = 6, 100
+    g = np.random.default_rng(0)
+    books = [generate_codebook(M, D, g) for _ in range(2)]
+    kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
+    w = np.full(M, 3.0)
+    assert kernels.superpose(0, w, np.arange(M)).shape == (D,)
+    for weights, rows in [(w, np.array([0, M])), (w, np.array([-1])), (w, np.zeros(M + 1, int)),
+                          (np.full(M, 2.5), np.array([1])), (np.full(M, D + 1.0), np.array([1])),
+                          (np.full(M, np.nan), np.array([1])), (w[:-1], np.array([1]))]:
+        with pytest.raises(ValueError):
+            kernels.superpose(0, weights, rows)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_kernels_make_noncontiguous_books_contiguous(layout):
+    M, D = 30, 200
+    x, books, truth = _instance(M, D, 2, seed=6)
+    if layout == "fortran":
+        odd = [Codebook(np.asfortranarray(b.codevectors)) for b in books]
+    else:
+        wide = [np.repeat(b.codevectors, 2, axis=1) for b in books]
+        odd = [Codebook(w[:, ::2]) for w in wide]
+    assert not odd[0].codevectors.flags.c_contiguous
+    variant = VariantSpec.acf(0.05)
+    kernels = factorizer._Kernels(perturb_codebooks(odd, variant, np.random.default_rng(1)))
+    assert all(b.flags.c_contiguous for b in kernels.books)
+    q = random_bipolar(D, np.random.default_rng(2))
+    numerators = kernels.numerators(0, pack_words(q))
+    assert np.array_equal(numerators, books[0].codevectors.astype(np.int64) @ q)
+    rows = np.flatnonzero(numerators > 0)
+    want = numerators[rows].astype(np.int64) @ kernels.books[0][rows].astype(np.int64)
+    assert np.array_equal(kernels.superpose(0, numerators, rows), want)
+    cfg = FactorizerConfig(variant=variant, F=2, M=M, D=D, seed=3, max_iters=20)
+    got, ref = run(x, odd, cfg), run(x, books, cfg)
+    assert got.iterations == ref.iterations and got.indices == ref.indices
+    assert np.array_equal(got.state.estimates, ref.state.estimates)
+
+
+def test_kernels_reject_books_whose_int32_sums_could_overflow():
+    # Broadcast books: 2**31 elements each, without the memory.
+    row = np.ones((1, 2**15), dtype=np.int8)
+    big = [Codebook._unchecked(np.broadcast_to(row, (2**16, 2**15))) for _ in range(2)]
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        factorizer._Kernels(perturb_codebooks(big, VariantSpec.brn(), np.random.default_rng(0)))
 
 
 def _integer_weights(M, share, g):
@@ -328,23 +413,6 @@ def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, g
     assert log and all(dense != gathers for _, dense, _ in log)
 
 
-def test_superpose_rents_rows_until_they_reach_the_block(monkeypatch):
-    # Only products that would read the block count as rent: 8 of 40 rows
-    # gather at any time, while four products of 20 rows pay the F * M = 80
-    # rows of the block and the fifth builds it.
-    log = _log_products(monkeypatch)
-    F, M, D = 2, 40, 64
-    g = np.random.default_rng(8)
-    books = [generate_codebook(M, D, g) for _ in range(F)]
-    kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
-    few, many = _integer_weights(M, 0.2, g), _integer_weights(M, 0.5, g)
-    for w in [few] * 50 + [many] * 4 + [many, many, few]:
-        want = w.astype(np.int64) @ books[0].codevectors.astype(np.int64)
-        assert np.array_equal(kernels.superpose(0, w, np.flatnonzero(w)), want)
-    assert [dense for _, dense, _ in log] == [False] * 54 + [True, True, False]
-    assert [b for _, _, b in log] == [False] * 54 + [True, False, False]
-
-
 def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
     """One sequential sweep built from the int64 phase references.
 
@@ -369,17 +437,18 @@ def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
 
 @pytest.mark.parametrize("F, M, D", [(2, 300, 1000), (3, 120, 1500)], ids=["f2", "f3"])
 @pytest.mark.parametrize(
-    "variant, dense",
+    "variant, many",
     [(VariantSpec.brn(), True), (VariantSpec.brn(0.05), False),
      (VariantSpec.acf(0.05), True), (VariantSpec.acf(0.05, 0.05), False),
      (VariantSpec.imf(0.02), True), (VariantSpec.imf(0.02, 0.05), False)],
     ids=["brn-dense", "brn-gather", "acf-dense", "acf-gather", "imf-t0", "imf-t05"],
 )
-def test_sweep_matches_int64_references(F, M, D, variant, dense):
-    # brn and acf weights are integers, so the float32 sweep must equal the
-    # int64/float64 references bit for bit, tie-break draws included, on
-    # both sides of _GATHER_BELOW.  imf's real-valued weights sum in
-    # another precision, so only its attentions must match.
+def test_sweep_matches_int64_references(F, M, D, variant, many):
+    # brn and acf weights are integers, so the sweep must equal the
+    # int64/float64 references bit for bit, tie-break draws included,
+    # whether about half of M survives (many) or a few percent.  imf's
+    # real-valued weights sum in another precision, so only its attentions
+    # must match.
     x, books, _ = _instance(M, D, F, seed=M + F)
     cfg = FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=11)
     streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
@@ -394,19 +463,23 @@ def test_sweep_matches_int64_references(F, M, D, variant, dense):
         assert np.array_equal(new, ref_new)
         survivors = (attentions > variant.activation_threshold).sum(axis=1)
         assert (survivors > 0).all()
-        assert ((survivors >= M * factorizer._GATHER_BELOW) == dense).all()
+        assert ((survivors >= M // 4) == many).all()
+        # Only imf's dense product builds the float block, on its first sweep.
+        assert (pbooks._kernels._recon is None) == (variant.kind != "imf")
         estimates = new
     assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
 
 
 @pytest.mark.parametrize(
     "variant, builds",
-    [(VariantSpec.acf(0.05, 0.05), False), (VariantSpec.imf(0.007, 0.05), True)],
-    ids=["acf-sparse", "imf"],
+    [(VariantSpec.acf(0.05, 0.05), False), (VariantSpec.imf(0.007, 0.05), True),
+     (VariantSpec.brn(), False)],
+    ids=["acf-sparse", "imf", "brn-dense"],
 )
 def test_float_block_is_built_on_the_first_dense_product(monkeypatch, variant, builds):
-    # imf reads the block from its first product; acf with few survivors
-    # gathers every product and never builds it.
+    # imf reads the block from its first product; brn and acf sum their
+    # surviving rows in the compiled kernel and never build it, whether a
+    # few percent of M survive (acf at 0.05) or about half (brn at 0).
     log = _log_products(monkeypatch)
     M = 200
     x, books, _ = _instance(M, 1000, 2, seed=4)
@@ -415,39 +488,18 @@ def test_float_block_is_built_on_the_first_dense_product(monkeypatch, variant, b
     assert len(log) > 1
     assert [b for _, _, b in log] == [builds] + [False] * (len(log) - 1)
     assert all(dense == builds for _, dense, _ in log)
-    if not builds:
-        assert max(n for n, _, _ in log) < M * factorizer._GATHER_BELOW
 
 
 def test_short_brn_decode_builds_no_float_block(monkeypatch):
     # The shape of the benchmark's set-up-bound workload: a 2-sweep decode
-    # whose four products each keep about half of M, so a survivor-count
-    # rule alone would read the block; their rows never add up to it.
+    # whose four products each keep about half of M.
     log = _log_products(monkeypatch)
     F, M, D = 2, 100, 4000
     x, books, truth = _instance(M, D, F, seed=5)
     result = run(x, books, FactorizerConfig(variant=VariantSpec.brn(), F=F, M=M, D=D, seed=5))
     assert result.converged and result.iterations == 2 and result.indices == truth
     assert len(log) == 4
-    assert all(n >= M * factorizer._GATHER_BELOW and not dense for n, dense, _ in log)
-
-
-def test_brn_gathers_until_its_rows_reach_the_block(monkeypatch):
-    # At threshold 0 every product keeps about half of M.  They gather
-    # until the gathered rows reach the F * M rows of the block; the next
-    # product builds it, and every later one reads it.
-    log = _log_products(monkeypatch)
-    F, M, D = 2, 200, 1000
-    x, books, _ = _instance(M, D, F, seed=4)
-    run(x, books, FactorizerConfig(variant=VariantSpec.brn(), F=F, M=M, D=D, seed=4, max_iters=20))
-    survivors = np.array([n for n, _, _ in log])
-    assert (survivors >= M * factorizer._GATHER_BELOW).all()
-    bought = [i for i, (_, _, b) in enumerate(log) if b]
-    assert len(bought) == 1
-    k = bought[0]
-    assert survivors[:k - 1].sum() < F * M <= survivors[:k].sum()
-    assert [dense for _, dense, _ in log] == [False] * k + [True] * (len(log) - k)
-    assert len(log) > k + 1
+    assert all(n >= M // 4 and not dense for n, dense, _ in log)
 
 
 def test_attention_of_550_is_not_above_055():

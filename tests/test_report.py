@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -19,7 +20,8 @@ EXPECTED_HEADER = (
     "variant,F,M,D,search_space,trials,accuracy,ci_low,ci_high,mean_iterations,"
     "sigma,flip_rate,activation_threshold,convergence_threshold,max_iters,preset_exact"
 )
-ARTIFACTS = sorted((Path(__file__).resolve().parents[1] / "results").glob("*.csv"))
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+ARTIFACTS = sorted(RESULTS.glob("*.csv"))
 INT_COLUMNS = {"F", "M", "D", "search_space", "trials", "max_iters"}
 STR_COLUMNS = {"variant", "preset_exact"}
 
@@ -182,3 +184,26 @@ def test_results_artifact_is_a_report_csv(path, tmp_path):
     assert rows
     emit_rows(rows, tmp_path / path.name)
     assert (tmp_path / path.name).read_bytes() == data
+
+
+def _csv_rows(path):
+    """Rows of a results CSV with the attributes the note reads, typed as the sweep types them."""
+    with open(path, newline="") as fh:
+        return [CapacityRow(**{
+            name: (int(v) if name in INT_COLUMNS else v if name in STR_COLUMNS
+                   else float(v) if v else None)
+            for name, v in r.items()}) for r in csv.DictReader(fh)]
+
+
+def test_acf_note_renders_from_the_committed_results():
+    # Every number in the 5e6 note comes from the script's arguments and
+    # the rows it wrote beside the note.
+    spec = importlib.util.spec_from_file_location(
+        "acf_capacity_extension", RESULTS.parent / "scripts" / "acf_capacity_extension.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    grid = _csv_rows(RESULTS / "acf_grid_f2_5e6.csv")
+    curve = _csv_rows(RESULTS / "acf_extension_curve.csv")
+    best = max(grid, key=lambda row: row.accuracy)
+    note = script.render_note(script.parse_args([]), grid, best, curve[-1], curve)
+    assert note == (RESULTS / "acf_5e6_reproduction_note.md").read_text()
