@@ -30,9 +30,10 @@ void resfact_numerators(const uint64_t *rows, int64_t n, int64_t words,
  * whose weight is not such an integer (or n itself, if n > m), and then
  * leaves sums unset.
  *
- * Four rows are added per pass over sums.  While 2 * dim fits in int16,
- * so does the sum of two rows' terms, and the pairs are formed in int16
- * arithmetic: twice as many elements per vector instruction. */
+ * While 2 * dim fits in int16, so does the sum of two rows' terms: rows
+ * are then added four per pass over sums, as two pairs formed in int16
+ * arithmetic, twice as many elements per vector instruction.  Other rows
+ * are added one per pass, in int32. */
 int64_t resfact_superpose(const int8_t *book, int64_t m, int64_t dim,
                           const int64_t *rows, int64_t n, const double *weights, int32_t *sums)
 {
@@ -55,15 +56,6 @@ int64_t resfact_superpose(const int8_t *book, int64_t m, int64_t dim,
             const int16_t wc = (int16_t)weights[rows[k + 2]], wd = (int16_t)weights[rows[k + 3]];
             for (int64_t j = 0; j < dim; j++)
                 sums[j] += (int16_t)(wa * a[j] + wb * b[j]) + (int16_t)(wc * c[j] + wd * d[j]);
-        }
-    } else {
-        for (; k + 4 <= n; k += 4) {
-            const int8_t *a = book + rows[k] * dim, *b = book + rows[k + 1] * dim;
-            const int8_t *c = book + rows[k + 2] * dim, *d = book + rows[k + 3] * dim;
-            const int32_t wa = (int32_t)weights[rows[k]], wb = (int32_t)weights[rows[k + 1]];
-            const int32_t wc = (int32_t)weights[rows[k + 2]], wd = (int32_t)weights[rows[k + 3]];
-            for (int64_t j = 0; j < dim; j++)
-                sums[j] += wa * a[j] + wb * b[j] + wc * c[j] + wd * d[j];
         }
     }
     for (; k < n; k++) {

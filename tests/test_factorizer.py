@@ -260,8 +260,8 @@ def test_packed_numerators_are_exact_dots(D):
 
 
 # The kernel pairs rows in int16 while 2 * D fits there: D = 16383 is its
-# largest D, where weights of +-D reach the int16 limit; D = 16384 and
-# 20000 take the int32 branch.
+# largest D, where weights of +-D reach the int16 limit; at D = 16384 and
+# 20000 it adds each row in int32.
 @pytest.mark.parametrize("D", [1, 7, 63, 64, 65, 1000, 1500, 4000, 16383, 16384, 20000])
 def test_superpose_kernel_matches_int64_reference(D):
     M = 9
@@ -320,7 +320,8 @@ def test_kernels_make_noncontiguous_books_contiguous(layout):
         wide = [np.repeat(b.codevectors, 2, axis=1) for b in books]
         odd = [Codebook(w[:, ::2]) for w in wide]
     assert not odd[0].codevectors.flags.c_contiguous
-    variant = VariantSpec.acf(0.05)
+    # brn reconstructs from the search books themselves (acf builds fresh ones).
+    variant = VariantSpec.brn()
     kernels = factorizer._Kernels(perturb_codebooks(odd, variant, np.random.default_rng(1)))
     assert all(b.flags.c_contiguous for b in kernels.books)
     q = random_bipolar(D, np.random.default_rng(2))
