@@ -33,7 +33,10 @@ void resfact_numerators(const uint64_t *rows, int64_t n, int64_t words,
  * While 2 * dim fits in int16, so does the sum of two rows' terms: rows
  * are then added four per pass over sums, as two pairs formed in int16
  * arithmetic, twice as many elements per vector instruction.  Other rows
- * are added one per pass, in int32. */
+ * are added one per pass, in int32.  Against adding every row in int32,
+ * on a 2-vCPU Xeon with AVX-512 and gcc 12.2, the pairing cut the
+ * reconstruction at M = D = 1000 with half the rows from 65 to 45 us and
+ * at M = 2236, D = 1000 with 9% of them from 36 to 25 us (medians of 7). */
 int64_t resfact_superpose(const int8_t *book, int64_t m, int64_t dim,
                           const int64_t *rows, int64_t n, const double *weights, int32_t *sums)
 {

@@ -7,7 +7,8 @@ a library of its own, and an import that finds its library never runs
 the compiler.  Otherwise the import builds it with the system ``cc``
 into a file of its own and moves that into place with ``os.replace``:
 processes that import at once may each compile, and each one loads a
-complete library.
+complete library.  A build then deletes the libraries of other sources
+or CPUs beside it; a process that has one loaded keeps using it.
 
 There is no fallback: without ``cc`` or a writable package directory,
 the first import on a host fails with an ``ImportError`` that names
@@ -20,6 +21,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -64,6 +66,10 @@ def _build(source: Path, path: Path) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    stale = re.compile(rf"{re.escape(source.stem)}-[0-9a-f]{{16}}\.so")
+    for old in path.parent.iterdir():
+        if old != path and stale.fullmatch(old.name):
+            old.unlink(missing_ok=True)
 
 
 def load(source: Path = SOURCE) -> ctypes.CDLL:

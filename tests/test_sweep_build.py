@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from resfact import _sweep
@@ -62,6 +63,23 @@ def test_the_library_name_follows_the_source(tmp_path):
     before = _sweep.library_path(source)
     source.write_text(source.read_text() + "\n/* edited */\n")
     assert _sweep.library_path(source) != before
+
+
+def test_a_build_deletes_the_libraries_of_other_sources(tmp_path):
+    pkg = _package_copy(tmp_path)
+    source = pkg / "_sweep.c"
+    old = _sweep.load(source)
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    # Another build's temporary file and a library of another name stay.
+    kept = [pkg / f"{_sweep.library_path(source).stem}.{'0' * 16}.so", pkg / "other-0.so"]
+    for path in kept:
+        path.touch()
+    _sweep.load(source)
+    assert sorted(pkg.glob("*.so")) == sorted([_sweep.library_path(source), *kept])
+    # The deleted library stays usable in the process that loaded it.
+    row, out = np.array([5], dtype=np.uint64), np.zeros(1)
+    old.resfact_numerators(row.ctypes.data, 1, 1, row.ctypes.data, 64, out.ctypes.data)
+    assert out[0] == 64
 
 
 def test_a_missing_compiler_is_named(tmp_path, monkeypatch):
