@@ -32,8 +32,11 @@ converge within a few sweeps (``trial_us``), and records the most sweeps
 one took: the cost of the short trials that most of a capacity sweep
 runs.
 
-Each set-up step also records its minor page faults per call
-(``ru_minflt``), and each set-up row the bytes of float reconstruction
+Each repeat first sets the glibc malloc thresholds that
+``bench.run_sweep`` sets for a sweep (``bench._retain_freed_memory``), so
+that the set-up rows pay the page faults a trial of a sweep pays, not
+heap trimming the sweep never does.  Each set-up step also records its
+minor page faults per call (``ru_minflt``), and each set-up row the bytes of float reconstruction
 copies the kernels hold after the build and after the first sweep
 (``float_bytes``); reading them never builds a lazy copy.  The script
 refuses to time a set-up whose outputs differ from the reference draws
@@ -344,10 +347,11 @@ def one_repeat(src: Path) -> dict:
     """Time every row once, in this process, on the resfact package under ``src``."""
     sys.path.insert(0, str(src))
     import resfact.factorizer as fz
-    from resfact.bench import make_instance, run_trial
+    from resfact.bench import _retain_freed_memory, make_instance, run_trial
 
     if Path(fz.__file__).resolve().parents[1] != src:
         sys.exit(f"bench_engine: resfact was imported from {fz.__file__}, not {src}")
+    _retain_freed_memory()
     return {"environment": environment(src),
             "setup_rows": [bench_setup(fz, make_instance, *row) for row in SETUP_ROWS],
             "trial_rows": [bench_trial(fz, run_trial, *row) for row in TRIAL_ROWS],

@@ -1,4 +1,4 @@
-"""Loader of the update sweep's compiled integer kernels (``_sweep.c``).
+"""Loader of the update sweep's compiled kernels (``_sweep.c``).
 
 Importing this module loads the kernels from a shared library in the
 package directory.  The library's name hashes the source, the compiler
@@ -72,6 +72,26 @@ def _build(source: Path, path: Path) -> None:
             old.unlink(missing_ok=True)
 
 
+class Plan(ctypes.Structure):
+    """``struct resfact_plan``: one factor's constants and scratch buffers.
+
+    Holds raw addresses: whoever fills one keeps the arrays behind them
+    alive for as long as the plan is used.
+    """
+
+    _fields_ = [("search", ctypes.c_void_p), ("book", ctypes.c_void_p),
+                ("m", ctypes.c_int64), ("dim", ctypes.c_int64), ("words", ctypes.c_int64),
+                ("factors", ctypes.c_int64), ("f", ctypes.c_int64),
+                ("query", ctypes.c_void_p), ("unbound", ctypes.c_void_p),
+                ("rows", ctypes.c_void_p), ("weights", ctypes.c_void_p),
+                ("sums", ctypes.c_void_p)]
+
+
+def address(a) -> int:
+    """Address of a writable C-contiguous array's data; cheaper than ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
 def load(source: Path = SOURCE) -> ctypes.CDLL:
     """The kernels compiled from ``source``, built first if this host has no library yet."""
     path = library_path(source)
@@ -83,9 +103,12 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     lib.resfact_numerators.restype = None
     lib.resfact_superpose.argtypes = (pointer, count, count, pointer, count, pointer, pointer)
     lib.resfact_superpose.restype = count
+    lib.resfact_update.argtypes = (pointer, pointer, pointer, pointer, ctypes.c_double, count)
+    lib.resfact_update.restype = count
     return lib
 
 
 _lib = load()
 numerators = _lib.resfact_numerators
 superpose = _lib.resfact_superpose
+update = _lib.resfact_update

@@ -28,6 +28,7 @@ trajectories exactly under the same seed.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -281,18 +282,27 @@ def detect_convergence_early(state: FactorizerState, threshold: float) -> bool:
     """
     if np.isnan(state.attentions).any():
         raise ValueError("attentions not populated; run at least one step first")
-    return bool((state.attentions.max(axis=1) > threshold).all())
+    return _converged(state.attentions, threshold)
+
+
+def _converged(attentions: np.ndarray, threshold: float) -> bool:
+    """``detect_convergence_early`` on attentions known to be populated, as ``run`` has them."""
+    return bool((attentions.max(axis=1) > threshold).all())
 
 
 class _Kernels:
-    """Per-run codebook layouts for the update sweep.
+    """Per-run codebook layouts and scratch of the update sweep.
 
     ``search[f]`` is factor f's search codebook bit-packed by
     ``packing.pack_words``: (M, ceil(D / 64)) uint64 words, so the dot
     product of a row with a packed query is D - 2 * popcount(xor), an
     exact integer.  ``books[f]`` is factor f's reconstruction book as a
     C-contiguous int8 array, made so once per run whatever the layout of
-    the codebook.  The compiled kernels of ``_sweep`` read both.
+    the codebook.  ``plans[f]`` is the ``_sweep.Plan`` that the compiled
+    update of factor f reads: the addresses of those two layouts and of
+    scratch buffers shared by every factor, taken once.  So one sweep at
+    a time may use a ``_Kernels``; after a factor's update, ``_numerators``
+    holds its numerators.
 
     ``recon[f]`` is a float copy of ``books[f]`` for the dense BLAS
     product that ``imf``'s real-valued weights need, float32 while
@@ -301,7 +311,8 @@ class _Kernels:
     less than F separate ones.  ``brn`` and ``acf`` never read it.
     """
 
-    __slots__ = ("search", "books", "dtype", "_recon", "_search_at", "_books_at")
+    __slots__ = ("search", "books", "dtype", "plans", "_recon", "_x", "_numerators",
+                 "_scratch", "_plan_at", "_x_at")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
@@ -312,9 +323,20 @@ class _Kernels:
         self.search = [pack_words(b.codevectors) for b in pbooks.search_books]
         self.books = [np.ascontiguousarray(b.codevectors, dtype=np.int8)
                       for b in pbooks.recon_books]
-        self._search_at = [a.ctypes.data for a in self.search]
-        self._books_at = [b.ctypes.data for b in self.books]
         self._recon = None
+        words = self.search[0].shape[1]
+        self._x = np.empty(dim, dtype=np.int8)
+        self._numerators = np.empty(size)
+        self._scratch = (np.empty(words, dtype=np.uint64), np.empty(dim, dtype=np.int8),
+                         np.empty(size, dtype=np.int64), self._numerators,
+                         np.empty(dim, dtype=np.int32))
+        scratch = [_sweep.address(a) for a in self._scratch]
+        # The books may be read-only, which ``_sweep.address`` refuses.
+        self.plans = [_sweep.Plan(s.ctypes.data, b.ctypes.data, size, dim, words,
+                                  len(self.books), f, *scratch)
+                      for f, (s, b) in enumerate(zip(self.search, self.books))]
+        self._plan_at = [ctypes.addressof(p) for p in self.plans]
+        self._x_at = _sweep.address(self._x)
 
     @property
     def recon(self) -> list:
@@ -329,13 +351,13 @@ class _Kernels:
         float64, so that dividing by D rounds like the exact ratio: in
         float32, 550 / 1000 compares above 0.55.
         """
-        size, words = self.search[f].shape
+        plan = self.plans[f]
         query = np.ascontiguousarray(query, dtype=np.uint64)
-        if query.size != words:
-            raise ValueError(f"packed query has {query.size} words, the rows have {words}")
-        out = np.empty(size)
-        _sweep.numerators(self._search_at[f], size, words, query.ctypes.data,
-                          self.books[f].shape[1], out.ctypes.data)
+        if query.size != plan.words:
+            raise ValueError(f"packed query has {query.size} words, the rows have {plan.words}")
+        out = np.empty(plan.m)
+        _sweep.numerators(plan.search, plan.m, plan.words, query.ctypes.data, plan.dim,
+                          out.ctypes.data)
         return out
 
     def superpose(self, f: int, weights: np.ndarray, rows=None) -> np.ndarray:
@@ -350,17 +372,18 @@ class _Kernels:
         """
         if rows is None:
             return weights.astype(self.dtype, copy=False) @ self.recon[f]
+        plan = self.plans[f]
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         rows = np.ascontiguousarray(rows, dtype=np.int64)
-        size, dim = self.books[f].shape
-        if weights.size != size:
-            raise ValueError(f"{weights.size} weights for a book of {size} rows")
-        sums = np.empty(dim, dtype=np.int32)
-        bad = _sweep.superpose(self._books_at[f], size, dim, rows.ctypes.data, rows.size,
+        if weights.size != plan.m:
+            raise ValueError(f"{weights.size} weights for a book of {plan.m} rows")
+        sums = np.empty(plan.dim, dtype=np.int32)
+        bad = _sweep.superpose(plan.book, plan.m, plan.dim, rows.ctypes.data, rows.size,
                                weights.ctypes.data, sums.ctypes.data)
         if bad >= 0:
-            raise ValueError(f"superpose takes at most {size} rows, each in [0, {size}) with an "
-                             f"integer weight of at most {dim} in magnitude; entry {bad} is not")
+            raise ValueError(f"superpose takes at most {plan.m} rows, each in [0, {plan.m}) "
+                             f"with an integer weight of at most {plan.dim} in magnitude; "
+                             f"entry {bad} is not")
         return sums
 
 
@@ -373,44 +396,46 @@ def _advance(estimates, x, kernels, cfg, streams):
     are the attention *numerators* (dot products) rather than the
     normalized attentions: the positive rescaling cannot change any sign,
     and it keeps exact-zero ties exact in float arithmetic.
+
+    One compiled call (``_sweep.update``) does a ``brn`` or ``acf``
+    factor's whole update and leaves 0 where the reconstruction sum is
+    exactly zero; those ties, and a factor with no surviving attention,
+    draw from the tie stream here.  For ``imf`` the call only unbinds and
+    searches: the noise, the threshold and the dense float product that
+    its real-valued weights need stay in numpy.
     """
     n_factors, dim = estimates.shape
-    size = kernels.search[0].shape[0]
     variant = cfg.variant
-    sigma = variant.sigma if variant.kind == "imf" else 0.0
+    imf = variant.kind == "imf"
     thresh = variant.activation_threshold
-    # One packed query, refilled for each factor; its padding stays zero.
-    query = np.zeros(kernels.search[0].shape[1] * 8, dtype=np.uint8)
-
-    working = estimates.copy()
-    attentions = np.empty((n_factors, size), dtype=np.float64)
+    working = np.array(estimates, dtype=np.int8, order="C")
+    if working.shape != (len(kernels.plans), kernels._x.size):
+        # The compiled update would read and write past the end of working.
+        raise ValueError(f"estimates of shape {working.shape} for {len(kernels.plans)} "
+                         f"codebooks of dimension {kernels._x.size}")
+    attentions = np.empty((n_factors, kernels.search[0].shape[0]))
+    kernels._x[...] = x
+    at = (kernels._x_at, _sweep.address(working), _sweep.address(attentions), thresh, not imf)
 
     for f in range(n_factors):
-        unbound = x.astype(np.int8, copy=True)
-        for g in range(n_factors):
-            if g != f:
-                unbound *= working[g]
-        numerators = kernels.numerators(f, pack_words(unbound, query))
-        alpha = numerators / dim
-        if variant.kind == "imf":
-            noise = streams.noise.standard_normal(size)
-            alpha = alpha + sigma * noise
-        alive = alpha > thresh
-        rows = np.flatnonzero(alive)
-        if not rows.size:
-            est = random_bipolar(dim, streams.ties)
-        elif variant.kind == "imf":
-            # Real-valued weights would round differently in another
-            # summation order, so imf always takes the dense product.
-            weights = np.where(alive, numerators + (dim * sigma) * noise, 0.0)
-            est = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
-        else:
-            # brn and acf weights are integers (positive where attention
-            # survives): the compiled kernel sums the surviving rows alone,
-            # exactly.
-            est = sign_to_bipolar(kernels.superpose(f, numerators, rows), streams.ties)
-        attentions[f] = alpha
-        working[f] = est
+        ties = _sweep.update(kernels._plan_at[f], *at)
+        if imf:
+            noise = streams.noise.standard_normal(attentions.shape[1])
+            alpha = attentions[f]
+            alpha += variant.sigma * noise
+            alive = alpha > thresh
+            if alive.any():
+                # Real-valued weights would round differently in another
+                # summation order, so imf always takes the dense product.
+                weights = np.where(alive, kernels._numerators + (dim * variant.sigma) * noise, 0.0)
+                working[f] = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
+            else:
+                working[f] = random_bipolar(dim, streams.ties)
+        elif ties > 0:
+            row = working[f]
+            row[row == 0] = streams.ties.integers(0, 2, size=ties, dtype=np.int8) * 2 - 1
+        elif ties < 0:
+            working[f] = random_bipolar(dim, streams.ties)
 
     return working, attentions
 
@@ -478,7 +503,7 @@ def run(
         state = FactorizerState(
             estimates=estimates, attentions=attentions, iteration=state.iteration + 1
         )
-        state.converged = detect_convergence_early(state, cfg.convergence_threshold)
+        state.converged = _converged(attentions, cfg.convergence_threshold)
         if on_step is not None:
             on_step(state)
         if state.converged:

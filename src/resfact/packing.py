@@ -3,14 +3,12 @@
 Maps +1 -> 1 and -1 -> 0, eight elements per byte, so the dot product of
 two D-dimensional vectors reduces to D - 2 * popcount(xor).  The update
 sweep searches codebooks in this layout: ``pack_words`` packs codebook
-rows and queries into zero-padded 64-bit words, and the sweep popcounts
-their xor row by row.  ``packed_dot`` is the scalar reference for that
-kernel.
+rows into zero-padded 64-bit words, the compiled sweep packs each query
+the same way, and popcounts their xor row by row.  ``packed_dot`` is the
+scalar reference for that kernel.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -27,21 +25,17 @@ def pack_bipolar(x) -> np.ndarray:
     return np.packbits(arr == 1)
 
 
-def pack_words(x, out: Optional[np.ndarray] = None) -> np.ndarray:
+def pack_words(x) -> np.ndarray:
     """Pack +-1 values along the last axis into zero-padded uint64 words.
 
     Same bit layout as ``pack_bipolar``, padded with zero bits to a whole
     number of words, ceil(D / 64), per row.  Padding bits cancel in the
-    xor of two packed rows.  ``out``, if given, is a uint8 buffer of the
-    padded shape whose padding bytes are zero; it is filled and returned
-    as words, so a loop can pack into one buffer without allocating.
-    Does not validate: the decoder passes codebooks and products of
-    them, which are bipolar by construction.
+    xor of two packed rows.  Does not validate: the decoder passes
+    codebooks, which are bipolar by construction.
     """
     arr = np.asarray(x)
     dim = arr.shape[-1]
-    if out is None:
-        out = np.zeros(arr.shape[:-1] + (-(-dim // 64) * 8,), dtype=np.uint8)
+    out = np.zeros(arr.shape[:-1] + (-(-dim // 64) * 8,), dtype=np.uint8)
     out[..., : (dim + 7) // 8] = np.packbits(arr > 0, axis=-1)
     return out.view(np.uint64)
 

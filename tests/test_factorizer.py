@@ -374,44 +374,17 @@ def test_survivor_rows_reconstruct_like_dense(variant, share):
     assert (kernels.superpose(0, even) == 0).any()
 
 
-def _log_products(monkeypatch):
-    """Make every run log its reconstruction products.
+def _record_kernels(monkeypatch):
+    """Make every run keep the ``_Kernels`` it builds in the returned list."""
+    built = []
 
-    Each entry is (survivors, dense, builds): whether the product read the
-    float block, and whether that read built it.
-    """
-    log = []
+    class RecordedKernels(factorizer._Kernels):
+        def __init__(self, pbooks):
+            super().__init__(pbooks)
+            built.append(self)
 
-    class LoggedKernels(factorizer._Kernels):
-        def superpose(self, f, weights, rows=None):
-            self.dense, had_block = False, self._recon is not None
-            out = super().superpose(f, weights, rows)
-            builds = self._recon is not None and not had_block
-            survivors = np.count_nonzero(weights) if rows is None else rows.size
-            log.append((int(survivors), self.dense, builds))
-            return out
-
-        @property
-        def recon(self):
-            self.dense = True
-            return super().recon
-
-    monkeypatch.setattr(factorizer, "_Kernels", LoggedKernels)
-    return log
-
-
-@pytest.mark.parametrize(
-    "variant, gathers",
-    [(VariantSpec.brn(0.05), True), (VariantSpec.acf(0.05, 0.05), True),
-     (VariantSpec.imf(0.007, 0.05), False)],
-    ids=["brn-sparse", "acf-sparse", "imf-sparse"],
-)
-def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, gathers):
-    # imf weights are real-valued: gathering would change their summation order.
-    log = _log_products(monkeypatch)
-    x, books, _ = _instance(200, 1000, 2, seed=4)
-    run(x, books, FactorizerConfig(variant=variant, F=2, M=200, D=1000, seed=4, max_iters=20))
-    assert log and all(dense != gathers for _, dense, _ in log)
+    monkeypatch.setattr(factorizer, "_Kernels", RecordedKernels)
+    return built
 
 
 def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
@@ -420,10 +393,13 @@ def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
     Reconstruction weights are the surviving attentions times D, rounded
     back to the integer numerators the sweep weights by.  With
     ``follow``, factor f's new estimate is taken from it instead of
-    reconstructed, so that only the attentions are compared.
+    reconstructed, so that only the attentions are compared.  Also
+    returns, per factor, how many reconstruction sums were exactly zero
+    (-1 where no attention survived).
     """
     working = estimates.copy()
     attentions = np.empty((len(working), pbooks.search_books[0].size))
+    ties = []
     for f in range(len(working)):
         unbound = unbind_others(x, working, f)
         alpha = associative_search(unbound, pbooks.search_books[f], variant, streams.noise)
@@ -432,41 +408,84 @@ def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
             working[f] = follow[f]
             continue
         weights = np.rint(threshold_activation(alpha, variant.activation_threshold) * x.size)
-        working[f] = reconstruct(weights, pbooks.recon_books[f], streams.ties)
-    return working, attentions
+        book = pbooks.recon_books[f]
+        ties.append(int((weights @ book.codevectors == 0).sum()) if weights.any() else -1)
+        working[f] = reconstruct(weights, book, streams.ties)
+    return working, attentions, ties
 
 
-@pytest.mark.parametrize("F, M, D", [(2, 300, 1000), (3, 120, 1500)], ids=["f2", "f3"])
-@pytest.mark.parametrize(
-    "variant, many",
-    [(VariantSpec.brn(), True), (VariantSpec.brn(0.05), False),
-     (VariantSpec.acf(0.05), True), (VariantSpec.acf(0.05, 0.05), False),
-     (VariantSpec.imf(0.02), True), (VariantSpec.imf(0.02, 0.05), False)],
-    ids=["brn-dense", "brn-gather", "acf-dense", "acf-gather", "imf-t0", "imf-t05"],
+def _tied_instance(D=64):
+    """An F=2 instance whose factor 0 update ties on half of D in every sweep.
+
+    Factor 1's rows are equal, so its estimate stays +-v.  Factor 0's two
+    rows differ on the first half of D, and the query x * v agrees with
+    each of them on exactly half of that half: their numerators are equal,
+    and their sum is exactly zero there.
+    """
+    g = np.random.default_rng(8)
+    r0, v = random_bipolar(D, g), random_bipolar(D, g)
+    r1, q = r0.copy(), r0.copy()
+    r1[: D // 2] *= -1
+    q[: D // 4] *= -1
+    books = [Codebook(np.stack([r0, r1])), Codebook(np.stack([v, v]))]
+    return q * v, books
+
+
+_SWEEP_VARIANTS = {
+    "brn-dense": (VariantSpec.brn(), "many"), "brn-gather": (VariantSpec.brn(0.05), "few"),
+    "acf-dense": (VariantSpec.acf(0.05), "many"), "acf-gather": (VariantSpec.acf(0.05, 0.05), "few"),
+    "imf-t0": (VariantSpec.imf(0.02), "many"), "imf-t05": (VariantSpec.imf(0.02, 0.05), "few"),
+}
+# Shapes with no survivor regime to check: the packing's tail bytes and F = 4.
+_SWEEP_EDGES = {"d1": (2, 40, 1), "d7": (2, 40, 7), "d63": (3, 40, 63), "d65": (2, 40, 65),
+                "f4-d997": (4, 30, 997)}
+_SWEEP_CASES = (
+    [pytest.param(*shape, variant, regime, id=f"{vid}-{sid}")
+     for sid, shape in {"f2": (2, 300, 1000), "f3": (3, 120, 1500)}.items()
+     for vid, (variant, regime) in _SWEEP_VARIANTS.items()]
+    + [pytest.param(*shape, variant, None, id=f"{vid}-{sid}")
+       for sid, shape in _SWEEP_EDGES.items() for vid, (variant, _) in _SWEEP_VARIANTS.items()]
+    + [pytest.param(2, 40, 1000, variant, "none", id=f"{variant.kind}-none")
+       for variant in (VariantSpec.brn(0.9), VariantSpec.acf(0.05, 0.9), VariantSpec.imf(0.02, 0.9))]
+    + [pytest.param(2, 2, 64, variant, "ties", id=f"{variant.kind}-ties")
+       for variant in (VariantSpec.brn(), VariantSpec.acf(0.0))]
 )
-def test_sweep_matches_int64_references(F, M, D, variant, many):
+
+
+@pytest.mark.parametrize("F, M, D, variant, regime", _SWEEP_CASES)
+def test_sweep_matches_int64_references(F, M, D, variant, regime):
     # brn and acf weights are integers, so the sweep must equal the
     # int64/float64 references bit for bit, tie-break draws included,
-    # whether about half of M survives (many) or a few percent.  imf's
-    # real-valued weights sum in another precision, so only its attentions
-    # must match.
-    x, books, _ = _instance(M, D, F, seed=M + F)
+    # whether about half of M survives (many), a few percent (few), none
+    # at all, or the sums tie on half of D.  imf's real-valued weights sum
+    # in another precision, so only its attentions must match where any
+    # survives.
+    if regime == "ties":
+        x, books = _tied_instance(D)
+    else:
+        x, books, _ = _instance(M, D, F, seed=M + F)
     cfg = FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=11)
     streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
     estimates = init_estimates(pbooks, streams.init).estimates
     for _ in range(4):
         new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
-        follow = new if variant.kind == "imf" else None
-        ref_new, ref_attentions = _reference_sweep(
+        # With no survivor, imf's new estimate is a plain tie-stream draw.
+        follow = new if variant.kind == "imf" and regime != "none" else None
+        ref_new, ref_attentions, ties = _reference_sweep(
             x, estimates, pbooks, variant, ref_streams, follow)
         assert np.array_equal(attentions, ref_attentions)
         assert np.array_equal(new, ref_new)
         survivors = (attentions > variant.activation_threshold).sum(axis=1)
-        assert (survivors > 0).all()
-        assert ((survivors >= M // 4) == many).all()
+        if regime in ("many", "few"):
+            assert (survivors > 0).all()
+            assert ((survivors >= M // 4) == (regime == "many")).all()
+        elif regime == "none":
+            assert (survivors == 0).all()
+        elif regime == "ties":
+            assert ties[0] == D // 2
         # Only imf's dense product builds the float block, on its first sweep.
-        assert (pbooks._kernels._recon is None) == (variant.kind != "imf")
+        assert (pbooks._kernels._recon is None) == (variant.kind != "imf" or regime == "none")
         estimates = new
     assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
 
@@ -474,33 +493,39 @@ def test_sweep_matches_int64_references(F, M, D, variant, many):
 @pytest.mark.parametrize(
     "variant, builds",
     [(VariantSpec.acf(0.05, 0.05), False), (VariantSpec.imf(0.007, 0.05), True),
-     (VariantSpec.brn(), False)],
-    ids=["acf-sparse", "imf", "brn-dense"],
+     (VariantSpec.brn(), False), (VariantSpec.brn(0.05), False)],
+    ids=["acf-sparse", "imf", "brn-dense", "brn-sparse"],
 )
 def test_float_block_is_built_on_the_first_dense_product(monkeypatch, variant, builds):
-    # imf reads the block from its first product; brn and acf sum their
-    # surviving rows in the compiled kernel and never build it, whether a
-    # few percent of M survive (acf at 0.05) or about half (brn at 0).
-    log = _log_products(monkeypatch)
+    # imf's real-valued weights take the dense float product from its first
+    # sweep on; brn and acf sum their surviving rows in the compiled update
+    # and never build the block, whether a few percent of M survive (at
+    # 0.05) or about half (brn at 0).
+    built = _record_kernels(monkeypatch)
     M = 200
     x, books, _ = _instance(M, 1000, 2, seed=4)
     cfg = FactorizerConfig(variant=variant, F=2, M=M, D=1000, seed=4, max_iters=30)
-    run(x, books, cfg)
-    assert len(log) > 1
-    assert [b for _, _, b in log] == [builds] + [False] * (len(log) - 1)
-    assert all(dense == builds for _, dense, _ in log)
+    blocks = []
+    run(x, books, cfg, on_step=lambda state: blocks.append(built[0]._recon))
+    assert len(built) == 1 and len(blocks) > 1
+    if builds:
+        assert blocks[0] is not None and all(b is blocks[0] for b in blocks)
+    else:
+        assert blocks == [None] * len(blocks)
 
 
 def test_short_brn_decode_builds_no_float_block(monkeypatch):
     # The shape of the benchmark's set-up-bound workload: a 2-sweep decode
-    # whose four products each keep about half of M.
-    log = _log_products(monkeypatch)
+    # whose four factor updates each keep about half of M.
+    built = _record_kernels(monkeypatch)
     F, M, D = 2, 100, 4000
     x, books, truth = _instance(M, D, F, seed=5)
-    result = run(x, books, FactorizerConfig(variant=VariantSpec.brn(), F=F, M=M, D=D, seed=5))
+    survivors = []
+    result = run(x, books, FactorizerConfig(variant=VariantSpec.brn(), F=F, M=M, D=D, seed=5),
+                 on_step=lambda state: survivors.extend((state.attentions > 0).sum(axis=1)))
     assert result.converged and result.iterations == 2 and result.indices == truth
-    assert len(log) == 4
-    assert all(n >= M // 4 and not dense for n, dense, _ in log)
+    assert len(survivors) == 4 and min(survivors) >= M // 4
+    assert len(built) == 1 and built[0]._recon is None
 
 
 def test_attention_of_550_is_not_above_055():
@@ -544,6 +569,19 @@ def test_step_builds_kernels_once(monkeypatch):
     for _ in range(3):
         state = step(state, x, p, cfg, streams)
     assert len(built) == 1 and built[0] is p
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (3, 64), (2, 63), (2, 65)])
+def test_step_refuses_estimates_the_books_do_not_fit(shape):
+    # The compiled update indexes the estimates by the books' F and D.
+    x, books, _ = _instance(8, 64, 2, seed=3)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=8, D=64, seed=3)
+    streams = derive_streams(cfg.seed)
+    p = perturb_codebooks(books, cfg.variant, streams.masks)
+    state = FactorizerState(estimates=np.ones(shape, dtype=np.int8),
+                            attentions=np.full((2, 8), np.nan))
+    with pytest.raises(ValueError, match="estimates of shape"):
+        step(state, x, p, cfg, streams)
 
 
 # --- convergence detectors ---
