@@ -387,6 +387,39 @@ def _record_kernels(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize(
+    "variant, gathers",
+    [(VariantSpec.brn(0.05), True), (VariantSpec.acf(0.05, 0.05), True),
+     (VariantSpec.imf(0.007, 0.05), False)],
+    ids=["brn-sparse", "acf-sparse", "imf-sparse"],
+)
+def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, gathers):
+    # brn and acf sum their few surviving rows inside the compiled update,
+    # so no product reaches superpose.  imf weights are real-valued:
+    # gathering would change their summation order, so each of its updates
+    # with a survivor takes the dense float product over all M rows.
+    products = []
+
+    class LoggedKernels(factorizer._Kernels):
+        def superpose(self, f, weights, rows=None):
+            products.append(rows is None)
+            return super().superpose(f, weights, rows)
+
+    monkeypatch.setattr(factorizer, "_Kernels", LoggedKernels)
+    M = 200
+    x, books, _ = _instance(M, 1000, 2, seed=4)
+    survivors = []
+    run(x, books, FactorizerConfig(variant=variant, F=2, M=M, D=1000, seed=4, max_iters=20),
+        on_step=lambda state: survivors.extend(
+            (state.attentions > variant.activation_threshold).sum(axis=1)))
+    assert survivors and max(survivors) < M // 4
+    if gathers:
+        assert products == []
+    else:
+        assert products == [True] * sum(n > 0 for n in survivors)
+        assert products
+
+
 def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
     """One sequential sweep built from the int64 phase references.
 
