@@ -3,17 +3,11 @@
 
 For each sweep row it decodes one seeded instance for a few sweeps, to
 reach a typical mid-search state, then sweeps that state as many times
-again, so that engines which build a layout only once enough products
-need it (the float reconstruction block, before the compiled kernels)
-have done so, and times on that fixed state the steady state of a long
-decode:
-
-* ``sweep_us``  -- one full update sweep (``factorizer._advance``);
-* ``search_us`` -- the associative search of one factor;
-* ``recon_us``  -- the reconstruction product of one factor, over the
-  attentions that survive the activation threshold in that state, as
-  the sweep calls it: over the surviving rows for ``brn`` and ``acf``,
-  dense for ``imf``.
+again, so that any layout the kernels build lazily exists, and times on
+that fixed state one full update sweep (``sweep_us``,
+``factorizer._advance``): the steady state of a long decode.  It refuses
+to time a search whose attentions in that state are not the exact dot
+products divided by D.
 
 For each set-up row it times the steps of a trial up to its first
 sweep, each call on a freshly built instance, as a trial meets them,
@@ -41,8 +35,7 @@ copies the kernels hold after the build and after the first sweep
 (``float_bytes``); reading them never builds a lazy copy.  The script
 refuses to time a set-up whose outputs differ from the reference draws
 (``rng.integers`` codebooks, ``rng.random`` masks, int64 majority sums),
-and the int16 majority sums that differ from the int64 ones, as it
-refuses a search that is not the exact dot product.
+and the int16 majority sums that differ from the int64 ones.
 
 Every repeat runs in a fresh child process and times each figure once,
 as the mean of enough calls to fill about 50 ms; a figure is the median
@@ -57,9 +50,7 @@ stores this checkout's figures under ``after`` and the other tree's
 under ``before`` in the ``--out`` JSON file,
 beside the entries of earlier runs, with the numpy, BLAS, core and
 BLAS-thread figures of each.  Beyond what resfact itself needs, only
-the standard library is needed.  Engines from before the packed search have no
-``numerators``/``superpose`` kernels; for those the script times the
-float matrix-vector products that their sweep ran instead.
+the standard library is needed.
 """
 
 from __future__ import annotations
@@ -102,7 +93,7 @@ TRIAL_ROWS = [
 ]
 SETUP_STEPS = ("make_instance_us", "perturb_us", "kernel_build_us", "init_us", "first_sweep_us")
 TRIAL_STEPS = ("trial_us",)
-SWEEP_STEPS = ("sweep_us", "search_us", "recon_us")
+SWEEP_STEPS = ("sweep_us",)
 TARGET_S = 0.05
 WARM_CALLS = 5
 
@@ -185,13 +176,8 @@ def timed_fresh(prepare, fn) -> dict:
 
 
 def float_bytes(kernels) -> int:
-    """Bytes of the float reconstruction copies ``kernels`` holds, without building one.
-
-    Engines that build the copies lazily keep them in ``_recon`` (None
-    until built); older ones hold them in ``recon`` from the start.
-    """
-    held = kernels._recon if hasattr(type(kernels), "_recon") else kernels.recon
-    return sum(a.nbytes for a in held or ())
+    """Bytes of the float reconstruction copies ``kernels`` holds, without building one."""
+    return sum(a.nbytes for a in kernels._recon or ())
 
 
 def check_setup(fz, make_instance, M, D, F, variant, seed) -> dict:
@@ -304,41 +290,23 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     pbooks = fz.perturb_codebooks(books, variant, streams.masks)
     kernels = fz._Kernels(pbooks)
     for _ in range(warm):
-        fz._advance(state.estimates, x, kernels, cfg, streams)
+        attentions = fz._advance(state.estimates, x, kernels, cfg, streams)[1]
 
-    unbound = (x * state.estimates[1:].prod(axis=0)).astype(np.int8)
-    if hasattr(kernels, "numerators"):
-        from resfact.packing import pack_words
-
-        def search():
-            return kernels.numerators(0, pack_words(unbound))
-    else:
-        def search():
-            return (kernels.search[0] @ unbound.astype(kernels.dtype)).astype(np.float64)
-
-    numerators = search()
-    if not np.array_equal(numerators, books[0].codevectors.astype(np.int64) @ unbound):
+    # Factor 0, updated first, searches x unbound from the others' estimates.
+    # imf adds noise to its attentions; brn's and acf's are exact.
+    unbound = x * state.estimates[1:].prod(axis=0)
+    dots = books[0].codevectors.astype(np.int64) @ unbound
+    if kind != "imf" and not np.array_equal(attentions[0], dots / D):
         raise RuntimeError(f"search at M={M}, D={D} is not the exact dot product")
-    weights = np.where(numerators / D > variant.activation_threshold, numerators, 0.0)
-    rows = np.flatnonzero(weights)
-    if hasattr(kernels, "superpose"):
-        def recon():
-            return kernels.superpose(0, weights, None if kind == "imf" else rows)
-    else:
-        def recon():
-            return weights.astype(kernels.dtype) @ kernels.recon[0]
 
     row = {
         "M": M, "D": D, "F": F, "variant": kind, **knobs,
         "warm_sweeps": warm,
         "survivors_frac": round(
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
-        "recon_rows": int(rows.size),
         "sweep_us": timed(lambda: fz._advance(state.estimates, x, kernels, cfg, streams)),
-        "search_us": timed(search),
-        "recon_us": timed(recon),
     }
-    # Only the layouts that the timed sweep and products built.
+    # Only the layouts that the timed sweep built.
     row["kernel_bytes"] = sum(a.nbytes for a in kernels.search) + float_bytes(kernels)
     return row
 
@@ -408,9 +376,7 @@ def report(label: str, run: dict) -> None:
               f" {row['max_sweeps']} sweeps: {row['trial_us']['median']:.0f} us")
     for row in run["rows"]:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
-              f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us"
-              f"  search {row['search_us']['median']:.0f} us"
-              f"  recon {row['recon_us']['median']:.0f} us")
+              f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us")
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,7 @@ acceptance tests import; everything else lives in its submodule.
 """
 
 from .vsa import bind, bundle, dot, random_bipolar, sign_to_bipolar, similarity, unbind
-from .packing import pack_bipolar, pack_words, packed_dot
+from .packing import pack_bipolar, packed_dot
 from .factorizer import (
     FactorizerConfig,
     FactorizerState,
@@ -31,7 +31,6 @@ __all__ = [
     "similarity",
     "unbind",
     "pack_bipolar",
-    "pack_words",
     "packed_dot",
     "FactorizerConfig",
     "FactorizerState",

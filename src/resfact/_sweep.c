@@ -6,8 +6,7 @@
  * weights stay in numpy.  Every sum here is an integer sum, so no result
  * depends on the order in which terms are added; the only floating-point
  * operation is the division of each numerator by D, which rounds exactly
- * as numpy's does.  resfact_numerators and resfact_superpose expose the
- * search and reconstruction phases on their own.
+ * as numpy's does.
  */
 
 #include <stdint.h>
@@ -50,10 +49,10 @@ static void search(const uint64_t *rows, int64_t n, int64_t words,
 }
 
 /* sums[j] = sum over k of weights[rows[k]] * book[rows[k]][j], for the n
- * listed rows of a row-major (., dim) +-1 int8 book.  The caller
- * guarantees that the rows are in range, at most m of them, and that the
- * weights are integers of at most dim in magnitude; with m * dim < 2**31
- * no int32 sum can overflow.
+ * listed rows of a row-major (m, dim) +-1 int8 book.  resfact_update, the
+ * one caller, lists rows from 0..m-1, each at most once, and weights them
+ * by their numerators, integers in [-dim, dim]; with m * dim < 2**31,
+ * which _Kernels checks, no int32 sum can overflow.
  *
  * While 2 * dim fits in int16, so does the sum of two rows' terms: rows
  * are then added four per pass over sums, as two pairs formed in int16
@@ -103,32 +102,6 @@ static void pack(const int8_t *v, int64_t dim, int64_t words, uint64_t *query)
     }
     for (; j < dim; j++)
         bytes[j >> 3] |= (uint8_t)((v[j] > 0) << (7 - (j & 7)));
-}
-
-void resfact_numerators(const uint64_t *rows, int64_t n, int64_t words,
-                        const uint64_t *query, int64_t dim, double *out)
-{
-    search(rows, n, words, query, dim, out);
-}
-
-/* superpose() for callers that do not guarantee its conditions: returns
- * -1, or else the first k whose row is out of range or whose weight is
- * not an integer of at most dim in magnitude (or n itself, if n > m), and
- * then leaves sums unset. */
-int64_t resfact_superpose(const int8_t *book, int64_t m, int64_t dim,
-                          const int64_t *rows, int64_t n, const double *weights, int32_t *sums)
-{
-    if (n > m)
-        return n;
-    for (int64_t k = 0; k < n; k++) {
-        if (rows[k] < 0 || rows[k] >= m)
-            return k;
-        const double w = weights[rows[k]];
-        if (!(w >= -dim && w <= dim) || w != (double)(int32_t)w)
-            return k;
-    }
-    superpose(book, dim, rows, n, weights, sums);
-    return -1;
 }
 
 /* Factor p->f's update within a sweep, on the (factors, dim) int8

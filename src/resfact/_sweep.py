@@ -98,17 +98,11 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     if not path.exists():
         _build(source, path)
     lib = ctypes.CDLL(str(path))
-    pointer, count = ctypes.c_void_p, ctypes.c_int64
-    lib.resfact_numerators.argtypes = (pointer, count, count, pointer, count, pointer)
-    lib.resfact_numerators.restype = None
-    lib.resfact_superpose.argtypes = (pointer, count, count, pointer, count, pointer, pointer)
-    lib.resfact_superpose.restype = count
-    lib.resfact_update.argtypes = (pointer, pointer, pointer, pointer, ctypes.c_double, count)
-    lib.resfact_update.restype = count
+    pointer = ctypes.c_void_p
+    lib.resfact_update.argtypes = (pointer, pointer, pointer, pointer, ctypes.c_double,
+                                   ctypes.c_int64)
+    lib.resfact_update.restype = ctypes.c_int64
     return lib
 
 
-_lib = load()
-numerators = _lib.resfact_numerators
-superpose = _lib.resfact_superpose
-update = _lib.resfact_update
+update = load().resfact_update

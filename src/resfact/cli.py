@@ -25,6 +25,16 @@ from .presets import load_preset_table, lookup_preset
 from .report import emit_report
 
 
+#: The types a config-file key's value may have, compared exactly: a JSON true is no int.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("F", "M", "D", "trials", "trials_per_size", "max_iters", "seed",
+                     "master_seed", "parallelism", "cap"), (int,)),
+    **dict.fromkeys(("sigma", "flip_rate", "activation_threshold", "convergence_threshold"),
+                    (int, float)),
+    **dict.fromkeys(("variant", "preset", "presets_path"), (str,)), "use_presets": (bool,),
+}
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -36,13 +46,18 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _pick(args, config: dict, dest: str, *aliases, default=None):
-    """Flag value if given, else config-file value, else default."""
+    """Flag value if given, else config-file value (of its key's JSON type), else default."""
     value = getattr(args, dest, None)
     if value is not None:
         return value
     for key in (dest,) + aliases:
-        if key in config:
-            return config[key]
+        if config.get(key) is not None:
+            value = config[key]
+            kinds = _CONFIG_TYPES.get(key, (type(value),))
+            if type(value) not in kinds:
+                raise ValueError(f"{key} must be {' or '.join(k.__name__ for k in kinds)} "
+                                 f"in the config file, got {value!r}")
+            return value
     return default
 
 
@@ -64,14 +79,8 @@ def _variant(args, config: dict) -> VariantSpec:
 
 def _parse_sizes(value) -> tuple:
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    out = []
-    for token in str(value).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(int(float(token)))
-    return tuple(out)
+        value = ",".join(str(v) for v in value)
+    return tuple(int(float(token)) for token in str(value).split(",") if token.strip())
 
 
 def _add_variant_flags(p: argparse.ArgumentParser) -> None:
@@ -157,20 +166,20 @@ def _progress_line(row) -> str:
     )
 
 
-def cmd_sweep(args) -> int:
+def _run_sweep(args):
     cfg = _sweep_config(args)
     if args.verbose:
         print(f"sweep config: {cfg}", file=sys.stderr)
-    report = run_sweep(cfg, progress=lambda row: print(_progress_line(row), file=sys.stderr))
-    emit_report(report, args.format, args.output)
+    return run_sweep(cfg, progress=lambda row: print(_progress_line(row), file=sys.stderr))
+
+
+def cmd_sweep(args) -> int:
+    emit_report(_run_sweep(args), args.format, args.output)
     return 0
 
 
 def cmd_capacity(args) -> int:
-    cfg = _sweep_config(args)
-    if args.verbose:
-        print(f"sweep config: {cfg}", file=sys.stderr)
-    report = run_sweep(cfg, progress=lambda row: print(_progress_line(row), file=sys.stderr))
+    report = _run_sweep(args)
     if args.output is not None:
         emit_report(report, args.format, args.output)
     cap = report.operational_capacity

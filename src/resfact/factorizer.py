@@ -42,9 +42,9 @@ from .vsa import Codebook, as_bipolar, random_bipolar, sign_to_bipolar
 VARIANT_KINDS = ("brn", "imf", "acf")
 #: Hard cap on the default iteration budget min(M**F, cap).
 DEFAULT_ITER_CAP = 10_000
-#: The float reconstruction block of the dense product stays float32 while
-#: M * D is comfortably below 2**24, where integer-weighted sums of +-1 rows
-#: are still exact.
+#: The float reconstruction block of ``imf``'s dense product is float32 while
+#: M * D is at most this.  Its real-valued weights make that product round,
+#: and the golden digests pin ``imf`` trajectories as it rounds.
 _FLOAT32_LIMIT = 2**22
 #: ``generate_bfm`` draws its uniforms this many at a time (128 KiB of float64).
 _MASK_BLOCK = 1 << 14
@@ -304,11 +304,12 @@ class _Kernels:
     a time may use a ``_Kernels``; after a factor's update, ``_numerators``
     holds its numerators.
 
-    ``recon[f]`` is a float copy of ``books[f]`` for the dense BLAS
-    product that ``imf``'s real-valued weights need, float32 while
-    ``_FLOAT32_LIMIT`` allows, built on first read.  The F copies are
-    views of one (F, M, D) block, since one allocation page-faults far
-    less than F separate ones.  ``brn`` and ``acf`` never read it.
+    ``recon[f]`` is a float copy of ``books[f]`` for ``superpose``, the
+    dense BLAS product of ``imf``'s real-valued weights, float32 while
+    ``_FLOAT32_LIMIT`` allows, built on first read; that product rounds.
+    The F copies are views of one (F, M, D) block, since one allocation
+    page-faults far less than F separate ones.  ``brn`` and ``acf`` never
+    read it: the compiled update sums their rows exactly, in int32.
     """
 
     __slots__ = ("search", "books", "dtype", "plans", "_recon", "_x", "_numerators",
@@ -345,46 +346,9 @@ class _Kernels:
             self._recon = list(np.array(self.books, dtype=self.dtype))
         return self._recon
 
-    def numerators(self, f: int, query: np.ndarray) -> np.ndarray:
-        """Dot products of factor f's search rows with a ``pack_words`` query, as float64.
-
-        float64, so that dividing by D rounds like the exact ratio: in
-        float32, 550 / 1000 compares above 0.55.
-        """
-        plan = self.plans[f]
-        query = np.ascontiguousarray(query, dtype=np.uint64)
-        if query.size != plan.words:
-            raise ValueError(f"packed query has {query.size} words, the rows have {plan.words}")
-        out = np.empty(plan.m)
-        _sweep.numerators(plan.search, plan.m, plan.words, query.ctypes.data, plan.dim,
-                          out.ctypes.data)
-        return out
-
-    def superpose(self, f: int, weights: np.ndarray, rows=None) -> np.ndarray:
-        """Weighted sum of factor f's reconstruction rows.
-
-        Without ``rows`` the product is the dense float product over all
-        M weights.  With ``rows``, at most M indices of rows of the book,
-        only those rows count, as if every other weight were zero, and
-        their weights must be integers of at most D in magnitude, like the
-        sweep's numerators: the compiled kernel sums them exactly, in
-        int32, and refuses any other row or weight.
-        """
-        if rows is None:
-            return weights.astype(self.dtype, copy=False) @ self.recon[f]
-        plan = self.plans[f]
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if weights.size != plan.m:
-            raise ValueError(f"{weights.size} weights for a book of {plan.m} rows")
-        sums = np.empty(plan.dim, dtype=np.int32)
-        bad = _sweep.superpose(plan.book, plan.m, plan.dim, rows.ctypes.data, rows.size,
-                               weights.ctypes.data, sums.ctypes.data)
-        if bad >= 0:
-            raise ValueError(f"superpose takes at most {plan.m} rows, each in [0, {plan.m}) "
-                             f"with an integer weight of at most {plan.dim} in magnitude; "
-                             f"entry {bad} is not")
-        return sums
+    def superpose(self, f: int, weights: np.ndarray) -> np.ndarray:
+        """Dense float product of M weights with factor f's reconstruction book."""
+        return weights.astype(self.dtype, copy=False) @ self.recon[f]
 
 
 def _advance(estimates, x, kernels, cfg, streams):

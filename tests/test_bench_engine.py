@@ -1,0 +1,42 @@
+"""``scripts/bench_engine.py`` still runs on this engine.
+
+The script reads private parts of the decoder (``_advance``, ``_Kernels``,
+``_recon``), so a change there can break it without failing any other
+test.  Each of its three kinds of row runs once here, at a tiny shape and
+with a short timing batch.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from resfact import factorizer
+from resfact.bench import make_instance, run_trial
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_engine.py"
+
+
+@pytest.fixture
+def bench_engine(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_engine", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "TARGET_S", 0.002)
+    return module
+
+
+@pytest.mark.parametrize(
+    "kind, knobs", [("acf", {"flip_rate": 0.05, "activation_threshold": 0.05}), ("brn", {})],
+    ids=["acf", "brn"],
+)
+def test_bench_engine_rows_run(bench_engine, kind, knobs):
+    M, D, F = 40, 200, 2
+    setup = bench_engine.bench_setup(factorizer, make_instance, M, D, F, kind, knobs)
+    assert set(bench_engine.SETUP_STEPS) <= set(setup)
+    assert setup["float_bytes"] == {"after_build": 0, "after_first_sweep": 0}
+    trial = bench_engine.bench_trial(factorizer, run_trial, M, D, F, kind, knobs, 0.55)
+    assert trial["max_sweeps"] >= 1 and trial["trial_us"]["us"] > 0
+    row = bench_engine.bench_row(factorizer, make_instance, M, D, F, kind, knobs, 3)
+    assert row["sweep_us"]["us"] > 0
+    assert row["kernel_bytes"] == F * M * -(-D // 64) * 8

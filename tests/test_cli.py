@@ -144,6 +144,38 @@ def test_sweep_config_must_be_object(tmp_path, capsys):
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("sweep", {"trials": "3"}),
+        ("sweep", {"F": True}),
+        ("sweep", {"flip_rate": "0.1", "variant": "acf"}),
+        ("sweep", {"use_presets": "no"}),
+        ("factorize", {"F": "2"}),
+        ("factorize", {"seed": 1.5}),
+        ("oracle-check", {"cap": [10]}),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_refused(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"F": 2, "M": 10, "D": 64, "variant": "brn", "sizes": "16",
+                               **doc}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    key = next(iter(doc))
+    assert err.startswith(f"error: {key} must be ")
+
+
+def test_config_null_means_unset(tmp_path, capsys):
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({"F": 2, "D": 64, "variant": "brn", "sizes": [16],
+                               "trials": 3, "trials_per_size": None, "max_iters": None}))
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1].split(",")[5] == "3"
+
+
 def test_sweep_missing_variant_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "-F", "2", "-D", "64", "--sizes", "16")
     assert code == 2

@@ -15,8 +15,7 @@ from resfact.factorizer import (
     run,
     step,
 )
-from resfact.packing import pack_words
-from resfact.vsa import Codebook, bind_product, generate_codebook, random_bipolar, sign_to_bipolar
+from resfact.vsa import Codebook, bind_product, generate_codebook, random_bipolar
 
 from phase_references import associative_search, reconstruct, threshold_activation, unbind_others
 
@@ -246,68 +245,46 @@ def test_reconstruct_length_mismatch(rng):
 
 @pytest.mark.parametrize("D", [1, 7, 8, 63, 64, 65, 1000, 1500, 4000])
 def test_packed_numerators_are_exact_dots(D):
+    # Factor 0's update packs x times factor 1's estimate, here all +1, and
+    # searches its packed rows: its attentions are the exact dots of x / D.
     g = np.random.default_rng(D)
     books = [generate_codebook(6, D, g) for _ in range(2)]
-    kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
-    assert kernels.search[1].dtype == np.uint64
-    assert kernels.search[1].shape == (6, -(-D // 64))
-    rows = books[1].codevectors
+    pbooks = perturb_codebooks(books, VariantSpec.brn(), g)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=6, D=D)
+    estimates = np.ones((2, D), dtype=np.int8)
+    rows = books[0].codevectors
     for q in (random_bipolar(D, g), rows[2], -rows[4]):
-        got = kernels.numerators(1, pack_words(q))
-        assert got.dtype == np.float64
-        assert np.array_equal(got, rows.astype(np.int64) @ q.astype(np.int64))
-        assert np.array_equal(got / D, associative_search(q, books[1], VariantSpec.brn(), g))
+        _, attentions = factorizer._advance(estimates, q, pbooks._kernels, cfg, derive_streams(0))
+        assert attentions.dtype == np.float64
+        assert np.array_equal(attentions[0], (rows.astype(np.int64) @ q.astype(np.int64)) / D)
+        assert np.array_equal(attentions[0], associative_search(q, books[0], VariantSpec.brn(), g))
+    assert attentions[0][4] == -1.0
 
 
-# The kernel pairs rows in int16 while 2 * D fits there: D = 16383 is its
-# largest D, where weights of +-D reach the int16 limit; at D = 16384 and
-# 20000 it adds each row in int32.
+# The compiled update pairs rows in int16 while 2 * D fits there: D = 16383
+# is its largest D, where weights of +-D reach the int16 limit; at D = 16384
+# and 20000 it adds each row in int32.
 @pytest.mark.parametrize("D", [1, 7, 63, 64, 65, 1000, 1500, 4000, 16383, 16384, 20000])
 def test_superpose_kernel_matches_int64_reference(D):
-    M = 9
+    # Factor 0's rows 0-4 are equal and row 5 is their negation, and factor
+    # 1 starts at the truth: factor 0's update weights rows 0-4 by +D, four
+    # of them paired and one alone, and drops row 5 at -D.
     g = np.random.default_rng(D)
-    books = [generate_codebook(M, D, g) for _ in range(2)]
-    pbooks = perturb_codebooks(books, VariantSpec.acf(0.2), g)
-    kernels = factorizer._Kernels(pbooks)
-    book = pbooks.recon_books[1].codevectors
-    numerators = g.integers(-D, D + 1, size=M).astype(np.float64)
-    # Equal weights on rows 1 and 2 cancel to exact zeros wherever the rows differ.
-    tied = np.zeros(M)
-    tied[[1, 2]] = D
-    extreme = np.where(np.arange(M) % 3, D, -D).astype(np.float64)
-    cases = [(numerators, np.array([], dtype=np.intp)), (numerators, np.array([4])),
-             (numerators, np.arange(M)), (numerators, np.flatnonzero(numerators > 0)),
-             (tied, np.array([1, 2])), (extreme, np.arange(M)), (np.full(M, D), np.arange(M))]
-    for weights, rows in cases:
-        sums = kernels.superpose(1, weights, rows)
-        assert sums.dtype == np.int32 and sums.shape == (D,)
-        want = weights[rows].astype(np.int64) @ book[rows].astype(np.int64)
-        assert np.array_equal(sums, want)
-        if not rows.size:
-            continue
-        kept = np.zeros(M)
-        kept[rows] = weights[rows]
-        ties, ref_ties = np.random.default_rng(5), np.random.default_rng(5)
-        assert np.array_equal(sign_to_bipolar(sums, ties),
-                              reconstruct(kept, pbooks.recon_books[1], ref_ties))
-        assert ties.bit_generator.state == ref_ties.bit_generator.state
-    if D > 1:
-        assert (kernels.superpose(1, tied, np.array([1, 2])) == 0).any()
-    assert kernels._recon is None
-
-
-def test_superpose_kernel_refuses_what_it_cannot_sum_exactly():
-    M, D = 6, 100
-    g = np.random.default_rng(0)
-    books = [generate_codebook(M, D, g) for _ in range(2)]
-    kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
-    w = np.full(M, 3.0)
-    assert kernels.superpose(0, w, np.arange(M)).shape == (D,)
-    for weights, rows in [(w, np.array([0, M])), (w, np.array([-1])), (w, np.zeros(M + 1, int)),
-                          (np.full(M, 2.5), np.array([1])), (np.full(M, D + 1.0), np.array([1])),
-                          (np.full(M, np.nan), np.array([1])), (w[:-1], np.array([1]))]:
-        with pytest.raises(ValueError):
-            kernels.superpose(0, weights, rows)
+    r = random_bipolar(D, g)
+    books = [Codebook(np.stack([r] * 5 + [-r])), generate_codebook(6, D, g)]
+    x = bind_product(books, (0, 3))
+    estimates = np.stack([random_bipolar(D, g), books[1][3]])
+    for variant in (VariantSpec.brn(), VariantSpec.acf(0.2)):
+        cfg = FactorizerConfig(variant=variant, F=2, M=6, D=D, seed=D)
+        streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
+        pbooks = perturb_codebooks(books, variant, streams.masks)
+        new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
+        ref_new, ref_attentions, _ = _reference_sweep(x, estimates, pbooks, variant, ref_streams)
+        assert np.array_equal(attentions[0], [1.0] * 5 + [-1.0])
+        assert np.array_equal(attentions, ref_attentions)
+        assert np.array_equal(new, ref_new)
+        assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
+        assert pbooks._kernels._recon is None
 
 
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
@@ -324,12 +301,6 @@ def test_kernels_make_noncontiguous_books_contiguous(layout):
     variant = VariantSpec.brn()
     kernels = factorizer._Kernels(perturb_codebooks(odd, variant, np.random.default_rng(1)))
     assert all(b.flags.c_contiguous for b in kernels.books)
-    q = random_bipolar(D, np.random.default_rng(2))
-    numerators = kernels.numerators(0, pack_words(q))
-    assert np.array_equal(numerators, books[0].codevectors.astype(np.int64) @ q)
-    rows = np.flatnonzero(numerators > 0)
-    want = numerators[rows].astype(np.int64) @ kernels.books[0][rows].astype(np.int64)
-    assert np.array_equal(kernels.superpose(0, numerators, rows), want)
     cfg = FactorizerConfig(variant=variant, F=2, M=M, D=D, seed=3, max_iters=20)
     got, ref = run(x, odd, cfg), run(x, books, cfg)
     assert got.iterations == ref.iterations and got.indices == ref.indices
@@ -344,34 +315,35 @@ def test_kernels_reject_books_whose_int32_sums_could_overflow():
         factorizer._Kernels(perturb_codebooks(big, VariantSpec.brn(), np.random.default_rng(0)))
 
 
-def _integer_weights(M, share, g):
-    """Numerator-like weights: integers on a random ``share`` of M rows, zero elsewhere."""
-    w = np.zeros(M)
-    rows = g.choice(M, max(1, round(share * M)), replace=False)
-    w[rows] = g.integers(1, 400, size=rows.size)
-    return w
-
-
 @pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.1)], ids=["brn", "acf"])
 @pytest.mark.parametrize("share", [0.01, 0.1, 0.24, 0.26, 0.5, 1.0])
 def test_survivor_rows_reconstruct_like_dense(variant, share):
+    # The compiled update sums only the rows that survive; the reference
+    # sums every row, weighted by its thresholded numerator.  Row i of
+    # factor 0 is r with each element flipped with probability p_i < 0.45,
+    # and x unbinds to r, so every attention is positive and a threshold
+    # keeps any share of M.
     M, D = 400, 1000
     g = np.random.default_rng(int(share * 100))
-    books = [generate_codebook(M, D, g) for _ in range(2)]
-    kernels = factorizer._Kernels(perturb_codebooks(books, variant, g))
-    weights = [_integer_weights(M, share, g)]
-    # Two equal weights cancel on about half of the elements: exact-zero sums.
-    even = np.zeros(M)
-    even[g.choice(M, 2 * max(1, round(share * M / 2)), replace=False)] = 3.0
-    weights.append(even)
-    for w in weights:
-        dense = kernels.superpose(0, w)
-        rows = kernels.superpose(0, w, np.flatnonzero(w))
-        assert np.array_equal(dense, rows)
-        ties_dense, ties_rows = np.random.default_rng(9), np.random.default_rng(9)
-        assert np.array_equal(sign_to_bipolar(dense, ties_dense), sign_to_bipolar(rows, ties_rows))
-        assert ties_dense.bit_generator.state == ties_rows.bit_generator.state
-    assert (kernels.superpose(0, even) == 0).any()
+    r = random_bipolar(D, g)
+    flips = g.random((M, D)) < g.uniform(0.05, 0.45, size=(M, 1))
+    books = [Codebook(np.where(flips, -r, r).astype(np.int8)), generate_codebook(M, D, g)]
+    x = r * books[1][0]
+    estimates = np.stack([random_bipolar(D, g), books[1][0]])
+    ranked = np.sort(books[0].codevectors.astype(np.int64) @ r)[::-1] / D
+    keep = max(1, round(share * M))
+    variant = VariantSpec(variant.kind, flip_rate=variant.flip_rate,
+                          activation_threshold=ranked[keep] if keep < M else 0.0)
+    cfg = FactorizerConfig(variant=variant, F=2, M=M, D=D, seed=3)
+    streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
+    pbooks = perturb_codebooks(books, variant, streams.masks)
+    new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
+    ref_new, ref_attentions, _ = _reference_sweep(x, estimates, pbooks, variant, ref_streams)
+    assert np.array_equal(attentions, ref_attentions)
+    assert np.array_equal(new, ref_new)
+    assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
+    survivors = (attentions[0] > variant.activation_threshold).sum()
+    assert 0.9 * keep <= survivors <= keep
 
 
 def _record_kernels(monkeypatch):
@@ -401,9 +373,9 @@ def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, g
     products = []
 
     class LoggedKernels(factorizer._Kernels):
-        def superpose(self, f, weights, rows=None):
-            products.append(rows is None)
-            return super().superpose(f, weights, rows)
+        def superpose(self, f, weights):
+            products.append(f)
+            return super().superpose(f, weights)
 
     monkeypatch.setattr(factorizer, "_Kernels", LoggedKernels)
     M = 200
@@ -416,7 +388,7 @@ def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, g
     if gathers:
         assert products == []
     else:
-        assert products == [True] * sum(n > 0 for n in survivors)
+        assert len(products) == sum(n > 0 for n in survivors)
         assert products
 
 
@@ -470,8 +442,8 @@ _SWEEP_VARIANTS = {
     "imf-t0": (VariantSpec.imf(0.02), "many"), "imf-t05": (VariantSpec.imf(0.02, 0.05), "few"),
 }
 # Shapes with no survivor regime to check: the packing's tail bytes and F = 4.
-_SWEEP_EDGES = {"d1": (2, 40, 1), "d7": (2, 40, 7), "d63": (3, 40, 63), "d65": (2, 40, 65),
-                "f4-d997": (4, 30, 997)}
+_SWEEP_EDGES = {"d1": (2, 40, 1), "d7": (2, 40, 7), "d8": (2, 40, 8), "d63": (3, 40, 63),
+                "d64": (2, 40, 64), "d65": (2, 40, 65), "f4-d997": (4, 30, 997)}
 _SWEEP_CASES = (
     [pytest.param(*shape, variant, regime, id=f"{vid}-{sid}")
      for sid, shape in {"f2": (2, 300, 1000), "f3": (3, 120, 1500)}.items()

@@ -23,7 +23,7 @@ CALLERS = sorted(
     + list((ROOT / "scripts").glob("*.py"))
 )
 #: ``_Kernels`` attributes the benchmark and ``scripts/bench_engine.py`` read.
-KERNEL_ATTRIBUTES = ("search", "recon", "_recon", "dtype", "numerators", "superpose")
+KERNEL_ATTRIBUTES = ("search", "recon", "_recon")
 
 
 def imported_names(path: Path) -> list:
@@ -67,6 +67,8 @@ def test_kernels_keep_what_the_benchmark_reads():
     kernels = _Kernels(perturb_codebooks(books, VariantSpec("acf", flip_rate=0.1), rng))
     for attr in KERNEL_ATTRIBUTES:
         assert hasattr(kernels, attr), attr
+    # Packed search rows: (M, ceil(D / 64)) words.
+    assert all(s.dtype == np.uint64 and s.shape == (4, 2) for s in kernels.search)
     assert len(kernels.search) == len(kernels.recon) == 2
 
 

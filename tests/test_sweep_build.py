@@ -1,5 +1,6 @@
 """Building and loading the compiled sweep kernels (``resfact._sweep``)."""
 
+import ctypes
 import os
 import shutil
 import subprocess
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from resfact import _sweep
+from resfact.factorizer import VariantSpec, _Kernels, perturb_codebooks
+from resfact.vsa import generate_codebook
 
 PACKAGE = Path(_sweep.__file__).parent
 
@@ -76,10 +79,17 @@ def test_a_build_deletes_the_libraries_of_other_sources(tmp_path):
         path.touch()
     _sweep.load(source)
     assert sorted(pkg.glob("*.so")) == sorted([_sweep.library_path(source), *kept])
-    # The deleted library stays usable in the process that loaded it.
-    row, out = np.array([5], dtype=np.uint64), np.zeros(1)
-    old.resfact_numerators(row.ctypes.data, 1, 1, row.ctypes.data, 64, out.ctypes.data)
-    assert out[0] == 64
+    # The deleted library stays usable in the process that loaded it: with
+    # factor 1's estimate all +1, factor 0's update searches x itself.
+    g = np.random.default_rng(0)
+    books = [generate_codebook(4, 64, g) for _ in range(2)]
+    kernels = _Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
+    x = books[0].codevectors[2]
+    working, attentions = np.ones((2, 64), dtype=np.int8), np.zeros((2, 4))
+    old.resfact_update(ctypes.addressof(kernels.plans[0]), x.ctypes.data, working.ctypes.data,
+                       attentions.ctypes.data, 0.0, 1)
+    assert np.array_equal(attentions[0], books[0].codevectors.astype(np.int64) @ x / 64)
+    assert attentions[0][2] == 1.0
 
 
 def test_a_missing_compiler_is_named(tmp_path, monkeypatch):
