@@ -30,12 +30,11 @@ Each repeat first sets the glibc malloc thresholds that
 ``bench.run_sweep`` sets for a sweep (``bench._retain_freed_memory``), so
 that the set-up rows pay the page faults a trial of a sweep pays, not
 heap trimming the sweep never does.  Each set-up step also records its
-minor page faults per call (``ru_minflt``), and each set-up row the bytes of float reconstruction
-copies the kernels hold after the build and after the first sweep
-(``float_bytes``); reading them never builds a lazy copy.  The script
-refuses to time a set-up whose outputs differ from the reference draws
-(``rng.integers`` codebooks, ``rng.random`` masks, int64 majority sums),
-and the int16 majority sums that differ from the int64 ones.
+minor page faults per call (``ru_minflt``).  The script refuses to time
+a set-up whose outputs differ from the reference draws (``rng.integers``
+codebooks, ``rng.random`` masks, int64 majority sums, the first search's
+int64 dot products), and the int16 majority sums that differ from the
+int64 ones.
 
 Every repeat runs in a fresh child process and times each figure once,
 as the mean of enough calls to fill about 50 ms; a figure is the median
@@ -175,17 +174,8 @@ def timed_fresh(prepare, fn) -> dict:
     return {"us": total / calls * 1e6, "minflt": faults / calls, "calls": calls}
 
 
-def float_bytes(kernels) -> int:
-    """Bytes of the float reconstruction copies ``kernels`` holds, without building one."""
-    return sum(a.nbytes for a in kernels._recon or ())
-
-
-def check_setup(fz, make_instance, M, D, F, variant, seed) -> dict:
-    """Refuse set-up outputs that differ from the reference draws of the same seed.
-
-    Returns the float bytes the kernels hold after the build and after
-    the first sweep.
-    """
+def check_setup(fz, make_instance, M, D, F, variant, seed) -> None:
+    """Refuse set-up outputs that differ from the reference draws of the same seed."""
     from resfact.vsa import sign_to_bipolar
 
     x, books, truth, fact_seed = make_instance(seed, M, F, D)
@@ -208,8 +198,6 @@ def check_setup(fz, make_instance, M, D, F, variant, seed) -> dict:
         same = same and all(np.array_equal(m, r) for m, r in zip(pbooks.masks, ref_masks))
     same = same and all(np.array_equal(b.codevectors, r)
                         for b, r in zip(pbooks.recon_books, ref_recon))
-    kernels = fz._Kernels(pbooks)
-    built = {"after_build": float_bytes(kernels)}
     init = fz.init_estimates(pbooks, streams.init).estimates
     ref_sums = [b.sum(axis=0, dtype=np.int64) for b in ref_books]
     ref_init = [sign_to_bipolar(s, ref_streams.init) for s in ref_sums]
@@ -217,17 +205,18 @@ def check_setup(fz, make_instance, M, D, F, variant, seed) -> dict:
     if M < 2**15:
         same = same and all(np.array_equal(b.codevectors.sum(axis=0, dtype=np.int16), s)
                             for b, s in zip(books, ref_sums))
+    # The first sweep's first search: x unbound from the other factors' initial estimates.
+    cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=fact_seed)
+    attentions = fz._advance(init, x, fz._Kernels(pbooks), cfg, streams)[1]
+    dots = ref_books[0].astype(np.int64) @ (x * init[1:].prod(axis=0))
+    same = same and (variant.kind == "imf" or np.array_equal(attentions[0], dots / D))
     if not same:
         raise RuntimeError(f"set-up at M={M}, D={D} differs from the reference draws")
-    cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=fact_seed)
-    fz._advance(init, x, kernels, cfg, streams)
-    built["after_first_sweep"] = float_bytes(kernels)
-    return built
 
 
 def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
     variant = fz.VariantSpec(kind, **knobs)
-    built = check_setup(fz, make_instance, M, D, F, variant, seed=7)
+    check_setup(fz, make_instance, M, D, F, variant, seed=7)
 
     # Call i of every step works on the instance of seed 1000 + i, built untimed.
     def instance_args(i):
@@ -252,7 +241,7 @@ def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
         return fz.init_estimates(pbooks, streams.init).estimates, x, kernels, cfg, streams
 
     return {
-        "M": M, "D": D, "F": F, "variant": kind, **knobs, "float_bytes": built,
+        "M": M, "D": D, "F": F, "variant": kind, **knobs,
         "make_instance_us": timed_fresh(instance_args, make_instance),
         "perturb_us": timed_fresh(perturb_args, fz.perturb_codebooks),
         "kernel_build_us": timed_fresh(kernel_args, fz._Kernels),
@@ -306,8 +295,7 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
         "sweep_us": timed(lambda: fz._advance(state.estimates, x, kernels, cfg, streams)),
     }
-    # Only the layouts that the timed sweep built.
-    row["kernel_bytes"] = sum(a.nbytes for a in kernels.search) + float_bytes(kernels)
+    row["kernel_bytes"] = sum(a.nbytes for a in kernels.search)
     return row
 
 
@@ -369,8 +357,7 @@ def report(label: str, run: dict) -> None:
               f"  build {row['kernel_build_us']['median']:.0f} us"
               f"  init {row['init_us']['median']:.0f} us"
               f"  sweep 1 {row['first_sweep_us']['median']:.0f} us"
-              f"  minflt {faults:.1f}"
-              f"  float MB {row['float_bytes']['after_first_sweep'] / 1e6:.1f}")
+              f"  minflt {faults:.1f}")
     for row in run["trial_rows"]:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} trial of at most"
               f" {row['max_sweeps']} sweeps: {row['trial_us']['median']:.0f} us")

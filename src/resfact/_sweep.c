@@ -116,7 +116,7 @@ static void pack(const int8_t *v, int64_t dim, int64_t words, uint64_t *query)
  *    where that sum is exactly zero.
  *
  * Returns the number of zeros left in working[f], for the caller to
- * resolve, or -1, leaving working[f] as it was, if no row survives. */
+ * resolve: dim if no row survives, since working[f] is then all zeros. */
 int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *working,
                        double *attentions, double threshold, int64_t reconstruct)
 {
@@ -142,8 +142,6 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
     for (int64_t i = 0; i < m; i++)
         if (alpha[i] > threshold)
             p->rows[n++] = i;
-    if (!n)
-        return -1;
     superpose(p->book, dim, p->rows, n, p->weights, p->sums);
     int8_t *est = working + p->f * dim;
     int64_t ties = 0;

@@ -5,19 +5,16 @@ sweep to CSV/JSON), ``capacity`` (sweep plus the derived operational
 capacity), ``oracle-check`` (cross-check decodes against exhaustive
 search), ``presets`` (inspect the tuned hyperparameter table).
 
-Options may come from a JSON config file (``--config``); flags override
-file values, and keys in the file use the same snake_case names as the
-report columns.  Progress and diagnostics go to standard error, data to
-standard output or files.  Exit codes: 0 success, 1 runtime or I/O
-failure, 2 usage or validation error.
+Flags are the only input.  Progress and diagnostics go to standard
+error, data to standard output or files.  Exit codes: 0 success, 1
+runtime or I/O failure, 2 usage or validation error (argparse's own
+usage errors included).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Optional
 
 from .bench import DEFAULT_ORACLE_CAP, SweepConfig, decode_instance, oracle_agreement, run_sweep
 from .factorizer import VariantSpec
@@ -25,66 +22,22 @@ from .presets import load_preset_table, lookup_preset
 from .report import emit_report
 
 
-#: The types a config-file key's value may have, compared exactly: a JSON true is no int.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("F", "M", "D", "trials", "trials_per_size", "max_iters", "seed",
-                     "master_seed", "parallelism", "cap"), (int,)),
-    **dict.fromkeys(("sigma", "flip_rate", "activation_threshold", "convergence_threshold"),
-                    (int, float)),
-    **dict.fromkeys(("variant", "preset", "presets_path"), (str,)), "use_presets": (bool,),
-}
+def _variant(args) -> VariantSpec:
+    """The variant named by ``--variant`` and its knobs."""
+    return VariantSpec(args.variant, sigma=args.sigma, flip_rate=args.flip_rate,
+                       activation_threshold=args.activation_threshold)
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return doc
-
-
-def _pick(args, config: dict, dest: str, *aliases, default=None):
-    """Flag value if given, else config-file value (of its key's JSON type), else default."""
-    value = getattr(args, dest, None)
-    if value is not None:
-        return value
-    for key in (dest,) + aliases:
-        if config.get(key) is not None:
-            value = config[key]
-            kinds = _CONFIG_TYPES.get(key, (type(value),))
-            if type(value) not in kinds:
-                raise ValueError(f"{key} must be {' or '.join(k.__name__ for k in kinds)} "
-                                 f"in the config file, got {value!r}")
-            return value
-    return default
-
-
-def _require(value, name: str):
-    if value is None:
-        raise ValueError(f"{name} is required (flag or config file)")
-    return value
-
-
-def _variant(args, config: dict) -> VariantSpec:
-    """The variant named by ``--variant`` and its knobs, from flags or the config file."""
-    return VariantSpec(
-        _require(_pick(args, config, "variant"), "variant"),
-        sigma=_pick(args, config, "sigma"),
-        flip_rate=_pick(args, config, "flip_rate"),
-        activation_threshold=_pick(args, config, "activation_threshold"),
-    )
-
-
-def _parse_sizes(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        value = ",".join(str(v) for v in value)
-    return tuple(int(float(token)) for token in str(value).split(",") if token.strip())
+def _parse_sizes(text: str) -> tuple:
+    try:
+        return tuple(int(float(token)) for token in text.split(",") if token.strip())
+    except (ValueError, OverflowError):
+        raise ValueError(f"--sizes must be comma-separated numbers, got {text!r}") from None
 
 
 def _add_variant_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=("brn", "imf", "acf"), help="decoder variant")
+    p.add_argument("--variant", choices=("brn", "imf", "acf"), required=True,
+                   help="decoder variant")
     p.add_argument("--sigma", type=float, help="attention noise std (imf)")
     p.add_argument("--flip-rate", type=float, help="reconstruction bit-flip rate (acf)")
     p.add_argument(
@@ -92,34 +45,29 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_problem_flags(p: argparse.ArgumentParser, codebook_size: bool = True) -> None:
-    p.add_argument("-F", "--factors", dest="F", type=int, help="number of factors")
-    if codebook_size:
-        p.add_argument("-M", "--codebook-size", dest="M", type=int, help="codevectors per factor")
-    p.add_argument("-D", "--dim", dest="D", type=int, help="vector dimension")
+def _add_problem_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    p.add_argument("-F", "--factors", dest="F", type=int, required=True,
+                   help="number of factors")
+    # A sweep derives the codebook size from each swept size, and --preset may supply D.
+    if not sweep:
+        p.add_argument("-M", "--codebook-size", dest="M", type=int, required=True,
+                       help="codevectors per factor")
+    p.add_argument("-D", "--dim", dest="D", type=int, required=not sweep,
+                   help="vector dimension")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, help="iteration budget (default min(M^F, 10000))")
     p.add_argument(
-        "--convergence-threshold", type=float, help="attention level that ends a run (default 0.8)"
+        "--convergence-threshold", type=float, default=0.8,
+        help="attention level that ends a run (default 0.8)",
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file supplying defaults for this subcommand")
-    p.add_argument("-v", "--verbose", action="count", default=0)
-
-
 def cmd_factorize(args) -> int:
-    config = _load_config(args.config)
-    F = _require(_pick(args, config, "F"), "F")
-    M = _require(_pick(args, config, "M"), "M")
-    D = _require(_pick(args, config, "D"), "D")
     _, _, truth, result = decode_instance(
-        _pick(args, config, "seed", default=0), M, F, D, _variant(args, config),
-        max_iters=_pick(args, config, "max_iters"),
-        convergence_threshold=_pick(args, config, "convergence_threshold", default=0.8),
+        args.seed, args.M, args.F, args.D, _variant(args),
+        max_iters=args.max_iters, convergence_threshold=args.convergence_threshold,
     )
     correct = result.indices == truth
     print("decoded:", " ".join(str(i) for i in result.indices))
@@ -131,30 +79,21 @@ def cmd_factorize(args) -> int:
 
 
 def _sweep_config(args) -> SweepConfig:
-    config = _load_config(args.config)
-    kind = _require(_pick(args, config, "variant"), "variant")
-    sizes = _require(
-        _pick(args, config, "sizes", "search_space_sizes"), "sizes (search_space_sizes)"
-    )
-    preset_choice = _pick(args, config, "preset")
-    use_presets = bool(_pick(args, config, "use_presets", default=False)) or (
-        preset_choice is not None
-    )
     return SweepConfig(
-        F=_require(_pick(args, config, "F"), "F"),
-        variant_kind=kind,
-        search_space_sizes=_parse_sizes(sizes),
-        trials_per_size=_pick(args, config, "trials_per_size", "trials", default=200),
-        D=_pick(args, config, "D"),
-        sigma=_pick(args, config, "sigma"),
-        flip_rate=_pick(args, config, "flip_rate"),
-        activation_threshold=_pick(args, config, "activation_threshold"),
-        use_presets=use_presets,
-        presets_path=_pick(args, config, "presets_path"),
-        convergence_threshold=_pick(args, config, "convergence_threshold", default=0.8),
-        max_iters=_pick(args, config, "max_iters"),
-        master_seed=_pick(args, config, "master_seed", default=0),
-        parallelism=_pick(args, config, "parallelism", default=1),
+        F=args.F,
+        variant_kind=args.variant,
+        search_space_sizes=_parse_sizes(args.sizes),
+        trials_per_size=args.trials_per_size,
+        D=args.D,
+        sigma=args.sigma,
+        flip_rate=args.flip_rate,
+        activation_threshold=args.activation_threshold,
+        use_presets=args.preset is not None,
+        presets_path=args.presets_path,
+        convergence_threshold=args.convergence_threshold,
+        max_iters=args.max_iters,
+        master_seed=args.master_seed,
+        parallelism=args.parallelism,
     )
 
 
@@ -167,10 +106,8 @@ def _progress_line(row) -> str:
 
 
 def _run_sweep(args):
-    cfg = _sweep_config(args)
-    if args.verbose:
-        print(f"sweep config: {cfg}", file=sys.stderr)
-    return run_sweep(cfg, progress=lambda row: print(_progress_line(row), file=sys.stderr))
+    return run_sweep(_sweep_config(args),
+                     progress=lambda row: print(_progress_line(row), file=sys.stderr))
 
 
 def cmd_sweep(args) -> int:
@@ -188,20 +125,10 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    config = _load_config(args.config)
-    F = _require(_pick(args, config, "F"), "F")
-    M = _require(_pick(args, config, "M"), "M")
-    D = _require(_pick(args, config, "D"), "D")
     check = oracle_agreement(
-        M=M,
-        F=F,
-        D=D,
-        variant=_variant(args, config),
-        n_trials=_pick(args, config, "trials", default=50),
-        master_seed=_pick(args, config, "seed", "master_seed", default=0),
-        cap=_pick(args, config, "cap", default=DEFAULT_ORACLE_CAP),
-        max_iters=_pick(args, config, "max_iters"),
-        convergence_threshold=_pick(args, config, "convergence_threshold", default=0.8),
+        M=args.M, F=args.F, D=args.D, variant=_variant(args), n_trials=args.trials,
+        master_seed=args.seed, cap=args.cap, max_iters=args.max_iters,
+        convergence_threshold=args.convergence_threshold,
     )
     rate = check.agreements / check.converged if check.converged else 1.0
     print(f"trials: {check.trials}")
@@ -249,11 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("factorize", help="decode one seeded instance")
-    _add_common(p)
     _add_problem_flags(p)
     _add_variant_flags(p)
     _add_run_flags(p)
-    p.add_argument("--seed", type=int, help="instance seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="instance seed (default 0)")
     p.set_defaults(func=cmd_factorize)
 
     for name, handler, help_text in (
@@ -261,21 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("capacity", cmd_capacity, "run a sweep and print the operational capacity"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        # the codebook size follows from each swept size
-        _add_problem_flags(p, codebook_size=False)
+        _add_problem_flags(p, sweep=True)
         _add_variant_flags(p)
         _add_run_flags(p)
-        p.add_argument("--sizes", help="comma-separated target search-space sizes")
-        p.add_argument("--trials", dest="trials_per_size", type=int, help="trials per size")
+        p.add_argument("--sizes", required=True,
+                       help="comma-separated target search-space sizes")
+        p.add_argument("--trials", dest="trials_per_size", type=int, default=200,
+                       help="trials per size (default 200)")
         p.add_argument(
             "--preset",
             choices=("paper",),
             help="resolve D and variant hyperparameters from the tuned preset table",
         )
         p.add_argument("--presets-path", help="CSV file replacing the built-in preset table")
-        p.add_argument("--master-seed", type=int)
-        p.add_argument("--parallelism", type=int)
+        p.add_argument("--master-seed", type=int, default=0)
+        p.add_argument("--parallelism", type=int, default=1)
         p.add_argument(
             "-o", "--output", default="-" if name == "sweep" else None,
             help="report destination ('-' for stdout)",
@@ -284,13 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
 
     p = sub.add_parser("oracle-check", help="compare decodes against exhaustive search")
-    _add_common(p)
     _add_problem_flags(p)
     _add_variant_flags(p)
     _add_run_flags(p)
-    p.add_argument("--trials", type=int, help="number of seeded trials (default 50)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--cap", type=int, help=f"oracle size cap (default {DEFAULT_ORACLE_CAP})")
+    p.add_argument("--trials", type=int, default=50, help="number of seeded trials (default 50)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
+                   help=f"oracle size cap (default {DEFAULT_ORACLE_CAP})")
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("presets", help="print the tuned hyperparameter table")

@@ -363,10 +363,10 @@ def _advance(estimates, x, kernels, cfg, streams):
 
     One compiled call (``_sweep.update``) does a ``brn`` or ``acf``
     factor's whole update and leaves 0 where the reconstruction sum is
-    exactly zero; those ties, and a factor with no surviving attention,
-    draw from the tie stream here.  For ``imf`` the call only unbinds and
-    searches: the noise, the threshold and the dense float product that
-    its real-valued weights need stay in numpy.
+    exactly zero, so a factor with no surviving attention comes back all
+    zeros; those ties draw from the tie stream here.  For ``imf`` the
+    call only unbinds and searches: the noise, the threshold and the
+    dense float product that its real-valued weights need stay in numpy.
     """
     n_factors, dim = estimates.shape
     variant = cfg.variant
@@ -395,11 +395,9 @@ def _advance(estimates, x, kernels, cfg, streams):
                 working[f] = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
             else:
                 working[f] = random_bipolar(dim, streams.ties)
-        elif ties > 0:
+        elif ties:
             row = working[f]
             row[row == 0] = streams.ties.integers(0, 2, size=ties, dtype=np.int8) * 2 - 1
-        elif ties < 0:
-            working[f] = random_bipolar(dim, streams.ties)
 
     return working, attentions
 

@@ -1,8 +1,7 @@
 """``scripts/bench_engine.py`` still runs on this engine.
 
-The script reads private parts of the decoder (``_advance``, ``_Kernels``,
-``_recon``), so a change there can break it without failing any other
-test.  Each of its three kinds of row runs once here, at a tiny shape and
+The script reads private parts of the decoder (``_advance``, ``_Kernels``),
+so a change there can break it without failing any other test.  Each of its three kinds of row runs once here, at a tiny shape and
 with a short timing batch.
 """
 
@@ -34,7 +33,6 @@ def test_bench_engine_rows_run(bench_engine, kind, knobs):
     M, D, F = 40, 200, 2
     setup = bench_engine.bench_setup(factorizer, make_instance, M, D, F, kind, knobs)
     assert set(bench_engine.SETUP_STEPS) <= set(setup)
-    assert setup["float_bytes"] == {"after_build": 0, "after_first_sweep": 0}
     trial = bench_engine.bench_trial(factorizer, run_trial, M, D, F, kind, knobs, 0.55)
     assert trial["max_sweeps"] >= 1 and trial["trial_us"]["us"] > 0
     row = bench_engine.bench_row(factorizer, make_instance, M, D, F, kind, knobs, 3)

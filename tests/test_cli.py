@@ -77,12 +77,25 @@ def test_factorize_help_lists_no_schedule_or_stopping_options(capsys):
         for text in shared:
             assert text in " ".join(out.split()) and text in sub_out, (sub, text)
     assert "--codebook-size" in sub_out  # oracle-check takes M; the sweeps derive it
+    # flags are the only input, and there is no verbosity switch
+    for sub in ("factorize", "sweep", "capacity", "oracle-check", "presets"):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        sub_out = capsys.readouterr().out
+        assert "--config" not in sub_out and "--verbose" not in sub_out, sub
+
+
+def run_usage_error(capsys, *argv) -> str:
+    """Run a command argparse refuses; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 def test_factorize_missing_required_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "factorize", "-F", "2", "-M", "8", "--variant", "brn")
-    assert code == 2
-    assert "D is required" in err
+    err = run_usage_error(capsys, "factorize", "-F", "2", "-M", "8", "--variant", "brn")
+    assert "the following arguments are required: -D/--dim" in err
 
 
 # --- sweep / capacity ---
@@ -124,62 +137,34 @@ def test_sweep_repeat_invocations_are_identical(capsys):
     assert first == second
 
 
-def test_sweep_flag_overrides_config(tmp_path, capsys):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(
-        json.dumps(
-            {"F": 2, "variant": "brn", "D": 128, "sizes": "16", "trials": 5}
-        )
-    )
-    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--trials", "3")
-    assert code == 0
-    assert out.splitlines()[1].split(",")[5] == "3"
+def test_sweep_missing_variant_is_usage_error(capsys):
+    err = run_usage_error(capsys, "sweep", "-F", "2", "-D", "64", "--sizes", "16")
+    assert "the following arguments are required: --variant" in err
 
 
-def test_sweep_config_must_be_object(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("[1, 2]")
-    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--sizes", "16")
-    assert code == 2
-    assert "JSON object" in err
-
-
-@pytest.mark.parametrize(
-    "command, doc",
-    [
-        ("sweep", {"trials": "3"}),
-        ("sweep", {"F": True}),
-        ("sweep", {"flip_rate": "0.1", "variant": "acf"}),
-        ("sweep", {"use_presets": "no"}),
-        ("factorize", {"F": "2"}),
-        ("factorize", {"seed": 1.5}),
-        ("oracle-check", {"cap": [10]}),
-    ],
-)
-def test_config_value_of_the_wrong_type_is_refused(tmp_path, capsys, command, doc):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"F": 2, "M": 10, "D": 64, "variant": "brn", "sizes": "16",
-                               **doc}))
-    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+def test_sweep_needs_dim_or_preset(capsys):
+    code, out, err = run_cli(capsys, "sweep", "-F", "2", "--variant", "brn", "--sizes", "16")
     assert code == 2
     assert out == ""
-    key = next(iter(doc))
-    assert err.startswith(f"error: {key} must be ")
+    assert "D is required" in err
 
 
-def test_config_null_means_unset(tmp_path, capsys):
-    cfg = tmp_path / "null.json"
-    cfg.write_text(json.dumps({"F": 2, "D": 64, "variant": "brn", "sizes": [16],
-                               "trials": 3, "trials_per_size": None, "max_iters": None}))
-    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
-    assert code == 0
-    assert out.splitlines()[1].split(",")[5] == "3"
-
-
-def test_sweep_missing_variant_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "sweep", "-F", "2", "-D", "64", "--sizes", "16")
+@pytest.mark.parametrize("sizes", ["16,abc", "16,1e400"])
+def test_sweep_bad_sizes_name_the_flag(capsys, sizes):
+    code, out, err = run_cli(
+        capsys, "sweep", "-F", "2", "--variant", "brn", "-D", "64", "--sizes", sizes,
+    )
     assert code == 2
-    assert "variant is required" in err
+    assert out == ""
+    assert err == f"error: --sizes must be comma-separated numbers, got {sizes!r}\n"
+
+
+def test_sweep_refuses_a_config_file(capsys):
+    err = run_usage_error(
+        capsys, "sweep", "-F", "2", "--variant", "brn", "-D", "64", "--sizes", "16",
+        "--config", "x.json",
+    )
+    assert "unrecognized arguments: --config" in err
 
 
 def test_sweep_refuses_a_knob_the_variant_does_not_take(capsys):
@@ -282,9 +267,8 @@ def test_oracle_check_cap_exceeded(capsys):
 
 
 def test_oracle_check_missing_variant(capsys):
-    code, _, err = run_cli(capsys, "oracle-check", "-F", "2", "-M", "8", "-D", "64")
-    assert code == 2
-    assert "variant is required" in err
+    err = run_usage_error(capsys, "oracle-check", "-F", "2", "-M", "8", "-D", "64")
+    assert "the following arguments are required: --variant" in err
 
 
 # --- presets ---

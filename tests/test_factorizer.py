@@ -35,7 +35,7 @@ def test_variant_spec_constructors():
     assert VariantSpec.imf(sigma=0.01).sigma == 0.01
     assert VariantSpec.acf(flip_rate=0.1).flip_rate == 0.1
     assert VariantSpec.acf(flip_rate=0.1, activation_threshold=0.05).activation_threshold == 0.05
-    # an unset threshold from a flag or a config file means the default
+    # an unset threshold flag means the default
     assert VariantSpec("brn", activation_threshold=None) == VariantSpec.brn()
 
 

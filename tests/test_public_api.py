@@ -22,8 +22,8 @@ CALLERS = sorted(
     [ROOT / "perfbench" / "run.py", ROOT / "tests" / "test_acceptance.py"]
     + list((ROOT / "scripts").glob("*.py"))
 )
-#: ``_Kernels`` attributes the benchmark and ``scripts/bench_engine.py`` read.
-KERNEL_ATTRIBUTES = ("search", "recon", "_recon")
+#: ``_Kernels`` attributes the benchmark reads.
+KERNEL_ATTRIBUTES = ("search", "recon")
 
 
 def imported_names(path: Path) -> list:
