@@ -5,9 +5,15 @@ For each sweep row it decodes one seeded instance for a few sweeps, to
 reach a typical mid-search state, then sweeps that state as many times
 again, so that any layout the kernels build lazily exists, and times on
 that fixed state one full update sweep (``sweep_us``,
-``factorizer._advance``): the steady state of a long decode.  It refuses
-to time a search whose attentions in that state are not the exact dot
-products divided by D.
+``factorizer._advance``, which copies the estimates, runs one sweep in
+one compiled call and returns fresh arrays): what each sweep of a
+decode observed through ``on_step`` costs.  It refuses to time a search
+whose attentions in that state are not the exact dot products divided
+by D.  Beside it, ``decode_us`` is the cost per sweep of a whole
+``factorizer.run`` of the same instance without ``on_step``, which can
+never converge at threshold 1.0 and so runs ``DECODE_SWEEPS`` sweeps,
+net of a one-sweep run (its set-up and first sweep): the steady state
+of a long decode.
 
 For each set-up row it times the steps of a trial up to its first
 sweep, each call on a freshly built instance, as a trial meets them,
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import platform
@@ -92,7 +99,8 @@ TRIAL_ROWS = [
 ]
 SETUP_STEPS = ("make_instance_us", "perturb_us", "kernel_build_us", "init_us", "first_sweep_us")
 TRIAL_STEPS = ("trial_us",)
-SWEEP_STEPS = ("sweep_us",)
+SWEEP_STEPS = ("sweep_us", "decode_us")
+DECODE_SWEEPS = 200
 TARGET_S = 0.05
 WARM_CALLS = 5
 
@@ -295,6 +303,10 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
         "sweep_us": timed(lambda: fz._advance(state.estimates, x, kernels, cfg, streams)),
     }
+    decodes = [timed(lambda: fz.run(x, books, dataclasses.replace(cfg, max_iters=budget)))
+               for budget in (1, DECODE_SWEEPS)]
+    row["decode_us"] = {"us": (decodes[1]["us"] - decodes[0]["us"]) / (DECODE_SWEEPS - 1),
+                        "calls": decodes[1]["calls"]}
     row["kernel_bytes"] = sum(a.nbytes for a in kernels.search)
     return row
 
@@ -363,7 +375,8 @@ def report(label: str, run: dict) -> None:
               f" {row['max_sweeps']} sweeps: {row['trial_us']['median']:.0f} us")
     for row in run["rows"]:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
-              f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us")
+              f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us"
+              f"  decode {row['decode_us']['median']:.0f} us/sweep")
 
 
 def main(argv=None) -> int:

@@ -1,12 +1,14 @@
-/* Compiled update sweep of the decoder: one call per factor update.
+/* Compiled update sweep of the decoder.
  *
- * Built and loaded by _sweep.py.  resfact_update does a factor's whole
- * brn/acf update: unbind, pack, search, activation and reconstruction.
- * For imf it stops after the search, because imf's noisy real-valued
- * weights stay in numpy.  Every sum here is an integer sum, so no result
- * depends on the order in which terms are added; the only floating-point
- * operation is the division of each numerator by D, which rounds exactly
- * as numpy's does.
+ * Built and loaded by _sweep.py.  resfact_run runs whole brn/acf sweeps
+ * until the convergence test passes or its budget runs out; it draws
+ * the tie-breaks from the tie stream itself (resfact_ties), bit for bit
+ * as numpy draws them.  resfact_update does one factor's update: unbind,
+ * pack, search, activation and reconstruction.  For imf it stops after
+ * the search, because imf's noisy real-valued weights stay in numpy.
+ * Every sum here is an integer sum, so no result depends on the order in
+ * which terms are added; the only floating-point operation is the
+ * division of each numerator by D, which rounds exactly as numpy's does.
  */
 
 #include <stdint.h>
@@ -16,8 +18,19 @@
 #error "pack() reads eight int8 elements as one little-endian word"
 #endif
 
+/* numpy's bitgen_t (numpy/random/bitgen.h): a bit generator's state and
+ * its draw functions, declared here so the build needs no numpy headers. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
 /* One factor's constants and scratch buffers, owned by _Kernels in
- * _sweep.py, which takes their addresses once per run.  search holds m
+ * factorizer.py, which takes their addresses once per run and keeps the
+ * plans of all factors in one array, in factor order.  search holds m
  * bit-packed rows of `words` 64-bit words, book the row-major (m, dim)
  * +-1 int8 reconstruction book; f is the factor of `factors` it updates.
  * query (words), unbound (dim), rows (m), weights (m) and sums (dim) are
@@ -115,8 +128,8 @@ static void pack(const int8_t *v, int64_t dim, int64_t words, uint64_t *query)
  *    working[f] becomes the sign of their numerator-weighted sum, with 0
  *    where that sum is exactly zero.
  *
- * Returns the number of zeros left in working[f], for the caller to
- * resolve: dim if no row survives, since working[f] is then all zeros. */
+ * Returns the number of zeros left in working[f]: dim if no row
+ * survives, since working[f] is then all zeros. */
 int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *working,
                        double *attentions, double threshold, int64_t reconstruct)
 {
@@ -151,4 +164,69 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
         ties += s == 0;
     }
     return ties;
+}
+
+/* Replaces the zeros of row[0..n), in index order, with +-1 draws from
+ * `ties`, as row[row == 0] = rng.integers(0, 2, size=zeros,
+ * dtype=np.int8) * 2 - 1 does with the same generator.  numpy draws such
+ * an int8 by Lemire's bounded method with range 1, which never rejects:
+ * the value is bit 7 of the next byte of a 32-bit buffer that
+ * next_uint32 refills and that is used low byte first.  The buffer
+ * starts empty on every call, as it does on every numpy call. */
+void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
+{
+    uint32_t buf = 0;
+    int left = 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (row[j])
+            continue;
+        if (!left) {
+            buf = ties->next_uint32(ties->state);
+            left = 4;
+        }
+        row[j] = (int8_t)((int)(buf >> 7 & 1) * 2 - 1);
+        buf >>= 8;
+        left--;
+    }
+}
+
+/* Whether some attention of every factor is above `convergence` (strict):
+ * the test of detect_convergence_early in factorizer.py. */
+static int all_above(const double *attentions, int64_t factors, int64_t m, double convergence)
+{
+    for (int64_t f = 0; f < factors; f++) {
+        const double *alpha = attentions + f * m;
+        int64_t i = 0;
+        while (i < m && !(alpha[i] > convergence))
+            i++;
+        if (i == m)
+            return 0;
+    }
+    return 1;
+}
+
+/* Runs brn/acf update sweeps over the factors of plans[0..factors), in
+ * order, on the (factors, dim) `working` estimates and (factors, m)
+ * `attentions`, in place.  Each factor's zeros after its update are
+ * resolved from `ties` at once, before the next factor unbinds it; a
+ * factor with no survivor thus draws all dim values.  The sweeps stop
+ * after the first one where every factor's maximum attention is above
+ * `convergence`, or after `budget` sweeps.  Returns the number of
+ * sweeps run and sets *converged to whether the last one passed. */
+int64_t resfact_run(const struct resfact_plan *plans, const int8_t *x, int8_t *working,
+                    double *attentions, double threshold, double convergence,
+                    int64_t budget, bitgen_t *ties, int64_t *converged)
+{
+    const int64_t factors = plans->factors, dim = plans->dim;
+    for (int64_t sweep = 1; sweep <= budget; sweep++) {
+        for (int64_t f = 0; f < factors; f++)
+            if (resfact_update(plans + f, x, working, attentions, threshold, 1))
+                resfact_ties(working + f * dim, dim, ties);
+        if (all_above(attentions, factors, plans->m, convergence)) {
+            *converged = 1;
+            return sweep;
+        }
+    }
+    *converged = 0;
+    return budget;
 }

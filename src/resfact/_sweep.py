@@ -98,11 +98,30 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     if not path.exists():
         _build(source, path)
     lib = ctypes.CDLL(str(path))
-    pointer = ctypes.c_void_p
-    lib.resfact_update.argtypes = (pointer, pointer, pointer, pointer, ctypes.c_double,
-                                   ctypes.c_int64)
-    lib.resfact_update.restype = ctypes.c_int64
+    pointer, i64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.resfact_update.argtypes = (pointer, pointer, pointer, pointer, double, i64)
+    lib.resfact_update.restype = i64
+    lib.resfact_run.argtypes = (pointer, pointer, pointer, pointer, double, double, i64,
+                                pointer, ctypes.POINTER(i64))
+    lib.resfact_run.restype = i64
+    lib.resfact_ties.argtypes = (pointer, i64, pointer)
+    lib.resfact_ties.restype = None
     return lib
 
 
-update = load().resfact_update
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
+_capsule_pointer.restype = ctypes.c_void_p
+
+
+def bitgen(bit_generator) -> int:
+    """Address of a numpy bit generator's ``bitgen_t``, which the kernels draw from.
+
+    The same address as ``bit_generator.ctypes.bit_generator``, read from
+    the generator's capsule, which costs far less on first use.
+    """
+    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+
+
+_lib = load()
+update, run, ties = _lib.resfact_update, _lib.resfact_run, _lib.resfact_ties

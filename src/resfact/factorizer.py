@@ -298,11 +298,11 @@ class _Kernels:
     product of a row with a packed query is D - 2 * popcount(xor), an
     exact integer.  ``books[f]`` is factor f's reconstruction book as a
     C-contiguous int8 array, made so once per run whatever the layout of
-    the codebook.  ``plans[f]`` is the ``_sweep.Plan`` that the compiled
-    update of factor f reads: the addresses of those two layouts and of
-    scratch buffers shared by every factor, taken once.  So one sweep at
-    a time may use a ``_Kernels``; after a factor's update, ``_numerators``
-    holds its numerators.
+    the codebook.  ``plans`` is a C array of one ``_sweep.Plan`` per
+    factor, which the compiled sweep reads: the addresses of those two
+    layouts and of scratch buffers shared by every factor, taken once.
+    So one sweep at a time may use a ``_Kernels``; after a factor's
+    update, ``_numerators`` holds its numerators.
 
     ``recon[f]`` is a float copy of ``books[f]`` for ``superpose``, the
     dense BLAS product of ``imf``'s real-valued weights, float32 while
@@ -333,9 +333,10 @@ class _Kernels:
                          np.empty(dim, dtype=np.int32))
         scratch = [_sweep.address(a) for a in self._scratch]
         # The books may be read-only, which ``_sweep.address`` refuses.
-        self.plans = [_sweep.Plan(s.ctypes.data, b.ctypes.data, size, dim, words,
-                                  len(self.books), f, *scratch)
-                      for f, (s, b) in enumerate(zip(self.search, self.books))]
+        self.plans = (_sweep.Plan * len(self.books))(
+            *(_sweep.Plan(s.ctypes.data, b.ctypes.data, size, dim, words, len(self.books), f,
+                          *scratch)
+              for f, (s, b) in enumerate(zip(self.search, self.books))))
         self._plan_at = [ctypes.addressof(p) for p in self.plans]
         self._x_at = _sweep.address(self._x)
 
@@ -351,39 +352,56 @@ class _Kernels:
         return weights.astype(self.dtype, copy=False) @ self.recon[f]
 
 
-def _advance(estimates, x, kernels, cfg, streams):
-    """One full update sweep over all factors, in order.
+def _tie_generator(streams: FactorizerStreams, cfg: FactorizerConfig) -> Optional[int]:
+    """Address of the tie stream's ``bitgen_t`` for the compiled ``brn``/``acf`` sweep.
+
+    None for ``imf``, whose ties numpy draws.  The compiled sweep is
+    checked to draw like numpy from PCG64, the generator
+    ``derive_streams`` makes, and refuses any other.
+    """
+    if cfg.variant.kind == "imf":
+        return None
+    bit_generator = streams.ties.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        raise ValueError("the compiled sweep draws ties only from a PCG64 tie stream, "
+                         f"not {type(bit_generator).__name__}")
+    return _sweep.bitgen(bit_generator)
+
+
+def _sweeps(working, attentions, kernels, cfg, streams, ties, budget):
+    """Up to ``budget`` update sweeps over all factors, in place; the one sweep loop.
 
     Each factor unbinds the others' latest estimates: those already
-    updated in this sweep, the previous sweep's for the rest.  Returns
-    fresh (estimates, attentions) arrays.  Reconstruction weights
-    are the attention *numerators* (dot products) rather than the
-    normalized attentions: the positive rescaling cannot change any sign,
-    and it keeps exact-zero ties exact in float arithmetic.
+    updated in this sweep, the previous sweep's for the rest.
+    ``kernels._x`` must hold the input vector.  The sweeps stop after the
+    first one where ``_converged`` holds for ``cfg.convergence_threshold``;
+    returns how many ran and whether the last one converged.
+    Reconstruction weights are the attention *numerators* (dot products)
+    rather than the normalized attentions: the positive rescaling cannot
+    change any sign, and it keeps exact-zero ties exact in float
+    arithmetic.
 
-    One compiled call (``_sweep.update``) does a ``brn`` or ``acf``
-    factor's whole update and leaves 0 where the reconstruction sum is
-    exactly zero, so a factor with no surviving attention comes back all
-    zeros; those ties draw from the tie stream here.  For ``imf`` the
-    call only unbinds and searches: the noise, the threshold and the
-    dense float product that its real-valued weights need stay in numpy.
+    For ``brn`` and ``acf`` one compiled call (``_sweep.run``) runs every
+    sweep and draws the ties from the generator at address ``ties``
+    (``_tie_generator``), holding its lock as numpy does.  For ``imf``
+    the compiled update (``_sweep.update``) only unbinds and searches:
+    the noise, the threshold and the dense float product that its
+    real-valued weights need stay in numpy.
     """
-    n_factors, dim = estimates.shape
     variant = cfg.variant
-    imf = variant.kind == "imf"
     thresh = variant.activation_threshold
-    working = np.array(estimates, dtype=np.int8, order="C")
-    if working.shape != (len(kernels.plans), kernels._x.size):
-        # The compiled update would read and write past the end of working.
-        raise ValueError(f"estimates of shape {working.shape} for {len(kernels.plans)} "
-                         f"codebooks of dimension {kernels._x.size}")
-    attentions = np.empty((n_factors, kernels.search[0].shape[0]))
-    kernels._x[...] = x
-    at = (kernels._x_at, _sweep.address(working), _sweep.address(attentions), thresh, not imf)
+    at = (kernels._x_at, _sweep.address(working), _sweep.address(attentions), thresh)
+    if ties is not None:
+        converged = ctypes.c_int64()
+        with streams.ties.bit_generator.lock:
+            sweeps = _sweep.run(kernels._plan_at[0], *at, cfg.convergence_threshold, budget,
+                                ties, converged)
+        return sweeps, bool(converged.value)
 
-    for f in range(n_factors):
-        ties = _sweep.update(kernels._plan_at[f], *at)
-        if imf:
+    dim = working.shape[1]
+    for sweep in range(1, budget + 1):
+        for f in range(len(working)):
+            _sweep.update(kernels._plan_at[f], *at, 0)
             noise = streams.noise.standard_normal(attentions.shape[1])
             alpha = attentions[f]
             alpha += variant.sigma * noise
@@ -395,10 +413,24 @@ def _advance(estimates, x, kernels, cfg, streams):
                 working[f] = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
             else:
                 working[f] = random_bipolar(dim, streams.ties)
-        elif ties:
-            row = working[f]
-            row[row == 0] = streams.ties.integers(0, 2, size=ties, dtype=np.int8) * 2 - 1
+        if _converged(attentions, cfg.convergence_threshold):
+            return sweep, True
+    return budget, False
 
+
+def _advance(estimates, x, kernels, cfg, streams):
+    """One full update sweep over all factors: ``_sweeps`` with a budget of 1.
+
+    Returns fresh (estimates, attentions) arrays.
+    """
+    working = np.array(estimates, dtype=np.int8, order="C")
+    if working.shape != (len(kernels.plans), kernels._x.size):
+        # The compiled update would read and write past the end of working.
+        raise ValueError(f"estimates of shape {working.shape} for {len(kernels.plans)} "
+                         f"codebooks of dimension {kernels._x.size}")
+    attentions = np.empty((len(working), kernels.search[0].shape[0]))
+    kernels._x[...] = x
+    _sweeps(working, attentions, kernels, cfg, streams, _tie_generator(streams, cfg), 1)
     return working, attentions
 
 
@@ -451,25 +483,29 @@ def run(
     trajectory is a pure function of ``cfg.seed``.
 
     ``on_step`` (if given) observes every post-sweep state; useful for
-    trajectory comparisons and debugging.
+    trajectory comparisons and debugging.  Each state owns its arrays,
+    which later sweeps leave alone.  Without ``on_step``, a ``brn`` or
+    ``acf`` decode is one compiled call for the whole budget; with it,
+    one call per sweep.  Both run the same sweeps, tie draws included.
     """
     xv = _check_run_inputs(x, books, cfg)
     streams = derive_streams(cfg.seed)
     pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
     kernels = pbooks._kernels
     state = init_estimates(pbooks, streams.init)
+    kernels._x[...] = xv
+    ties = _tie_generator(streams, cfg)
     limit = cfg.resolved_max_iters()
+    budget = limit if on_step is None else 1
 
-    while state.iteration < limit:
-        estimates, attentions = _advance(state.estimates, xv, kernels, cfg, streams)
-        state = FactorizerState(
-            estimates=estimates, attentions=attentions, iteration=state.iteration + 1
-        )
-        state.converged = _converged(attentions, cfg.convergence_threshold)
+    while state.iteration < limit and not state.converged:
+        estimates, attentions = state.estimates.copy(), np.empty_like(state.attentions)
+        sweeps, converged = _sweeps(estimates, attentions, kernels, cfg, streams, ties,
+                                    min(budget, limit - state.iteration))
+        state = FactorizerState(estimates=estimates, attentions=attentions,
+                                iteration=state.iteration + sweeps, converged=converged)
         if on_step is not None:
             on_step(state)
-        if state.converged:
-            break
 
     indices = tuple(int(np.argmax(state.attentions[f])) for f in range(cfg.F))
     return FactorizeResult(

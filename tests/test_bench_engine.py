@@ -1,8 +1,9 @@
 """``scripts/bench_engine.py`` still runs on this engine.
 
 The script reads private parts of the decoder (``_advance``, ``_Kernels``),
-so a change there can break it without failing any other test.  Each of its three kinds of row runs once here, at a tiny shape and
-with a short timing batch.
+so a change there can break it without failing any other test.  Each of
+its three kinds of row runs once here, at a tiny shape and with a short
+timing batch.
 """
 
 import importlib.util
@@ -37,4 +38,6 @@ def test_bench_engine_rows_run(bench_engine, kind, knobs):
     assert trial["max_sweeps"] >= 1 and trial["trial_us"]["us"] > 0
     row = bench_engine.bench_row(factorizer, make_instance, M, D, F, kind, knobs, 3)
     assert row["sweep_us"]["us"] > 0
+    # Net of the set-up, a decode of DECODE_SWEEPS sweeps still costs time per sweep.
+    assert row["decode_us"]["us"] > 0 and row["decode_us"]["calls"] >= 1
     assert row["kernel_bytes"] == F * M * -(-D // 64) * 8

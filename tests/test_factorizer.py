@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from resfact import factorizer
+from resfact import _sweep, factorizer
+from resfact.bench import make_instance
 from resfact.factorizer import (
     DEFAULT_ITER_CAP,
     FactorizerConfig,
@@ -18,6 +19,7 @@ from resfact.factorizer import (
 from resfact.vsa import Codebook, bind_product, generate_codebook, random_bipolar
 
 from phase_references import associative_search, reconstruct, threshold_activation, unbind_others
+from test_golden_trajectories import CASES as GOLDEN_CASES
 
 
 def _instance(M, D, F, seed):
@@ -574,6 +576,126 @@ def test_step_builds_kernels_once(monkeypatch):
     for _ in range(3):
         state = step(state, x, p, cfg, streams)
     assert len(built) == 1 and built[0] is p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 1000, 4000])
+def test_compiled_ties_draw_like_numpy(n):
+    # The compiled sweep resolves a row's zeros as row[row == 0] =
+    # integers(0, 2, size=zeros, dtype=np.int8) * 2 - 1 would: the same
+    # values and the same generator state after each call, which starts a
+    # fresh byte buffer.  Each seed resolves an all-zero row, then a row
+    # with about a third of it zero, then an all-zero row again.
+    for seed in range(6):
+        g = np.random.default_rng(seed)
+        partly = random_bipolar(n, g)
+        partly[g.random(n) < 1 / 3] = 0
+        ours, ref = derive_streams(seed).ties, derive_streams(seed).ties
+        assert _sweep.bitgen(ours.bit_generator) == ours.bit_generator.ctypes.bit_generator.value
+        for row in (np.zeros(n, dtype=np.int8), partly, np.zeros(n, dtype=np.int8)):
+            expected = row.copy()
+            zeros = expected == 0
+            expected[zeros] = ref.integers(0, 2, size=int(zeros.sum()), dtype=np.int8) * 2 - 1
+            got = row.copy()
+            _sweep.ties(_sweep.address(got), n, _sweep.bitgen(ours.bit_generator))
+            assert np.array_equal(got, expected)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _decode_both_ways(monkeypatch, x, books, cfg):
+    """Decode with and without ``on_step``, check that both agree, return the plain result.
+
+    Agreeing covers the indices, the sweep count, the stop, the final
+    estimates and attentions and the tie stream's state after the run,
+    captured by wrapping ``derive_streams``.  Every state ``on_step`` saw
+    must still hold what it held then.
+    """
+    made = []
+
+    def recorded_streams(seed):
+        made.append(derive_streams(seed))
+        return made[-1]
+
+    monkeypatch.setattr(factorizer, "derive_streams", recorded_streams)
+    plain = run(x, books, cfg)
+    seen = []
+    stepped = run(x, books, cfg, on_step=lambda state: seen.append(
+        (state, state.estimates.copy(), state.attentions.copy())))
+    assert (plain.indices, plain.iterations, plain.converged) == (
+        stepped.indices, stepped.iterations, stepped.converged)
+    assert np.array_equal(plain.state.estimates, stepped.state.estimates)
+    assert np.array_equal(plain.state.attentions, stepped.state.attentions)
+    assert made[0].ties.bit_generator.state == made[1].ties.bit_generator.state
+    assert len(seen) == stepped.iterations and seen[-1][0] is stepped.state
+    for i, (state, estimates, attentions) in enumerate(seen, 1):
+        assert state.iteration == i
+        assert state.converged == (i == stepped.iterations and stepped.converged)
+        assert np.array_equal(state.estimates, estimates)
+        assert np.array_equal(state.attentions, attentions)
+    return plain
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN_CASES if c[1].kind != "imf"],
+                         ids=[c[0] for c in GOLDEN_CASES if c[1].kind != "imf"])
+def test_run_paths_agree_on_golden_cases(monkeypatch, case):
+    _, variant, F, M, D, seed, max_iters = case
+    x, books, _, fact_seed = make_instance(seed, M, F, D)
+    cfg = FactorizerConfig(variant=variant, F=F, M=M, D=D, max_iters=max_iters,
+                           convergence_threshold=0.55, seed=fact_seed)
+    assert _decode_both_ways(monkeypatch, x, books, cfg).iterations > 1
+
+
+@pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.0)], ids=["brn", "acf"])
+@pytest.mark.parametrize("convergence, converged", [(0.44, True), (0.5, False), (0.8, False)],
+                         ids=["converges", "strict", "budget"])
+def test_run_paths_agree_when_every_sweep_ties(monkeypatch, variant, convergence, converged):
+    # Factor 0's attentions are both 0.5 and its sums tie on half of D in
+    # every sweep, so a run stops on a tie sweep, by converging or at the
+    # budget.  Factor 1's exceed 0.4375, so only the strict test keeps a
+    # run at threshold 0.5 going.
+    x, books = _tied_instance()
+    cfg = FactorizerConfig(variant=variant, F=2, M=2, D=64, max_iters=6,
+                           convergence_threshold=convergence, seed=11)
+    result = _decode_both_ways(monkeypatch, x, books, cfg)
+    assert result.converged == converged
+    assert result.iterations == (1 if converged else 6)
+
+
+@pytest.mark.parametrize("variant", [VariantSpec.brn(0.9), VariantSpec.acf(0.05, 0.9)],
+                         ids=["brn", "acf"])
+@pytest.mark.parametrize("D, convergence, converged", [(64, 0.3, True), (1000, 0.8, False)],
+                         ids=["converges", "budget"])
+def test_run_paths_agree_when_no_attention_survives(monkeypatch, variant, D, convergence,
+                                                     converged):
+    # No attention reaches 0.9, so every factor draws all of D from the tie
+    # stream in every sweep; at D = 64 an attention above 0.3 still ends
+    # the run, on such a sweep, after a few of them.
+    x, books, _ = _instance(40, D, 2, seed=3)
+    cfg = FactorizerConfig(variant=variant, F=2, M=40, D=D, max_iters=20,
+                           convergence_threshold=convergence, seed=11)
+    result = _decode_both_ways(monkeypatch, x, books, cfg)
+    assert (result.state.attentions <= 0.9).all()
+    assert result.converged == converged
+    assert (result.iterations < 20) == converged and result.iterations > 1
+
+
+def test_compiled_sweep_refuses_other_tie_generators(monkeypatch):
+    def philox_ties(seed):
+        streams = derive_streams(seed)
+        streams.ties = np.random.Generator(np.random.Philox(seed))
+        return streams
+
+    x, books, _ = _instance(8, 64, 2, seed=3)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=8, D=64, seed=3)
+    monkeypatch.setattr(factorizer, "derive_streams", philox_ties)
+    with pytest.raises(ValueError, match="PCG64"):
+        run(x, books, cfg)
+    streams = philox_ties(cfg.seed)
+    p = perturb_codebooks(books, cfg.variant, streams.masks)
+    with pytest.raises(ValueError, match="PCG64"):
+        step(init_estimates(p, streams.init), x, p, cfg, streams)
+    # imf draws its ties in numpy, from any generator.
+    imf = FactorizerConfig(variant=VariantSpec.imf(0.01), F=2, M=8, D=64, seed=3, max_iters=3)
+    assert run(x, books, imf).iterations >= 1
 
 
 @pytest.mark.parametrize("shape", [(1, 64), (3, 64), (2, 63), (2, 65)])
