@@ -109,9 +109,10 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     return lib
 
 
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
-_capsule_pointer.restype = ctypes.c_void_p
+# A prototype of its own: setting argtypes on ctypes.pythonapi's shared
+# function object would change it for every other user in the process.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 def bitgen(bit_generator) -> int:

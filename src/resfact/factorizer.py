@@ -369,24 +369,23 @@ def _tie_generator(streams: FactorizerStreams, cfg: FactorizerConfig) -> Optiona
 
 
 def _sweeps(working, attentions, kernels, cfg, streams, ties, budget):
-    """Up to ``budget`` update sweeps over all factors, in place; the one sweep loop.
+    """Up to ``budget`` update sweeps over all factors, in place: the one sweep loop.
 
     Each factor unbinds the others' latest estimates: those already
-    updated in this sweep, the previous sweep's for the rest.
-    ``kernels._x`` must hold the input vector.  The sweeps stop after the
-    first one where ``_converged`` holds for ``cfg.convergence_threshold``;
-    returns how many ran and whether the last one converged.
-    Reconstruction weights are the attention *numerators* (dot products)
-    rather than the normalized attentions: the positive rescaling cannot
-    change any sign, and it keeps exact-zero ties exact in float
-    arithmetic.
+    updated in this sweep, the previous sweep's for the rest; the input
+    vector is ``kernels._x``.  Reconstruction weights are the attention
+    *numerators* (dot products) rather than the normalized attentions:
+    the positive rescaling cannot change any sign, and it keeps
+    exact-zero ties exact in float arithmetic.  The sweeps stop after the
+    first one that passes ``_converged`` at ``cfg.convergence_threshold``.
+    Returns how many ran and whether the last one converged.
 
     For ``brn`` and ``acf`` one compiled call (``_sweep.run``) runs every
-    sweep and draws the ties from the generator at address ``ties``
-    (``_tie_generator``), holding its lock as numpy does.  For ``imf``
-    the compiled update (``_sweep.update``) only unbinds and searches:
-    the noise, the threshold and the dense float product that its
-    real-valued weights need stay in numpy.
+    sweep and draws the ties from the ``bitgen_t`` at ``ties``
+    (``_tie_generator``), holding the generator's lock as numpy does.
+    For ``imf`` the compiled update (``_sweep.update``) only unbinds and
+    searches: the noise, the threshold and the dense float product that
+    its real-valued weights need stay in numpy.
     """
     variant = cfg.variant
     thresh = variant.activation_threshold
