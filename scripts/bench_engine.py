@@ -282,7 +282,11 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     x, books, _, seed = make_instance(7, M, F, D)
     cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, max_iters=warm,
                               convergence_threshold=1.0, seed=seed)
-    state = fz.run(x, books, cfg).state
+
+    def decode(max_iters):
+        return fz.run(x, books, dataclasses.replace(cfg, max_iters=max_iters))
+
+    state = decode(warm).state
     streams = fz.derive_streams(seed)
     pbooks = fz.perturb_codebooks(books, variant, streams.masks)
     kernels = fz._Kernels(pbooks)
@@ -303,8 +307,7 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
         "sweep_us": timed(lambda: fz._advance(state.estimates, x, kernels, cfg, streams)),
     }
-    decodes = [timed(lambda: fz.run(x, books, dataclasses.replace(cfg, max_iters=budget)))
-               for budget in (1, DECODE_SWEEPS)]
+    decodes = [timed(lambda: decode(budget)) for budget in (1, DECODE_SWEEPS)]
     row["decode_us"] = {"us": (decodes[1]["us"] - decodes[0]["us"]) / (DECODE_SWEEPS - 1),
                         "calls": decodes[1]["calls"]}
     row["kernel_bytes"] = sum(a.nbytes for a in kernels.search)
