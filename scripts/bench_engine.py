@@ -26,11 +26,13 @@ page faults included:
 * ``first_sweep_us`` -- the first update sweep, which pays for any
   layout the kernels build lazily.
 
-For each trial row it times whole trials (``bench.run_trial``: the
-instance, the decoder's set-up and every sweep) of a shape whose decodes
-converge within a few sweeps (``trial_us``), and records the most sweeps
-one took: the cost of the short trials that most of a capacity sweep
-runs.
+For each trial row it builds one ``FactorizerConfig`` and times whole
+trials (``bench.run_trial(seed, cfg)``: the instance, the decoder's
+set-up and every sweep) of a shape whose decodes converge within a few
+sweeps (``trial_us``), and records the most sweeps one took: the cost
+of the short trials that most of a capacity sweep runs.  ``--against``
+a tree whose ``run_trial`` still takes (M, F, D, variant, ...) fails on
+that row.
 
 Each repeat first sets the glibc malloc thresholds that
 ``bench.run_sweep`` sets for a sweep (``bench._retain_freed_memory``), so
@@ -259,14 +261,15 @@ def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
 
 
 def bench_trial(fz, run_trial, M, D, F, kind, knobs, threshold) -> dict:
-    variant = fz.VariantSpec(kind, **knobs)
+    cfg = fz.FactorizerConfig(fz.VariantSpec(kind, **knobs), F=F, M=M, D=D,
+                              convergence_threshold=threshold)
     sweeps = []
 
     def trial_args(i):
-        return 1000 + i, M, F, D, variant
+        return 1000 + i, cfg
 
     def trial(*args):
-        result = run_trial(*args, convergence_threshold=threshold)
+        result = run_trial(*args)
         sweeps.append(result.iterations if result.converged else None)
 
     timing = timed_fresh(trial_args, trial)

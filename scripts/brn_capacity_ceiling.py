@@ -3,8 +3,8 @@
 
 Sweeps the noiseless baseline over half-decade search-space sizes from
 1e4 to 1e6 to locate its capacity ceiling: accuracy is essentially
-perfect at 1e4 and collapses well before 1e6, where most runs end in
-repeating or wandering states.  Writes results/brn_ceiling_f2.csv.
+perfect at 1e4 and collapses well before 1e6, where most runs do not
+converge within the iteration budget.  Writes results/brn_ceiling_f2.csv.
 """
 
 import argparse

@@ -22,7 +22,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -199,45 +199,20 @@ def make_instance(trial_seed: int, M: int, F: int, D: int):
     return x, books, truth, fact_seed
 
 
-def decode_instance(
-    trial_seed: int,
-    M: int,
-    F: int,
-    D: int,
-    variant: VariantSpec,
-    max_iters: Optional[int] = None,
-    convergence_threshold: float = 0.8,
-):
-    """Build the seeded instance and decode it once.
+def decode_instance(trial_seed: int, cfg: FactorizerConfig):
+    """Build the seeded instance and decode it once with ``cfg``.
 
     Returns (x, books, truth, result): the instance as ``make_instance``
-    builds it and the decoder's result on it.
+    builds it and the decoder's result on it.  ``cfg.seed`` is not read;
+    the decoder seed is the one ``make_instance`` splits off ``trial_seed``.
     """
-    x, books, truth, fact_seed = make_instance(trial_seed, M, F, D)
-    cfg = FactorizerConfig(
-        variant=variant,
-        F=F,
-        M=M,
-        D=D,
-        max_iters=max_iters,
-        convergence_threshold=convergence_threshold,
-        seed=fact_seed,
-    )
-    return x, books, truth, run(x, books, cfg)
+    x, books, truth, fact_seed = make_instance(trial_seed, cfg.M, cfg.F, cfg.D)
+    return x, books, truth, run(x, books, replace(cfg, seed=fact_seed))
 
 
-def run_trial(
-    trial_seed: int,
-    M: int,
-    F: int,
-    D: int,
-    variant: VariantSpec,
-    max_iters: Optional[int] = None,
-    convergence_threshold: float = 0.8,
-) -> TrialResult:
+def run_trial(trial_seed: int, cfg: FactorizerConfig) -> TrialResult:
     """One seeded trial: fresh instance, one decode, scored against truth."""
-    _, _, truth, res = decode_instance(trial_seed, M, F, D, variant, max_iters,
-                                       convergence_threshold)
+    _, _, truth, res = decode_instance(trial_seed, cfg)
     return TrialResult(
         correct=res.indices == truth,
         iterations=res.iterations,
@@ -307,11 +282,12 @@ def oracle_agreement(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if M**F > cap:
         raise ValueError(f"search space {M**F} exceeds oracle cap {cap}")
+    cfg = FactorizerConfig(variant, F=F, M=M, D=D, max_iters=max_iters,
+                           convergence_threshold=convergence_threshold)
     converged = 0
     agreements = 0
     for t in range(n_trials):
-        x, books, _, res = decode_instance(trial_seed_for(master_seed, 0, t), M, F, D, variant,
-                                           max_iters, convergence_threshold)
+        x, books, _, res = decode_instance(trial_seed_for(master_seed, 0, t), cfg)
         if not res.converged:
             continue
         converged += 1
@@ -340,11 +316,11 @@ def operational_capacity(rows: Sequence[CapacityRow]) -> Optional[int]:
 
 
 def _resolve_size(cfg: SweepConfig, target: int):
+    """One size's trial config, ``max_iters`` resolved, and its ``preset_exact`` field."""
     M = M_for_target(target, cfg.F)
-    realized = M**cfg.F
     if cfg.use_presets:
         table = load_preset_table(cfg.presets_path)
-        hit = lookup_preset(cfg.F, realized, cfg.variant_kind, table=table)
+        hit = lookup_preset(cfg.F, M**cfg.F, cfg.variant_kind, table=table)
         variant, D = hit.variant, hit.D
         preset_exact = "true" if hit.exact else "false"
     else:
@@ -352,10 +328,9 @@ def _resolve_size(cfg: SweepConfig, target: int):
                               activation_threshold=cfg.activation_threshold)
         D = cfg.D
         preset_exact = "n/a"
-    max_iters = FactorizerConfig(
-        variant, F=cfg.F, M=M, D=D, max_iters=cfg.max_iters
-    ).resolved_max_iters()
-    return M, realized, D, variant, max_iters, preset_exact
+    trial_cfg = FactorizerConfig(variant, F=cfg.F, M=M, D=D, max_iters=cfg.max_iters,
+                                 convergence_threshold=cfg.convergence_threshold)
+    return replace(trial_cfg, max_iters=trial_cfg.resolved_max_iters()), preset_exact
 
 
 def _retain_freed_memory() -> None:
@@ -409,34 +384,32 @@ def run_sweep(
 
 def _sweep_row(cfg: SweepConfig, size_index: int, target: int, pool, progress) -> CapacityRow:
     """Run one size's trials, in ``pool`` if given, and aggregate its row."""
-    M, realized, D, variant, max_iters, preset_exact = _resolve_size(cfg, target)
+    trial_cfg, preset_exact = _resolve_size(cfg, target)
     n = cfg.trials_per_size
     seeds = [trial_seed_for(cfg.master_seed, size_index, t) for t in range(n)]
-    # run_trial's other arguments, the same for every trial
-    fixed = [[v] * n for v in (M, cfg.F, D, variant, max_iters, cfg.convergence_threshold)]
     if pool is not None:
         chunk = max(1, math.ceil(n / (cfg.parallelism * 4)))
-        results = list(pool.map(run_trial, seeds, *fixed, chunksize=chunk))
+        results = list(pool.map(run_trial, seeds, itertools.repeat(trial_cfg), chunksize=chunk))
     else:
-        results = list(map(run_trial, seeds, *fixed))
+        results = list(map(run_trial, seeds, itertools.repeat(trial_cfg)))
     successes = sum(1 for r in results if r.correct and r.converged)
     ci_low, ci_high = wilson_interval(successes, n)
     row = CapacityRow(
         variant=cfg.variant_kind,
         F=cfg.F,
-        M=M,
-        D=D,
-        search_space=realized,
+        M=trial_cfg.M,
+        D=trial_cfg.D,
+        search_space=trial_cfg.M**trial_cfg.F,
         trials=n,
         accuracy=successes / n,
         ci_low=ci_low,
         ci_high=ci_high,
         mean_iterations=fmean(r.iterations for r in results),
-        sigma=variant.sigma,
-        flip_rate=variant.flip_rate,
-        activation_threshold=variant.activation_threshold,
-        convergence_threshold=cfg.convergence_threshold,
-        max_iters=max_iters,
+        sigma=trial_cfg.variant.sigma,
+        flip_rate=trial_cfg.variant.flip_rate,
+        activation_threshold=trial_cfg.variant.activation_threshold,
+        convergence_threshold=trial_cfg.convergence_threshold,
+        max_iters=trial_cfg.max_iters,
         preset_exact=preset_exact,
     )
     if progress is not None:

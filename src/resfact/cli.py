@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .bench import DEFAULT_ORACLE_CAP, SweepConfig, decode_instance, oracle_agreement, run_sweep
-from .factorizer import VariantSpec
+from .factorizer import FactorizerConfig, VariantSpec
 from .presets import load_preset_table, lookup_preset
 from .report import emit_report
 
@@ -65,10 +65,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_factorize(args) -> int:
-    _, _, truth, result = decode_instance(
-        args.seed, args.M, args.F, args.D, _variant(args),
-        max_iters=args.max_iters, convergence_threshold=args.convergence_threshold,
-    )
+    cfg = FactorizerConfig(_variant(args), F=args.F, M=args.M, D=args.D,
+                           max_iters=args.max_iters,
+                           convergence_threshold=args.convergence_threshold)
+    _, _, truth, result = decode_instance(args.seed, cfg)
     correct = result.indices == truth
     print("decoded:", " ".join(str(i) for i in result.indices))
     print("truth:  ", " ".join(str(i) for i in truth))

@@ -10,10 +10,10 @@ superposition.
 
 Three variants share that loop:
 
-* ``brn``  -- deterministic baseline; prone to limit cycles at large
-  search spaces.
+* ``brn``  -- baseline without added noise; only exactly-zero
+  reconstruction sums take random signs (the tie-break stream).
 * ``imf``  -- adds fresh i.i.d. Gaussian noise (std ``sigma``) to every
-  attention read, which lets the search escape repeating states.
+  attention read.
 * ``acf``  -- flips each element of a *reconstruction copy* of every
   codebook once, with probability ``flip_rate``, at initialization; the
   search copy stays clean and the fixed asymmetry plays the role of
@@ -29,6 +29,7 @@ trajectories exactly under the same seed.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -76,8 +77,8 @@ class VariantSpec:
         if self.kind == "imf":
             if self.sigma is None:
                 raise ValueError("sigma is required for imf")
-            if self.sigma < 0:
-                raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+            if not (math.isfinite(self.sigma) and self.sigma >= 0):
+                raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         elif self.sigma is not None:
             raise ValueError(f"sigma only applies to imf, not {self.kind}")
         if self.kind == "acf":
@@ -87,9 +88,9 @@ class VariantSpec:
                 raise ValueError(f"flip_rate must be in [0, 1], got {self.flip_rate}")
         elif self.flip_rate is not None:
             raise ValueError(f"flip_rate only applies to acf, not {self.kind}")
-        if self.activation_threshold < 0:
+        if not (math.isfinite(self.activation_threshold) and self.activation_threshold >= 0):
             raise ValueError(
-                f"activation_threshold must be >= 0, got {self.activation_threshold}"
+                f"activation_threshold must be finite and >= 0, got {self.activation_threshold}"
             )
 
     @classmethod

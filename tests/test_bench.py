@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import platform
 import subprocess
@@ -22,7 +23,7 @@ from resfact.bench import (
     trial_seed_for,
     wilson_interval,
 )
-from resfact.factorizer import VariantSpec
+from resfact.factorizer import FactorizerConfig, VariantSpec
 from resfact.report import report_to_csv_bytes
 from resfact.vsa import Codebook, bind_product, generate_codebook, random_bipolar
 
@@ -74,17 +75,16 @@ def test_make_instance_is_planted_product():
 
 
 def test_run_trial_deterministic():
-    a = run_trial(99, M=20, F=2, D=400, variant=VariantSpec.brn())
-    b = run_trial(99, M=20, F=2, D=400, variant=VariantSpec.brn())
+    cfg = FactorizerConfig(VariantSpec.brn(), F=2, M=20, D=400)
+    a = run_trial(99, cfg)
+    b = run_trial(99, cfg)
     assert a == b
     assert a.seed == 99
 
 
 def test_run_trial_easy_regime():
-    hits = sum(
-        run_trial(trial_seed_for(7, 0, t), M=10, F=2, D=1000, variant=VariantSpec.brn()).correct
-        for t in range(100)
-    )
+    cfg = FactorizerConfig(VariantSpec.brn(), F=2, M=10, D=1000)
+    hits = sum(run_trial(trial_seed_for(7, 0, t), cfg).correct for t in range(100))
     assert hits >= 99
 
 
@@ -240,11 +240,12 @@ def test_explicit_variant_resolution():
         F=2, variant_kind="imf", search_space_sizes=(16,), D=64,
         sigma=0.02, activation_threshold=0.1,
     )
-    M, realized, D, v, max_iters, preset_exact = bench._resolve_size(cfg, 16)
-    assert v == VariantSpec("imf", sigma=0.02, activation_threshold=0.1)
-    assert (M, realized, D, max_iters, preset_exact) == (4, 16, 64, 16, "n/a")
+    trial_cfg, preset_exact = bench._resolve_size(cfg, 16)
+    assert trial_cfg == FactorizerConfig(VariantSpec("imf", sigma=0.02, activation_threshold=0.1),
+                                         F=2, M=4, D=64, max_iters=16)
+    assert preset_exact == "n/a"
     brn = SweepConfig(F=2, variant_kind="brn", search_space_sizes=(16,), D=64)
-    assert bench._resolve_size(brn, 16)[3] == VariantSpec("brn")
+    assert bench._resolve_size(brn, 16)[0].variant == VariantSpec("brn")
 
 
 # --- sweeps ---
@@ -289,6 +290,44 @@ def test_run_sweep_unconverged_bills_full_budget():
     assert row.accuracy == 0.0
     assert row.mean_iterations == 3.0
     assert report.operational_capacity is None
+
+
+def test_run_sweep_gives_each_trial_its_rows_config(monkeypatch):
+    calls = []
+    real_run_trial = bench.run_trial
+
+    def recording_run_trial(seed, cfg):
+        calls.append((seed, cfg))
+        return real_run_trial(seed, cfg)
+
+    monkeypatch.setattr(bench, "run_trial", recording_run_trial)
+    cfg = SweepConfig(
+        F=2, variant_kind="acf", search_space_sizes=(16, 64), D=128, flip_rate=0.05,
+        activation_threshold=0.02, convergence_threshold=0.7, trials_per_size=3, master_seed=5,
+    )
+    report = run_sweep(cfg)
+    assert len(calls) == 6
+    for size_index, row in enumerate(report.rows):
+        seeds, cfgs = zip(*calls[3 * size_index:3 * size_index + 3])
+        assert seeds == tuple(trial_seed_for(5, size_index, t) for t in range(3))
+        assert len(set(cfgs)) == 1
+        trial_cfg = cfgs[0]
+        assert (trial_cfg.F, trial_cfg.M, trial_cfg.D) == (row.F, row.M, row.D)
+        assert trial_cfg.variant == VariantSpec("acf", flip_rate=row.flip_rate,
+                                                activation_threshold=row.activation_threshold)
+        assert trial_cfg.convergence_threshold == row.convergence_threshold == 0.7
+        assert trial_cfg.max_iters == row.max_iters == row.search_space
+
+
+def test_decode_instance_ignores_config_seed():
+    cfg = FactorizerConfig(VariantSpec.imf(sigma=0.05), F=2, M=12, D=256, seed=1)
+    x, books, truth, res = bench.decode_instance(31, cfg)
+    again = bench.decode_instance(31, dataclasses.replace(cfg, seed=2))
+    assert np.array_equal(x, again[0]) and truth == again[2]
+    assert all(np.array_equal(a.codevectors, b.codevectors) for a, b in zip(books, again[1]))
+    assert res.indices == again[3].indices and res.iterations == again[3].iterations
+    # imf's attentions carry the noise drawn from the decoder seed.
+    assert np.array_equal(res.state.attentions, again[3].state.attentions)
 
 
 def test_run_sweep_parallelism_matches_serial():

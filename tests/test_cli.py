@@ -58,6 +58,17 @@ def test_factorize_invalid_rate_is_usage_error(capsys):
     assert "flip_rate" in err and "[0, 1]" in err
 
 
+@pytest.mark.parametrize("knob", [("--variant", "imf", "--sigma", "nan"),
+                                  ("--variant", "acf", "--flip-rate", "0.01",
+                                   "--activation-threshold", "inf")],
+                         ids=["sigma-nan", "activation-threshold-inf"])
+def test_factorize_non_finite_knob_is_usage_error(capsys, knob):
+    code, _, err = run_cli(capsys, "factorize", "-F", "2", "-M", "10", "-D", "256",
+                           "--max-iters", "5", *knob)
+    assert code == 2
+    assert "must be finite" in err
+
+
 def test_factorize_help_lists_no_schedule_or_stopping_options(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["factorize", "--help"])

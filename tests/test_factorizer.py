@@ -54,6 +54,10 @@ def test_variant_spec_constructors():
         dict(kind="brn", sigma=0.01),
         dict(kind="brn", flip_rate=0.1),
         dict(kind="brn", activation_threshold=-0.5),
+        dict(kind="imf", sigma=float("nan")),
+        dict(kind="imf", sigma=float("inf")),
+        dict(kind="acf", flip_rate=0.01, activation_threshold=float("inf")),
+        dict(kind="brn", activation_threshold=float("nan")),
     ],
 )
 def test_variant_spec_rejects(kwargs):
