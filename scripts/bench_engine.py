@@ -13,7 +13,9 @@ by D.  Beside it, ``decode_us`` is the cost per sweep of a whole
 ``factorizer.run`` of the same instance without ``on_step``, which can
 never converge at threshold 1.0 and so runs ``DECODE_SWEEPS`` sweeps,
 net of a one-sweep run (its set-up and first sweep): the steady state
-of a long decode.
+of a long decode.  ``kernel_bytes`` counts the packed rows the sweep
+reads: the search rows, and ``acf``'s reconstruction rows, which ``brn``
+shares with its search rows.
 
 For each set-up row it times the steps of a trial up to its first
 sweep, each call on a freshly built instance, as a trial meets them,
@@ -313,7 +315,9 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     decodes = [timed(lambda: decode(budget)) for budget in (1, DECODE_SWEEPS)]
     row["decode_us"] = {"us": (decodes[1]["us"] - decodes[0]["us"]) / (DECODE_SWEEPS - 1),
                         "calls": decodes[1]["calls"]}
-    row["kernel_bytes"] = sum(a.nbytes for a in kernels.search)
+    # A tree from before the packed reconstruction rows has no recon_words.
+    packed = {id(a): a for a in kernels.search + getattr(kernels, "recon_words", [])}
+    row["kernel_bytes"] = sum(a.nbytes for a in packed.values())
     return row
 
 

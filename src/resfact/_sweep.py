@@ -79,7 +79,7 @@ class Plan(ctypes.Structure):
     alive for as long as the plan is used.
     """
 
-    _fields_ = [("search", ctypes.c_void_p), ("book", ctypes.c_void_p),
+    _fields_ = [("search", ctypes.c_void_p), ("recon", ctypes.c_void_p),
                 ("m", ctypes.c_int64), ("dim", ctypes.c_int64), ("words", ctypes.c_int64),
                 ("factors", ctypes.c_int64), ("f", ctypes.c_int64),
                 ("query", ctypes.c_void_p), ("unbound", ctypes.c_void_p),

@@ -297,24 +297,28 @@ class _Kernels:
     ``search[f]`` is factor f's search codebook bit-packed by
     ``packing.pack_words``: (M, ceil(D / 64)) uint64 words, so the dot
     product of a row with a packed query is D - 2 * popcount(xor), an
-    exact integer.  ``books[f]`` is factor f's reconstruction book as a
-    C-contiguous int8 array, made so once per run whatever the layout of
-    the codebook.  ``plans`` is a C array of one ``_sweep.Plan`` per
-    factor, which the compiled sweep reads: the addresses of those two
-    layouts and of scratch buffers shared by every factor, taken once.
-    So one sweep at a time may use a ``_Kernels``; after a factor's
-    update, ``_numerators`` holds its numerators.
+    exact integer.  ``recon_words[f]`` is factor f's reconstruction book
+    in the same layout, from which the compiled update sums the rows that
+    survive, exactly, in integers.  It is ``search[f]`` itself unless the
+    reconstruction books differ from the search books (``acf``), whose
+    perturbed books are packed once, here.  ``plans`` is a C array of one
+    ``_sweep.Plan`` per factor, which the compiled sweep reads: the
+    addresses of those two layouts and of scratch buffers shared by every
+    factor, taken once.  So one sweep at a time may use a ``_Kernels``;
+    after a factor's update, ``_numerators`` holds its numerators.
 
-    ``recon[f]`` is a float copy of ``books[f]`` for ``superpose``, the
-    dense BLAS product of ``imf``'s real-valued weights, float32 while
+    ``books[f]`` is factor f's reconstruction book as a C-contiguous int8
+    array, made so once per run whatever the layout of the codebook.
+    ``recon[f]`` is a float copy of it for ``superpose``, the dense BLAS
+    product of ``imf``'s real-valued weights, float32 while
     ``_FLOAT32_LIMIT`` allows, built on first read; that product rounds.
     The F copies are views of one (F, M, D) block, since one allocation
     page-faults far less than F separate ones.  ``brn`` and ``acf`` never
-    read it: the compiled update sums their rows exactly, in int32.
+    read it.
     """
 
-    __slots__ = ("search", "books", "dtype", "plans", "_recon", "_x", "_numerators",
-                 "_scratch", "_plan_at", "_x_at")
+    __slots__ = ("search", "recon_words", "books", "dtype", "plans", "_recon", "_x",
+                 "_numerators", "_scratch", "_plan_at", "_x_at")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
@@ -323,6 +327,9 @@ class _Kernels:
                              "reconstruction sums; it must be below 2**31")
         self.dtype = np.float32 if size * dim <= _FLOAT32_LIMIT else np.float64
         self.search = [pack_words(b.codevectors) for b in pbooks.search_books]
+        self.recon_words = self.search
+        if pbooks.recon_books is not pbooks.search_books:
+            self.recon_words = [pack_words(b.codevectors) for b in pbooks.recon_books]
         self.books = [np.ascontiguousarray(b.codevectors, dtype=np.int8)
                       for b in pbooks.recon_books]
         self._recon = None
@@ -331,13 +338,12 @@ class _Kernels:
         self._numerators = np.empty(size)
         self._scratch = (np.empty(words, dtype=np.uint64), np.empty(dim, dtype=np.int8),
                          np.empty(size, dtype=np.int64), self._numerators,
-                         np.empty(dim, dtype=np.int32))
+                         np.empty(64 * words, dtype=np.int32))
         scratch = [_sweep.address(a) for a in self._scratch]
-        # The books may be read-only, which ``_sweep.address`` refuses.
-        self.plans = (_sweep.Plan * len(self.books))(
-            *(_sweep.Plan(s.ctypes.data, b.ctypes.data, size, dim, words, len(self.books), f,
-                          *scratch)
-              for f, (s, b) in enumerate(zip(self.search, self.books))))
+        self.plans = (_sweep.Plan * len(self.search))(
+            *(_sweep.Plan(_sweep.address(s), _sweep.address(r), size, dim, words,
+                          len(self.search), f, *scratch)
+              for f, (s, r) in enumerate(zip(self.search, self.recon_words))))
         self._plan_at = [ctypes.addressof(p) for p in self.plans]
         self._x_at = _sweep.address(self._x)
 

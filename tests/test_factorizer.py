@@ -267,10 +267,14 @@ def test_packed_numerators_are_exact_dots(D):
     assert attentions[0][4] == -1.0
 
 
-# The compiled update pairs rows in int16 while 2 * D fits there: D = 16383
-# is its largest D, where weights of +-D reach the int16 limit; at D = 16384
-# and 20000 it adds each row in int32.
-@pytest.mark.parametrize("D", [1, 7, 63, 64, 65, 1000, 1500, 4000, 16383, 16384, 20000])
+# The compiled update sums the survivors' weights from their packed bits,
+# 256 columns at a time (D = 255, 256 and 257 straddle one such block), in
+# int16 lanes that it adds to int32 sums every 32767 // D rows, so that they
+# never exceed the int16 limit.  D = 32767 is the largest D where a weight of
+# +-D fits in int16; there the lanes take one row at a time.  From D = 32768
+# on, it adds every weight in int32.
+@pytest.mark.parametrize("D", [1, 7, 63, 64, 65, 255, 256, 257, 1000, 1500, 4000, 16383, 16384,
+                               20000, 32767, 32768])
 def test_superpose_kernel_matches_int64_reference(D):
     # Factor 0's rows 0-4 are equal and row 5 is their negation, and factor
     # 1 starts at the truth: factor 0's update weights rows 0-4 by +D, four

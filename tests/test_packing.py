@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resfact.packing import pack_bipolar, packed_dot
+from resfact.packing import pack_bipolar, pack_words, packed_dot
 from resfact.vsa import dot, random_bipolar
 
 
@@ -33,3 +33,9 @@ def test_packed_dot_extremes():
     px = pack_bipolar(x)
     assert packed_dot(px, px, 40) == 40
     assert packed_dot(px, pack_bipolar(-x), 40) == -40
+
+
+def test_pack_words_puts_element_j_at_bit_j_mod_64_of_word_j_div_64():
+    x = -np.ones((2, 130), dtype=np.int8)
+    x[0, [0, 63, 64, 129]] = 1
+    assert pack_words(x).tolist() == [[1 | 1 << 63, 1, 1 << 1], [0, 0, 0]]

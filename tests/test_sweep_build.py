@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from resfact import _sweep
-from resfact.factorizer import VariantSpec, _Kernels, perturb_codebooks
-from resfact.vsa import generate_codebook
+from resfact.factorizer import (VariantSpec, _Kernels, derive_streams, init_estimates,
+                                perturb_codebooks)
+from resfact.vsa import bind_product, generate_codebook
 
 PACKAGE = Path(_sweep.__file__).parent
 
@@ -112,3 +113,42 @@ def test_an_unwritable_package_directory_is_named(tmp_path, monkeypatch):
             _sweep.load(pkg / "_sweep.c")
     finally:
         pkg.chmod(0o755)
+
+
+@pytest.fixture(scope="module")
+def portable_library(tmp_path_factory):
+    """The kernels built from a package copy without AVX-512: the plain-C reconstruction."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_sweep, "FLAGS", _sweep.FLAGS + ("-mno-avx512f",))
+        return _sweep.load(_package_copy(tmp_path_factory.mktemp("portable")) / "_sweep.c")
+
+
+def _decode(run, x, books, variant, seed, sweeps):
+    """``sweeps`` update sweeps of resfact_run from ``run``'s library, from the initial state."""
+    streams = derive_streams(seed)
+    pbooks = perturb_codebooks(books, variant, streams.masks)
+    kernels = _Kernels(pbooks)
+    kernels._x[...] = x
+    working = init_estimates(pbooks, streams.init).estimates.copy()
+    attentions = np.empty((len(books), books[0].size))
+    converged = ctypes.c_int64()
+    with streams.ties.bit_generator.lock:
+        done = run(ctypes.addressof(kernels.plans[0]), kernels._x.ctypes.data,
+                   working.ctypes.data, attentions.ctypes.data, variant.activation_threshold,
+                   1.0, sweeps, _sweep.bitgen(streams.ties.bit_generator), converged)
+    return working, attentions, done, converged.value, streams.ties.bit_generator.state
+
+
+@pytest.mark.parametrize("D", [1, 65, 255, 256, 257, 1000])
+@pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.1)], ids=["brn", "acf"])
+def test_the_portable_build_decodes_as_the_default_build(portable_library, variant, D):
+    # 300 rows: at D = 1000 about half survive, more than the 32 the
+    # vectorized sum adds in int16 before it folds them into int32.
+    g = np.random.default_rng(D)
+    books = [generate_codebook(300, D, g) for _ in range(2)]
+    x = bind_product(books, (4, 7))
+    got = _decode(portable_library.resfact_run, x, books, variant, D, 12)
+    ref = _decode(_sweep.run, x, books, variant, D, 12)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    assert got[2:] == ref[2:]
