@@ -277,8 +277,9 @@ def test_packed_numerators_are_exact_dots(D):
                                20000, 32767, 32768])
 def test_superpose_kernel_matches_int64_reference(D):
     # Factor 0's rows 0-4 are equal and row 5 is their negation, and factor
-    # 1 starts at the truth: factor 0's update weights rows 0-4 by +D, four
-    # of them paired and one alone, and drops row 5 at -D.
+    # 1 starts at the truth: factor 0's update weights rows 0-4 by +D, whose
+    # sum overflows int16 from D = 6554 on unless the lanes fold in time,
+    # and drops row 5 at -D.
     g = np.random.default_rng(D)
     r = random_bipolar(D, g)
     books = [Codebook(np.stack([r] * 5 + [-r])), generate_codebook(6, D, g)]
