@@ -1,13 +1,14 @@
 /* Compiled update sweep of the decoder.
  *
  * Built and loaded by _sweep.py.  resfact_run runs whole brn/acf sweeps
- * until the convergence test passes or its budget runs out; it draws
- * the tie-breaks from the tie stream itself (resfact_ties), bit for bit
- * as numpy draws them.  resfact_update does one factor's update: unbind,
- * pack, search, activation and reconstruction.  For imf it stops after
- * the search, because imf's noisy real-valued weights stay in numpy.
- * Both the search and the reconstruction read bit-packed books: element
- * j of a row at bit j % 64 of its word j / 64, 1 for +1 and 0 for -1.
+ * until the convergence test passes or its budget runs out.
+ * resfact_update does one factor's update: unbind, pack, search,
+ * activation and reconstruction.  For imf it stops after the search,
+ * because imf's noisy real-valued weights stay in numpy.  resfact_ties
+ * draws every variant's tie-breaks from the tie stream itself, bit for
+ * bit as numpy draws them.  Both the search and the reconstruction read
+ * books that resfact_pack packs, as pack() packs each query: element j
+ * of a row at bit j % 64 of its word j / 64, 1 for +1 and 0 for -1.
  * Every sum here is an integer sum, so no result depends on the order in
  * which terms are added; the only floating-point operation is the
  * division of each numerator by D, which rounds exactly as numpy's does.
@@ -156,13 +157,13 @@ static int64_t superpose(const uint64_t *recon, int64_t words, int64_t dim, cons
 }
 
 /* Packs a +-1 vector into zero-padded 64-bit words, element j at bit
- * j % 64 of word j / 64, as packing.pack_words packs the books.  Eight
- * elements are read as one word: a byte is +1 where its sign bit is
- * clear, and the multiply gathers the eight low bits, byte k's to bit
+ * j % 64 of word j / 64: the one packer of every query and book row.
+ * Eight elements are read as one word: a byte is +1 where its sign bit
+ * is clear, and the multiply gathers the eight low bits, byte k's to bit
  * 56 + k, without carries. */
-static void pack(const int8_t *v, int64_t dim, int64_t words, uint64_t *query)
+static void pack(const int8_t *v, int64_t dim, int64_t words, uint64_t *out)
 {
-    uint8_t *bytes = (uint8_t *)query;
+    uint8_t *bytes = (uint8_t *)out;
     memset(bytes, 0, (size_t)words * 8);
     int64_t j = 0;
     for (; j + 8 <= dim; j += 8) {
@@ -173,6 +174,13 @@ static void pack(const int8_t *v, int64_t dim, int64_t words, uint64_t *query)
     }
     for (; j < dim; j++)
         bytes[j >> 3] |= (uint8_t)((v[j] > 0) << (j & 7));
+}
+
+/* pack() of each row of the C-contiguous (m, dim) book `rows`, into m rows of `out`. */
+void resfact_pack(const int8_t *rows, int64_t m, int64_t dim, int64_t words, uint64_t *out)
+{
+    for (int64_t i = 0; i < m; i++)
+        pack(rows + i * dim, dim, words, out + i * words);
 }
 
 /* Factor p->f's update within a sweep, on the (factors, dim) int8
@@ -209,10 +217,11 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
     if (!reconstruct)
         return 0;
 
-    int64_t n = 0;
-    for (int64_t i = 0; i < m; i++)
-        if (alpha[i] > threshold)
-            p->rows[n++] = i;
+    int64_t n = 0; /* branchless: in dense brn about half the rows survive, at random */
+    for (int64_t i = 0; i < m; i++) {
+        p->rows[n] = i;
+        n += alpha[i] > threshold;
+    }
     const int64_t total = superpose(p->recon, p->words, dim, p->rows, n, p->weights, p->sums);
     int8_t *est = working + p->f * dim;
     int64_t ties = 0;
@@ -230,7 +239,8 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
  * an int8 by Lemire's bounded method with range 1, which never rejects:
  * the value is bit 7 of the next byte of a 32-bit buffer that
  * next_uint32 refills and that is used low byte first.  The buffer
- * starts empty on every call, as it does on every numpy call. */
+ * starts empty on every call, as on every numpy call.  All ties of
+ * every variant are drawn here, imf's by one call per factor update. */
 void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
 {
     uint32_t buf = 0;

@@ -106,6 +106,8 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     lib.resfact_run.restype = i64
     lib.resfact_ties.argtypes = (pointer, i64, pointer)
     lib.resfact_ties.restype = None
+    lib.resfact_pack.argtypes = (pointer, i64, i64, i64, pointer)
+    lib.resfact_pack.restype = None
     return lib
 
 
@@ -125,4 +127,5 @@ def bitgen(bit_generator) -> int:
 
 
 _lib = load()
-update, run, ties = _lib.resfact_update, _lib.resfact_run, _lib.resfact_ties
+update, run, ties, pack = (_lib.resfact_update, _lib.resfact_run, _lib.resfact_ties,
+                           _lib.resfact_pack)

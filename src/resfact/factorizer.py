@@ -37,8 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _sweep
-from .packing import pack_words
-from .vsa import Codebook, as_bipolar, random_bipolar, sign_to_bipolar
+from .vsa import Codebook, as_bipolar, sign_to_bipolar
 
 VARIANT_KINDS = ("brn", "imf", "acf")
 #: Hard cap on the default iteration budget min(M**F, cap).
@@ -291,17 +290,25 @@ def _converged(attentions: np.ndarray, threshold: float) -> bool:
     return bool((attentions.max(axis=1) > threshold).all())
 
 
+def _pack(book) -> np.ndarray:
+    """An (M, D) +-1 book's rows packed by ``_sweep.pack``: (M, ceil(D / 64)) uint64 words."""
+    rows = np.ascontiguousarray(book, dtype=np.int8)  # .ctypes.data reads it even if read-only
+    out = np.empty((rows.shape[0], -(-rows.shape[1] // 64)), dtype=np.uint64)
+    _sweep.pack(rows.ctypes.data, *rows.shape, out.shape[1], _sweep.address(out))
+    return out
+
+
 class _Kernels:
     """Per-run codebook layouts and scratch of the update sweep.
 
-    ``search[f]`` is factor f's search codebook bit-packed by
-    ``packing.pack_words``: (M, ceil(D / 64)) uint64 words, so the dot
-    product of a row with a packed query is D - 2 * popcount(xor), an
-    exact integer.  ``recon_words[f]`` is factor f's reconstruction book
-    in the same layout, from which the compiled update sums the rows that
-    survive, exactly, in integers.  It is ``search[f]`` itself unless the
-    reconstruction books differ from the search books (``acf``), whose
-    perturbed books are packed once, here.  ``plans`` is a C array of one
+    ``search[f]`` is factor f's search codebook bit-packed by ``_pack``,
+    so the dot product of a row with a query that the compiled update
+    packs the same way is D - 2 * popcount(xor), an exact integer.
+    ``recon_words[f]`` is ``books[f]``, the reconstruction book, in that
+    layout, from which the compiled update sums the rows that survive,
+    exactly, in integers; ``search[f]`` is the same array unless the
+    reconstruction books differ from the search books (``acf``).  Each
+    book is packed once per run.  ``plans`` is a C array of one
     ``_sweep.Plan`` per factor, which the compiled sweep reads: the
     addresses of those two layouts and of scratch buffers shared by every
     factor, taken once.  So one sweep at a time may use a ``_Kernels``;
@@ -326,12 +333,12 @@ class _Kernels:
             raise ValueError(f"M * D = {size * dim} would overflow the int32 "
                              "reconstruction sums; it must be below 2**31")
         self.dtype = np.float32 if size * dim <= _FLOAT32_LIMIT else np.float64
-        self.search = [pack_words(b.codevectors) for b in pbooks.search_books]
-        self.recon_words = self.search
-        if pbooks.recon_books is not pbooks.search_books:
-            self.recon_words = [pack_words(b.codevectors) for b in pbooks.recon_books]
         self.books = [np.ascontiguousarray(b.codevectors, dtype=np.int8)
                       for b in pbooks.recon_books]
+        self.recon_words = [_pack(b) for b in self.books]
+        self.search = self.recon_words
+        if pbooks.recon_books is not pbooks.search_books:
+            self.search = [_pack(b.codevectors) for b in pbooks.search_books]
         self._recon = None
         words = self.search[0].shape[1]
         self._x = np.empty(dim, dtype=np.int8)
@@ -359,15 +366,12 @@ class _Kernels:
         return weights.astype(self.dtype, copy=False) @ self.recon[f]
 
 
-def _tie_generator(streams: FactorizerStreams, cfg: FactorizerConfig) -> Optional[int]:
-    """Address of the tie stream's ``bitgen_t`` for the compiled ``brn``/``acf`` sweep.
+def _tie_generator(streams: FactorizerStreams) -> int:
+    """Address of the tie stream's ``bitgen_t``, from which ``_sweep.ties`` draws every tie.
 
-    None for ``imf``, whose ties numpy draws.  The compiled sweep is
-    checked to draw like numpy from PCG64, the generator
-    ``derive_streams`` makes, and refuses any other.
+    The compiled tie draw is checked to draw like numpy from PCG64, the
+    generator ``derive_streams`` makes, and refuses any other.
     """
-    if cfg.variant.kind == "imf":
-        return None
     bit_generator = streams.ties.bit_generator
     if type(bit_generator) is not np.random.PCG64:
         raise ValueError("the compiled sweep draws ties only from a PCG64 tie stream, "
@@ -388,16 +392,17 @@ def _sweeps(working, attentions, kernels, cfg, streams, ties, budget):
     Returns how many ran and whether the last one converged.
 
     For ``brn`` and ``acf`` one compiled call (``_sweep.run``) runs every
-    sweep and draws the ties from the ``bitgen_t`` at ``ties``
-    (``_tie_generator``), holding the generator's lock as numpy does.
-    For ``imf`` the compiled update (``_sweep.update``) only unbinds and
-    searches: the noise, the threshold and the dense float product that
-    its real-valued weights need stay in numpy.
+    sweep.  For ``imf`` the compiled update (``_sweep.update``) only
+    unbinds and searches; the noise, the threshold and the dense float
+    product of its real-valued weights stay in numpy.  In every variant
+    the zeros of a new estimate are tie-breaks, which ``_sweep.ties`` draws
+    from the ``bitgen_t`` at ``ties`` (``_tie_generator``) under its lock.
     """
     variant = cfg.variant
     thresh = variant.activation_threshold
-    at = (kernels._x_at, _sweep.address(working), _sweep.address(attentions), thresh)
-    if ties is not None:
+    working_at = _sweep.address(working)
+    at = (kernels._x_at, working_at, _sweep.address(attentions), thresh)
+    if variant.kind != "imf":
         converged = ctypes.c_int64()
         with streams.ties.bit_generator.lock:
             sweeps = _sweep.run(kernels._plan_at[0], *at, cfg.convergence_threshold, budget,
@@ -416,9 +421,11 @@ def _sweeps(working, attentions, kernels, cfg, streams, ties, budget):
                 # Real-valued weights would round differently in another
                 # summation order, so imf always takes the dense product.
                 weights = np.where(alive, kernels._numerators + (dim * variant.sigma) * noise, 0.0)
-                working[f] = sign_to_bipolar(kernels.superpose(f, weights), streams.ties)
+                working[f] = np.sign(kernels.superpose(f, weights))
             else:
-                working[f] = random_bipolar(dim, streams.ties)
+                working[f] = 0
+            with streams.ties.bit_generator.lock:
+                _sweep.ties(working_at + f * dim, dim, ties)
         if _converged(attentions, cfg.convergence_threshold):
             return sweep, True
     return budget, False
@@ -436,7 +443,7 @@ def _advance(estimates, x, kernels, cfg, streams):
                          f"codebooks of dimension {kernels._x.size}")
     attentions = np.empty((len(working), kernels.search[0].shape[0]))
     kernels._x[...] = x
-    _sweeps(working, attentions, kernels, cfg, streams, _tie_generator(streams, cfg), 1)
+    _sweeps(working, attentions, kernels, cfg, streams, _tie_generator(streams), 1)
     return working, attentions
 
 
@@ -500,7 +507,7 @@ def run(
     kernels = pbooks._kernels
     state = init_estimates(pbooks, streams.init)
     kernels._x[...] = xv
-    ties = _tie_generator(streams, cfg)
+    ties = _tie_generator(streams)
     limit = cfg.resolved_max_iters()
     budget = limit if on_step is None else 1
 

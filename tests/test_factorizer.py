@@ -298,18 +298,24 @@ def test_superpose_kernel_matches_int64_reference(D):
         assert pbooks._kernels._recon is None
 
 
-@pytest.mark.parametrize("layout", ["fortran", "strided"])
-def test_kernels_make_noncontiguous_books_contiguous(layout):
+@pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.05),
+                                     VariantSpec.imf(0.01)], ids=["brn", "acf", "imf"])
+@pytest.mark.parametrize("layout", ["fortran", "strided", "readonly"])
+def test_kernels_make_noncontiguous_books_contiguous(layout, variant):
+    # brn and imf reconstruct from the search books themselves; acf builds
+    # fresh reconstruction books but packs its search books as given.
     M, D = 30, 200
     x, books, truth = _instance(M, D, 2, seed=6)
     if layout == "fortran":
         odd = [Codebook(np.asfortranarray(b.codevectors)) for b in books]
-    else:
+    elif layout == "strided":
         wide = [np.repeat(b.codevectors, 2, axis=1) for b in books]
         odd = [Codebook(w[:, ::2]) for w in wide]
-    assert not odd[0].codevectors.flags.c_contiguous
-    # brn reconstructs from the search books themselves (acf builds fresh ones).
-    variant = VariantSpec.brn()
+    else:
+        odd = [Codebook(b.codevectors.copy()) for b in books]
+        for b in odd:
+            b.codevectors.flags.writeable = False
+    assert not (odd[0].codevectors.flags.c_contiguous and odd[0].codevectors.flags.writeable)
     kernels = factorizer._Kernels(perturb_codebooks(odd, variant, np.random.default_rng(1)))
     assert all(b.flags.c_contiguous for b in kernels.books)
     cfg = FactorizerConfig(variant=variant, F=2, M=M, D=D, seed=3, max_iters=20)
@@ -702,9 +708,10 @@ def test_compiled_sweep_refuses_other_tie_generators(monkeypatch):
     p = perturb_codebooks(books, cfg.variant, streams.masks)
     with pytest.raises(ValueError, match="PCG64"):
         step(init_estimates(p, streams.init), x, p, cfg, streams)
-    # imf draws its ties in numpy, from any generator.
+    # imf draws its ties in the compiled code too.
     imf = FactorizerConfig(variant=VariantSpec.imf(0.01), F=2, M=8, D=64, seed=3, max_iters=3)
-    assert run(x, books, imf).iterations >= 1
+    with pytest.raises(ValueError, match="PCG64"):
+        run(x, books, imf)
 
 
 @pytest.mark.parametrize("shape", [(1, 64), (3, 64), (2, 63), (2, 65)])
