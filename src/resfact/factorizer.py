@@ -367,7 +367,7 @@ class _Kernels:
 
 
 def _tie_generator(streams: FactorizerStreams) -> int:
-    """Address of the tie stream's ``bitgen_t``, from which ``_sweep.ties`` draws every tie.
+    """Address of the tie stream's ``bitgen_t``, from which ``resfact_ties`` draws every tie.
 
     The compiled tie draw is checked to draw like numpy from PCG64, the
     generator ``derive_streams`` makes, and refuses any other.
