@@ -24,7 +24,8 @@ page faults included:
 * ``make_instance_us`` -- codebooks, planted truth and product vector;
 * ``perturb_us`` -- ``perturb_codebooks`` (the ``acf`` flip masks);
 * ``kernel_build_us`` -- building the sweep's codebook layouts;
-* ``init_us`` -- ``init_estimates``;
+* ``init_us`` -- ``init_estimates``, given books whose sweep layouts
+  (``pbooks._kernels``) exist, as ``run`` has built them by then;
 * ``first_sweep_us`` -- the first update sweep, which pays for any
   layout the kernels build lazily.
 
@@ -43,15 +44,16 @@ heap trimming the sweep never does.  Each set-up step also records its
 minor page faults per call (``ru_minflt``).  The script refuses to time
 a set-up whose outputs differ from the reference draws (``rng.integers``
 codebooks, ``rng.random`` masks, int64 majority sums, the first search's
-int64 dot products), and the int16 majority sums that differ from the
-int64 ones.
+int64 dot products).
 
 Every repeat runs in a fresh child process and times each figure once,
-as the mean of enough calls to fill about 50 ms; a figure is the median
-and inter-quartile range over ``--repeats`` repeats.  With ``--against``
-the repeats alternate between the two source trees, each tree going
-first in every other round, so that drift of the machine falls on both
-alike:
+as the mean of enough calls to fill about 50 ms; a figure is the median,
+inter-quartile range and minimum over ``--repeats`` repeats.  On a
+shared 2-vCPU VM whose speed flips between two levels from one repeat
+to the next, the minimum is the figure that flip blurs least.  With
+``--against`` the repeats alternate between the two source trees, each
+tree going first in every other round, so that drift of the machine
+falls on both alike:
 
     python3 scripts/bench_engine.py --against ../parent/src --label after --out BENCH_8.json
 
@@ -214,9 +216,6 @@ def check_setup(fz, make_instance, M, D, F, variant, seed) -> None:
     ref_sums = [b.sum(axis=0, dtype=np.int64) for b in ref_books]
     ref_init = [sign_to_bipolar(s, ref_streams.init) for s in ref_sums]
     same = same and np.array_equal(init, np.stack(ref_init))
-    if M < 2**15:
-        same = same and all(np.array_equal(b.codevectors.sum(axis=0, dtype=np.int16), s)
-                            for b, s in zip(books, ref_sums))
     # The first sweep's first search: x unbound from the other factors' initial estimates.
     cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=fact_seed)
     attentions = fz._advance(init, x, fz._Kernels(pbooks), cfg, streams)[1]
@@ -242,15 +241,17 @@ def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
         return (fz.perturb_codebooks(*perturb_args(i)),)
 
     def init_args(i):
-        return kernel_args(i)[0], np.random.default_rng(i)
+        pbooks = kernel_args(i)[0]
+        pbooks._kernels  # built untimed: kernel_build_us times it
+        return pbooks, np.random.default_rng(i)
 
     def sweep_args(i):
         x, books, _, seed = make_instance(*instance_args(i))
         streams = fz.derive_streams(seed)
         pbooks = fz.perturb_codebooks(books, variant, streams.masks)
-        kernels = fz._Kernels(pbooks)
         cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=seed)
-        return fz.init_estimates(pbooks, streams.init).estimates, x, kernels, cfg, streams
+        init = fz.init_estimates(pbooks, streams.init).estimates
+        return init, x, pbooks._kernels, cfg, streams
 
     return {
         "M": M, "D": D, "F": F, "variant": kind, **knobs,
@@ -347,11 +348,11 @@ def child_repeat(src: Path) -> dict:
 def summary(samples) -> dict:
     q1, med, q3 = np.percentile(samples, [25, 50, 75])
     return {"median": round(float(med), 2), "iqr": round(float(q3 - q1), 2),
-            "repeats": [round(s, 2) for s in samples]}
+            "min": round(float(min(samples)), 2), "repeats": [round(s, 2) for s in samples]}
 
 
 def merge(repeats: list) -> dict:
-    """One run from its repeats: median and IQR of every timed figure."""
+    """One run from its repeats: median, IQR and minimum of every timed figure."""
     def rows(key, steps):
         merged = []
         for i, first in enumerate(repeats[0][key]):
@@ -371,22 +372,25 @@ def merge(repeats: list) -> dict:
 
 
 def report(label: str, run: dict) -> None:
+    def us(figure):
+        return f"{figure['median']:.0f} us (min {figure['min']:.0f})"
+
     for row in run["setup_rows"]:
         faults = sum(row[s]["minflt_per_call"]["median"] for s in SETUP_STEPS)
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} set-up:"
-              f"  instance {row['make_instance_us']['median']:.0f} us"
-              f"  perturb {row['perturb_us']['median']:.0f} us"
-              f"  build {row['kernel_build_us']['median']:.0f} us"
-              f"  init {row['init_us']['median']:.0f} us"
-              f"  sweep 1 {row['first_sweep_us']['median']:.0f} us"
+              f"  instance {us(row['make_instance_us'])}"
+              f"  perturb {us(row['perturb_us'])}"
+              f"  build {us(row['kernel_build_us'])}"
+              f"  init {us(row['init_us'])}"
+              f"  sweep 1 {us(row['first_sweep_us'])}"
               f"  minflt {faults:.1f}")
     for row in run["trial_rows"]:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} trial of at most"
-              f" {row['max_sweeps']} sweeps: {row['trial_us']['median']:.0f} us")
+              f" {row['max_sweeps']} sweeps: {us(row['trial_us'])}")
     for row in run["rows"]:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
-              f"survivors {row['survivors_frac']:.3f}  sweep {row['sweep_us']['median']:.0f} us"
-              f"  decode {row['decode_us']['median']:.0f} us/sweep")
+              f"survivors {row['survivors_frac']:.3f}  sweep {us(row['sweep_us'])}"
+              f"  decode {us(row['decode_us'])}/sweep")
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,9 @@
  * bit as numpy draws them.  Both the search and the reconstruction read
  * books that resfact_pack packs, as pack() packs each query: element j
  * of a row at bit j % 64 of its word j / 64, 1 for +1 and 0 for -1.
+ * Set-up runs here too: resfact_expand turns a codebook's random bytes
+ * into +-1, and resfact_init starts every factor at the majority of its
+ * packed search rows.
  * Every sum here is an integer sum, so no result depends on the order in
  * which terms are added; the only floating-point operation is the
  * division of each numerator by D, which rounds exactly as numpy's does.
@@ -16,7 +19,7 @@
 
 #include <stdint.h>
 #include <string.h>
-#if defined(__AVX512BW__)
+#if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
@@ -108,10 +111,10 @@ superpose_block(const uint64_t *recon, int64_t words, int64_t w0, int nw, const 
  * +-1 element is 2 * bit - 1, the numerator-weighted sum of the rows at
  * column j is then 2 * sums[j] minus that total, exactly.
  *
- * resfact_update, the one caller, lists rows from 0..m-1, each at most
- * once, and weights them by their numerators, integers in [-dim, dim];
- * with m * dim < 2**31, which _Kernels checks, no int32 sum can
- * overflow.  Padding bits are zero, so the columns from dim on stay 0.
+ * Both callers list rows from 0..m-1, each at most once, and weight
+ * them by integers in [-dim, dim]: resfact_update by their numerators,
+ * resfact_init by 1.  With m * dim < 2**31, which _Kernels checks, no
+ * int32 sum can overflow.  Padding bits are zero, so the columns from dim on stay 0.
  *
  * With AVX-512BW and dim <= INT16_MAX, a weight fits in int16, and the
  * sums are formed 256 columns at a time in int16 lanes, by masked adds
@@ -158,14 +161,20 @@ static int64_t superpose(const uint64_t *recon, int64_t words, int64_t dim, cons
 
 /* Packs a +-1 vector into zero-padded 64-bit words, element j at bit
  * j % 64 of word j / 64: the one packer of every query and book row.
- * Eight elements are read as one word: a byte is +1 where its sign bit
- * is clear, and the multiply gathers the eight low bits, byte k's to bit
- * 56 + k, without carries. */
+ * An element is +1 where its sign bit is clear.  With AVX-512BW, 64
+ * elements at a time give one word, the complement of their sign bits.
+ * Otherwise, and for the rest, eight elements are read as one word, and
+ * the multiply gathers the eight low bits, byte k's to bit 56 + k,
+ * without carries. */
 static void pack(const int8_t *v, int64_t dim, int64_t words, uint64_t *out)
 {
     uint8_t *bytes = (uint8_t *)out;
     memset(bytes, 0, (size_t)words * 8);
     int64_t j = 0;
+#if defined(__AVX512BW__)
+    for (; j + 64 <= dim; j += 64)
+        out[j >> 6] = ~(uint64_t)_mm512_movepi8_mask(_mm512_loadu_si512(v + j));
+#endif
     for (; j + 8 <= dim; j += 8) {
         uint64_t w;
         memcpy(&w, v + j, 8);
@@ -181,6 +190,30 @@ void resfact_pack(const int8_t *rows, int64_t m, int64_t dim, int64_t words, uin
 {
     for (int64_t i = 0; i < m; i++)
         pack(rows + i * dim, dim, words, out + i * words);
+}
+
+/* Turns n random bytes into +-1 in place: +1 where a byte's top bit is
+ * set, -1 elsewhere, as generate_codebook in vsa.py defines a codebook. */
+void resfact_expand(int8_t *bytes, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        bytes[i] = (int8_t)(bytes[i] < 0 ? 1 : -1);
+}
+
+/* est[j] = the sign of 2 * sums[j] - total for j < dim, 0 where that is
+ * exactly zero; returns the number of zeros.  The restrict pointers tell
+ * the compiler that the int8 stores alias no sum, so it vectorizes the
+ * loop. */
+static int64_t signs(const int32_t *restrict sums, int64_t total, int64_t dim,
+                     int8_t *restrict est)
+{
+    int64_t ties = 0;
+    for (int64_t j = 0; j < dim; j++) {
+        const int64_t s = 2 * (int64_t)sums[j] - total;
+        est[j] = (int8_t)((s > 0) - (s < 0));
+        ties += s == 0;
+    }
+    return ties;
 }
 
 /* Factor p->f's update within a sweep, on the (factors, dim) int8
@@ -217,20 +250,27 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
     if (!reconstruct)
         return 0;
 
-    int64_t n = 0; /* branchless: in dense brn about half the rows survive, at random */
-    for (int64_t i = 0; i < m; i++) {
+    /* The survivors, in row order, branchless: in dense brn about half the
+     * rows survive, at random.  With AVX-512, eight rows at a time: the
+     * indices of those that pass are compressed to the front of a vector,
+     * and all eight lanes are stored, which stays within rows[0..m) since
+     * n <= i. */
+    int64_t n = 0, i = 0;
+#if defined(__AVX512F__)
+    const __m512d t = _mm512_set1_pd(threshold);
+    for (__m512i idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7); i + 8 <= m; i += 8) {
+        const __mmask8 pass = _mm512_cmp_pd_mask(_mm512_loadu_pd(alpha + i), t, _CMP_GT_OQ);
+        _mm512_storeu_si512(p->rows + n, _mm512_maskz_compress_epi64(pass, idx));
+        n += __builtin_popcount(pass);
+        idx = _mm512_add_epi64(idx, _mm512_set1_epi64(8));
+    }
+#endif
+    for (; i < m; i++) {
         p->rows[n] = i;
         n += alpha[i] > threshold;
     }
     const int64_t total = superpose(p->recon, p->words, dim, p->rows, n, p->weights, p->sums);
-    int8_t *est = working + p->f * dim;
-    int64_t ties = 0;
-    for (int64_t j = 0; j < dim; j++) {
-        const int64_t s = 2 * (int64_t)p->sums[j] - total;
-        est[j] = (int8_t)((s > 0) - (s < 0));
-        ties += s == 0;
-    }
-    return ties;
+    return signs(p->sums, total, dim, working + p->f * dim);
 }
 
 /* Replaces the zeros of row[0..n), in index order, with +-1 draws from
@@ -255,6 +295,29 @@ void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
         row[j] = (int8_t)((int)(buf >> 7 & 1) * 2 - 1);
         buf >>= 8;
         left--;
+    }
+}
+
+/* Sets each factor's row of the (factors, dim) `working`, in factor
+ * order, to the majority of the m packed rows of its search book: the
+ * sign of each column's sum, 2 * c - m for c rows with the bit set,
+ * which superpose() counts with unit weights.  Each factor's zeros are
+ * then drawn from `init` by one resfact_ties call, the draws of
+ * sign_to_bipolar in vsa.py on the int64 column sums with the same
+ * generator.  Uses the plans' shared rows, weights and sums scratch. */
+void resfact_init(const struct resfact_plan *plans, int8_t *working, bitgen_t *init)
+{
+    const struct resfact_plan *p = plans;
+    const int64_t m = p->m, dim = p->dim;
+    for (int64_t i = 0; i < m; i++) {
+        p->rows[i] = i;
+        p->weights[i] = 1.0;
+    }
+    for (int64_t f = 0; f < p->factors; f++) {
+        int8_t *est = working + f * dim;
+        superpose(plans[f].search, p->words, dim, p->rows, m, p->weights, p->sums);
+        if (signs(p->sums, m, dim, est))
+            resfact_ties(est, dim, init);
     }
 }
 

@@ -108,6 +108,10 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     lib.resfact_ties.restype = None
     lib.resfact_pack.argtypes = (pointer, i64, i64, i64, pointer)
     lib.resfact_pack.restype = None
+    lib.resfact_expand.argtypes = (pointer, i64)
+    lib.resfact_expand.restype = None
+    lib.resfact_init.argtypes = (pointer, pointer, pointer)
+    lib.resfact_init.restype = None
     return lib
 
 
@@ -127,5 +131,6 @@ def bitgen(bit_generator) -> int:
 
 
 _lib = load()
-update, run, ties, pack = (_lib.resfact_update, _lib.resfact_run, _lib.resfact_ties,
-                           _lib.resfact_pack)
+update, run, ties, pack, expand, init = (_lib.resfact_update, _lib.resfact_run,
+                                          _lib.resfact_ties, _lib.resfact_pack,
+                                          _lib.resfact_expand, _lib.resfact_init)

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _sweep
-from .vsa import Codebook, as_bipolar, sign_to_bipolar
+from .vsa import Codebook, as_bipolar
 
 VARIANT_KINDS = ("brn", "imf", "acf")
 #: Hard cap on the default iteration budget min(M**F, cap).
@@ -260,17 +260,20 @@ def init_estimates(pbooks: PerturbedCodebooks, rng: np.random.Generator) -> Fact
     """Start every factor at the majority bundle of its full search codebook.
 
     That gives each candidate codevector a small positive expected
-    attention, so no candidate starts invisible.  A column sum of M
-    +-1 entries is exact in int16 while M < 2**15, and about twice as
-    fast there as in int32.
+    attention, so no candidate starts invisible.  One compiled call
+    (``resfact_init``) counts the +1 entries of each column in the
+    packed search rows of ``pbooks._kernels``, which ``run`` builds
+    anyway, and takes the sign of the column sum 2 * count - M.  Each
+    factor's exact zeros are drawn from ``rng`` as ``sign_to_bipolar``
+    draws them from the same generator, so ``rng`` must be PCG64, the
+    generator ``derive_streams`` makes; any other raises ``ValueError``.
     """
-    n_factors = len(pbooks.search_books)
-    size = pbooks.search_books[0].size
-    dtype = np.int16 if size < 2**15 else np.int32
-    estimates = np.stack(
-        [sign_to_bipolar(b.codevectors.sum(axis=0, dtype=dtype), rng) for b in pbooks.search_books]
-    )
-    attentions = np.full((n_factors, size), np.nan)
+    init = _bitgen(rng, "init")
+    kernels = pbooks._kernels
+    estimates = np.empty((len(kernels.plans), kernels._x.size), dtype=np.int8)
+    with rng.bit_generator.lock:
+        _sweep.init(kernels._plan_at[0], _sweep.address(estimates), init)
+    attentions = np.full((len(kernels.plans), pbooks.search_books[0].size), np.nan)
     return FactorizerState(estimates=estimates, attentions=attentions)
 
 
@@ -309,9 +312,10 @@ class _Kernels:
     exactly, in integers; ``search[f]`` is the same array unless the
     reconstruction books differ from the search books (``acf``).  Each
     book is packed once per run.  ``plans`` is a C array of one
-    ``_sweep.Plan`` per factor, which the compiled sweep reads: the
-    addresses of those two layouts and of scratch buffers shared by every
-    factor, taken once.  So one sweep at a time may use a ``_Kernels``;
+    ``_sweep.Plan`` per factor, which the compiled sweep and
+    ``init_estimates`` read: the addresses of those two layouts and of
+    scratch buffers shared by every factor, taken once.  So one sweep or
+    init at a time may use a ``_Kernels``;
     after a factor's update, ``_numerators`` holds its numerators.
 
     ``books[f]`` is factor f's reconstruction book as a C-contiguous int8
@@ -366,15 +370,15 @@ class _Kernels:
         return weights.astype(self.dtype, copy=False) @ self.recon[f]
 
 
-def _tie_generator(streams: FactorizerStreams) -> int:
-    """Address of the tie stream's ``bitgen_t``, from which ``resfact_ties`` draws every tie.
+def _bitgen(rng: np.random.Generator, stream: str) -> int:
+    """Address of the ``bitgen_t`` of ``rng``, the ``stream`` stream, for ``resfact_ties``.
 
     The compiled tie draw is checked to draw like numpy from PCG64, the
     generator ``derive_streams`` makes, and refuses any other.
     """
-    bit_generator = streams.ties.bit_generator
+    bit_generator = rng.bit_generator
     if type(bit_generator) is not np.random.PCG64:
-        raise ValueError("the compiled sweep draws ties only from a PCG64 tie stream, "
+        raise ValueError(f"the compiled code draws ties only from a PCG64 {stream} stream, "
                          f"not {type(bit_generator).__name__}")
     return _sweep.bitgen(bit_generator)
 
@@ -396,7 +400,7 @@ def _sweeps(working, attentions, kernels, cfg, streams, ties, budget):
     unbinds and searches; the noise, the threshold and the dense float
     product of its real-valued weights stay in numpy.  In every variant
     the zeros of a new estimate are tie-breaks, which ``_sweep.ties`` draws
-    from the ``bitgen_t`` at ``ties`` (``_tie_generator``) under its lock.
+    from the ``bitgen_t`` at ``ties`` (``_bitgen``) under its lock.
     """
     variant = cfg.variant
     thresh = variant.activation_threshold
@@ -443,7 +447,7 @@ def _advance(estimates, x, kernels, cfg, streams):
                          f"codebooks of dimension {kernels._x.size}")
     attentions = np.empty((len(working), kernels.search[0].shape[0]))
     kernels._x[...] = x
-    _sweeps(working, attentions, kernels, cfg, streams, _tie_generator(streams), 1)
+    _sweeps(working, attentions, kernels, cfg, streams, _bitgen(streams.ties, "tie"), 1)
     return working, attentions
 
 
@@ -507,7 +511,7 @@ def run(
     kernels = pbooks._kernels
     state = init_estimates(pbooks, streams.init)
     kernels._x[...] = xv
-    ties = _tie_generator(streams)
+    ties = _bitgen(streams.ties, "tie")
     limit = cfg.resolved_max_iters()
     budget = limit if on_step is None else 1
 

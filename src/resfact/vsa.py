@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _sweep
+
 
 def as_bipolar(x, name: str = "vector") -> np.ndarray:
     """Validate a value as a bipolar vector and return it as an int8 array."""
@@ -156,9 +158,9 @@ def generate_codebook(size: int, dim: int, rng: np.random.Generator) -> Codebook
     half of each 64-bit word, so the bytes are the same: a buffered half
     is used first, and a half left over at the end goes back into the
     buffer, with the state's ``uinteger`` set as the 32-bit draws would
-    leave it.  MT19937 buffers nothing and keeps the 32-bit draw.  The
-    bytes are turned into +-1 in place, without the int8 temporaries of
-    the integer draw.
+    leave it.  MT19937 buffers nothing and keeps the 32-bit draw.  One
+    compiled pass (``resfact_expand`` in ``_sweep.c``) turns the bytes
+    into +-1 in place, without the int8 temporaries of the integer draw.
     """
     if size < 2:
         raise ValueError(f"codebook size must be >= 2, got {size}")
@@ -182,9 +184,7 @@ def generate_codebook(size: int, dim: int, rng: np.random.Generator) -> Codebook
             state["uinteger"] = int(words[-1] >> np.uint64(32))
         rng.bit_generator.state = state
     out = out.view(np.int8)[:n]
-    np.right_shift(out, 7, out=out)  # top bit set -> -1, clear -> 0
-    np.invert(out, out=out)  # -> 0 and -1
-    out |= 1  # -> +1 and -1
+    _sweep.expand(_sweep.address(out), n)  # top bit set -> +1, clear -> -1
     return Codebook._unchecked(out.reshape(size, dim))
 
 

@@ -44,3 +44,9 @@ def test_bench_engine_rows_run(bench_engine, kind, knobs):
     # brn reconstructs from its search rows.
     packed_books = 2 * F if kind == "acf" else F
     assert row["kernel_bytes"] == packed_books * M * -(-D // 64) * 8
+
+
+def test_bench_engine_figures_carry_their_minimum(bench_engine):
+    # Repeats jump between two speed levels; the minimum stands beside the median.
+    fig = bench_engine.summary([30.0, 10.0, 20.0, 50.0, 40.0])
+    assert (fig["median"], fig["iqr"], fig["min"]) == (30.0, 20.0, 10.0)

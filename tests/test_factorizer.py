@@ -16,7 +16,8 @@ from resfact.factorizer import (
     run,
     step,
 )
-from resfact.vsa import Codebook, bind_product, generate_codebook, random_bipolar
+from resfact.vsa import (Codebook, bind_product, generate_codebook, random_bipolar,
+                         sign_to_bipolar)
 
 from phase_references import associative_search, reconstruct, threshold_activation, unbind_others
 from test_golden_trajectories import CASES as GOLDEN_CASES
@@ -176,6 +177,40 @@ def test_init_estimates_is_column_majority(rng):
     sums = books[0].codevectors.sum(axis=0)
     decided = sums != 0  # odd M: always, but keep the guard honest
     assert np.array_equal(state.estimates[0][decided], np.sign(sums[decided]))
+
+
+@pytest.mark.parametrize("D", [1, 63, 64, 65, 130, 4000])
+@pytest.mark.parametrize("M", [2, 3, 4, 300])
+@pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.3)], ids=["brn", "acf"])
+def test_init_estimates_is_sign_to_bipolar_of_int64_column_sums(variant, M, D):
+    # The compiled init counts the packed search rows; ties, common at
+    # even M, must be drawn as sign_to_bipolar draws them, factor by factor.
+    g = np.random.default_rng(M * 10_000 + D)
+    books = [generate_codebook(M, D, g) for _ in range(3)]
+    p = perturb_codebooks(books, variant, g)
+    got_rng, ref_rng = np.random.default_rng(D), np.random.default_rng(D)
+    estimates = init_estimates(p, got_rng).estimates
+    ref = [sign_to_bipolar(b.codevectors.sum(axis=0, dtype=np.int64), ref_rng) for b in books]
+    assert estimates.dtype == np.int8
+    assert np.array_equal(estimates, np.stack(ref))
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_init_estimates_refuses_other_init_generators(monkeypatch):
+    x, books, _ = _instance(8, 64, 2, seed=3)
+    p = perturb_codebooks(books, VariantSpec.brn(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="PCG64 init stream"):
+        init_estimates(p, np.random.Generator(np.random.Philox(3)))
+
+    def philox_init(seed):
+        streams = derive_streams(seed)
+        streams.init = np.random.Generator(np.random.Philox(seed))
+        return streams
+
+    monkeypatch.setattr(factorizer, "derive_streams", philox_init)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=8, D=64, seed=3)
+    with pytest.raises(ValueError, match="PCG64 init stream"):
+        run(x, books, cfg)
 
 
 def test_unbind_others_manual(rng):

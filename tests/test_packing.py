@@ -43,7 +43,7 @@ def test_pack_words_puts_element_j_at_bit_j_mod_64_of_word_j_div_64():
     assert _pack(x).tolist() == [[1 | 1 << 63, 1, 1 << 1], [0, 0, 0]]
 
 
-@pytest.mark.parametrize("d", [1, 7, 8, 63, 64, 65, 130, 1000])
+@pytest.mark.parametrize("d", [1, 7, 8, 63, 64, 65, 128, 130, 1000, 4000])
 def test_compiled_packer_is_little_endian_packbits_in_zero_padded_words(d):
     x = np.stack([random_bipolar(d, np.random.default_rng(d + i)) for i in range(3)])
     ref = np.zeros((3, -(-d // 64) * 8), dtype=np.uint8)

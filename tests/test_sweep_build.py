@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from resfact import _sweep
-from resfact.factorizer import (VariantSpec, _Kernels, derive_streams, init_estimates,
-                                perturb_codebooks)
+from resfact.factorizer import VariantSpec, _Kernels, derive_streams, perturb_codebooks
 from resfact.vsa import bind_product, generate_codebook
 
 PACKAGE = Path(_sweep.__file__).parent
@@ -123,32 +122,58 @@ def portable_library(tmp_path_factory):
         return _sweep.load(_package_copy(tmp_path_factory.mktemp("portable")) / "_sweep.c")
 
 
-def _decode(run, x, books, variant, seed, sweeps):
-    """``sweeps`` update sweeps of resfact_run from ``run``'s library, from the initial state."""
+def _decode(lib, x, books, variant, seed, sweeps):
+    """``lib``'s initial estimates, then ``sweeps`` update sweeps of its resfact_run."""
     streams = derive_streams(seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
     kernels = _Kernels(pbooks)
     kernels._x[...] = x
-    working = init_estimates(pbooks, streams.init).estimates.copy()
+    plans = ctypes.addressof(kernels.plans[0])
+    working = np.empty((len(books), books[0].dim), dtype=np.int8)
+    with streams.init.bit_generator.lock:
+        lib.resfact_init(plans, working.ctypes.data, _sweep.bitgen(streams.init.bit_generator))
+    init = working.copy()
     attentions = np.empty((len(books), books[0].size))
     converged = ctypes.c_int64()
     with streams.ties.bit_generator.lock:
-        done = run(ctypes.addressof(kernels.plans[0]), kernels._x.ctypes.data,
-                   working.ctypes.data, attentions.ctypes.data, variant.activation_threshold,
-                   1.0, sweeps, _sweep.bitgen(streams.ties.bit_generator), converged)
-    return working, attentions, done, converged.value, streams.ties.bit_generator.state
+        done = lib.resfact_run(plans, kernels._x.ctypes.data, working.ctypes.data,
+                               attentions.ctypes.data, variant.activation_threshold, 1.0, sweeps,
+                               _sweep.bitgen(streams.ties.bit_generator), converged)
+    return (init, working, attentions, done, converged.value, streams.init.bit_generator.state,
+            streams.ties.bit_generator.state)
+
+
+def _packed(lib, rows):
+    """``rows`` packed by ``lib``'s resfact_pack."""
+    out = np.empty((rows.shape[0], -(-rows.shape[1] // 64)), dtype=np.uint64)
+    lib.resfact_pack(rows.ctypes.data, *rows.shape, out.shape[1], out.ctypes.data)
+    return out
+
+
+def _expanded(lib, raw):
+    """A copy of the int8 ``raw`` turned into +-1 by ``lib``'s resfact_expand."""
+    out = raw.copy()
+    lib.resfact_expand(out.ctypes.data, out.size)
+    return out
 
 
 @pytest.mark.parametrize("D", [1, 65, 255, 256, 257, 1000])
 @pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.1)], ids=["brn", "acf"])
 def test_the_portable_build_decodes_as_the_default_build(portable_library, variant, D):
     # 300 rows: at D = 1000 about half survive, more than the 32 the
-    # vectorized sum adds in int16 before it folds them into int32.
+    # vectorized sum adds in int16 before it folds them into int32.  An
+    # even number of rows leaves ties in the initial estimates.
     g = np.random.default_rng(D)
     books = [generate_codebook(300, D, g) for _ in range(2)]
     x = bind_product(books, (4, 7))
-    got = _decode(portable_library.resfact_run, x, books, variant, D, 12)
-    ref = _decode(_sweep.run, x, books, variant, D, 12)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
-    assert got[2:] == ref[2:]
+    got = _decode(portable_library, x, books, variant, D, 12)
+    ref = _decode(_sweep._lib, x, books, variant, D, 12)
+    for a, b in zip(got[:3], ref[:3]):
+        assert np.array_equal(a, b)
+    assert got[3:] == ref[3:]
+    # The set-up kernels give the same bytes, across whole 64-byte blocks and tails.
+    rows = books[0].codevectors
+    assert np.array_equal(_packed(portable_library, rows), _packed(_sweep._lib, rows))
+    raw = g.integers(-128, 128, size=300 * D, dtype=np.int8)
+    assert np.array_equal(_expanded(portable_library, raw), _expanded(_sweep._lib, raw))
+    assert np.array_equal(_expanded(_sweep._lib, raw), np.where(raw < 0, 1, -1))
