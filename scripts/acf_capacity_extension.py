@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 from resfact.bench import SweepConfig, run_sweep
+from resfact.presets import lookup_preset
 from resfact.report import emit_rows
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
@@ -33,14 +34,14 @@ THRESHOLDS = (0.0, 0.05, 0.1)
 NOTE_TEMPLATE = """\
 # Asymmetric-codebook decoding at a 5e6 search space (F=2, D=1000)
 
-Goal: accuracy >= 0.99 at M^2 = 4999696 (M = 2236), roughly 50x the
+Goal: accuracy >= 0.99 at M^2 = {size} (M = {M}), roughly 50x the
 size where the noiseless baseline stops decoding reliably.
 
 ## What the tuned table suggests, and what happens
 
-The tuned-preset row nearest this size prescribes flip rate 0.1 with
-activation threshold 0.  In this implementation that setting never
-converges at M = 2236: with the threshold at 0 every positive
+The tuned-preset row nearest this size prescribes flip rate {preset_r:g} with
+activation threshold {preset_t:g}.  In this implementation that setting never
+converges at M = {M}: with the threshold at 0 every positive
 attention survives, so about M/2 spurious entries back-project into
 each reconstruction, and their combined crosstalk exceeds the masked
 signal of the true codevector.  The estimate never locks on.  The same
@@ -86,7 +87,7 @@ at the headline size; see acf_extension_curve.csv):
 {curve_table}
 
 Reliable decoding (accuracy 1.0 at the trial budget) extends to about
-2.2e6, a 21x extension over the baseline ceiling; beyond that the
+{reliable_to}, a 21x extension over the baseline ceiling; beyond that the
 heavy tail sets in and accuracy degrades gracefully to {headline_acc:.2f}
 at 50x rather than collapsing.
 """
@@ -108,8 +109,18 @@ def _cell(flip_rate, threshold, trials, budget, conv, seed, target=TARGET):
     return run_sweep(cfg).rows[0]
 
 
+def _short(size: int) -> str:
+    """``size`` to two significant digits, as in 2.2e6."""
+    mantissa, exponent = f"{size:.1e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
 def render_note(args, grid_rows, best, headline, curve) -> str:
-    """The reproduction note, every number in it taken from the arguments and the rows."""
+    """The reproduction note, every number in it taken from the arguments and the rows.
+
+    The tuned row it cites is the preset nearest the headline size.
+    """
+    preset = lookup_preset(2, headline.search_space, "acf").variant
     grid_table = "| flip rate | " + " | ".join(f"T={t:g}" for t in THRESHOLDS) + " |\n"
     grid_table += "|---" * (len(THRESHOLDS) + 1) + "|\n"
     acc = {(row.flip_rate, row.activation_threshold): row.accuracy for row in grid_rows}
@@ -123,6 +134,10 @@ def render_note(args, grid_rows, best, headline, curve) -> str:
         curve_table += f"| {row.search_space} | {row.accuracy:.2f} | {row.mean_iterations:.0f} |\n"
 
     return NOTE_TEMPLATE.format(
+        size=headline.search_space,
+        M=headline.M,
+        preset_r=preset.flip_rate,
+        preset_t=preset.activation_threshold,
         grid_trials=args.grid_trials,
         grid_budget=args.grid_budget,
         conv=args.conv,
@@ -139,6 +154,7 @@ def render_note(args, grid_rows, best, headline, curve) -> str:
         headline_fails=round((1 - headline.accuracy) * headline.trials),
         curve_trials=args.curve_trials,
         curve_table=curve_table.rstrip(),
+        reliable_to=_short(max(row.search_space for row in curve if row.accuracy == 1.0)),
     )
 
 

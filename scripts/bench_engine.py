@@ -55,13 +55,15 @@ to the next, the minimum is the figure that flip blurs least.  With
 tree going first in every other round, so that drift of the machine
 falls on both alike:
 
+    git worktree add --detach ../parent HEAD~1
     python3 scripts/bench_engine.py --against ../parent/src --label after --out BENCH_8.json
 
 stores this checkout's figures under ``after`` and the other tree's
 under ``before`` in the ``--out`` JSON file,
-beside the entries of earlier runs, with the numpy, BLAS, core and
-BLAS-thread figures of each.  Beyond what resfact itself needs, only
-the standard library is needed.
+beside the entries of earlier runs, with the commit, numpy, BLAS, core
+and BLAS-thread figures of each.  Both trees must be git checkouts, so
+that each run names the commit it measured.  Beyond what resfact itself
+needs, only the standard library is needed.
 """
 
 from __future__ import annotations
@@ -129,16 +131,17 @@ def blas_threads():
     return None
 
 
+def git(src: Path, *args):
+    """Standard output of a git command run in ``src``, or None where git fails there."""
+    out = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def environment(src: Path) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    def git(*args):
-        out = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    commit = git("rev-parse", "HEAD")
     return {
-        "resfact_commit": commit or "unknown (not a git checkout)",
-        "resfact_src_modified": bool(git("status", "--porcelain", "--", ".")) if commit else None,
+        "resfact_commit": git(src, "rev-parse", "HEAD"),
+        "resfact_src_modified": bool(git(src, "status", "--porcelain", "--", ".")),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
@@ -414,6 +417,10 @@ def main(argv=None) -> int:
         if args.label == AGAINST_LABEL:
             ap.error(f"--label must not be {AGAINST_LABEL!r}, the key of the --against run")
         trees = {AGAINST_LABEL: args.against.resolve(), **trees}
+    for tree in trees.values():
+        if git(tree, "rev-parse", "HEAD") is None:
+            ap.error(f"{tree} is not in a git checkout, so no commit can be recorded for it;"
+                     " check the commit out with: git worktree add --detach <dir> <parent>")
 
     repeats = {label: [] for label in trees}
     for r in range(args.repeats):

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .factorizer import FactorizerConfig, VariantSpec, VARIANT_KINDS, run
-from .presets import PRESET_FACTOR_COUNTS, load_preset_table, lookup_preset
+from .presets import PRESET_FACTOR_COUNTS, lookup_preset
 from .vsa import bind_product, generate_codebook
 
 #: glibc ``mallopt`` parameter numbers (malloc.h).
@@ -93,7 +93,6 @@ class SweepConfig:
     flip_rate: Optional[float] = None
     activation_threshold: Optional[float] = None
     use_presets: bool = False
-    presets_path: Optional[str] = None
     convergence_threshold: float = 0.8
     max_iters: Optional[int] = None
     master_seed: int = 0
@@ -138,7 +137,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CapacityRow:
-    """One swept size, field-for-field what lands in the report."""
+    """One swept size; its fields, in order, are the report's columns."""
 
     variant: str
     F: int
@@ -269,19 +268,19 @@ def oracle_agreement(
     variant: VariantSpec,
     n_trials: int,
     master_seed: int = 0,
-    cap: int = DEFAULT_ORACLE_CAP,
     max_iters: Optional[int] = None,
     convergence_threshold: float = 0.8,
 ) -> OracleCheck:
     """Cross-check converged decodes against exhaustive search.
 
     Agreement is counted among converged trials only; an unconverged
-    decode makes no claim worth checking.
+    decode makes no claim worth checking.  Refuses search spaces above
+    ``DEFAULT_ORACLE_CAP``.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if M**F > cap:
-        raise ValueError(f"search space {M**F} exceeds oracle cap {cap}")
+    if M**F > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"search space {M**F} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
     cfg = FactorizerConfig(variant, F=F, M=M, D=D, max_iters=max_iters,
                            convergence_threshold=convergence_threshold)
     converged = 0
@@ -291,7 +290,7 @@ def oracle_agreement(
         if not res.converged:
             continue
         converged += 1
-        if res.indices == brute_force_oracle(x, books, cap).indices:
+        if res.indices == brute_force_oracle(x, books).indices:
             agreements += 1
     return OracleCheck(trials=n_trials, converged=converged, agreements=agreements)
 
@@ -319,8 +318,7 @@ def _resolve_size(cfg: SweepConfig, target: int):
     """One size's trial config, ``max_iters`` resolved, and its ``preset_exact`` field."""
     M = M_for_target(target, cfg.F)
     if cfg.use_presets:
-        table = load_preset_table(cfg.presets_path)
-        hit = lookup_preset(cfg.F, M**cfg.F, cfg.variant_kind, table=table)
+        hit = lookup_preset(cfg.F, M**cfg.F, cfg.variant_kind)
         variant, D = hit.variant, hit.D
         preset_exact = "true" if hit.exact else "false"
     else:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import DEFAULT_ORACLE_CAP, SweepConfig, decode_instance, oracle_agreement, run_sweep
-from .factorizer import FactorizerConfig, VariantSpec
-from .presets import load_preset_table, lookup_preset
+from .bench import SweepConfig, decode_instance, oracle_agreement, run_sweep
+from .factorizer import VARIANT_KINDS, FactorizerConfig, VariantSpec
+from .presets import COLUMNS, load_preset_table, lookup_preset
 from .report import emit_report
 
 
@@ -36,7 +36,7 @@ def _parse_sizes(text: str) -> tuple:
 
 
 def _add_variant_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=("brn", "imf", "acf"), required=True,
+    p.add_argument("--variant", choices=VARIANT_KINDS, required=True,
                    help="decoder variant")
     p.add_argument("--sigma", type=float, help="attention noise std (imf)")
     p.add_argument("--flip-rate", type=float, help="reconstruction bit-flip rate (acf)")
@@ -89,7 +89,6 @@ def _sweep_config(args) -> SweepConfig:
         flip_rate=args.flip_rate,
         activation_threshold=args.activation_threshold,
         use_presets=args.preset is not None,
-        presets_path=args.presets_path,
         convergence_threshold=args.convergence_threshold,
         max_iters=args.max_iters,
         master_seed=args.master_seed,
@@ -127,7 +126,7 @@ def cmd_capacity(args) -> int:
 def cmd_oracle_check(args) -> int:
     check = oracle_agreement(
         M=args.M, F=args.F, D=args.D, variant=_variant(args), n_trials=args.trials,
-        master_seed=args.seed, cap=args.cap, max_iters=args.max_iters,
+        master_seed=args.seed, max_iters=args.max_iters,
         convergence_threshold=args.convergence_threshold,
     )
     rate = check.agreements / check.converged if check.converged else 1.0
@@ -139,11 +138,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    table = load_preset_table(args.presets_path)
     if args.size is not None:
         if args.F is None or args.variant is None:
             raise ValueError("--size lookup needs --factors and --variant")
-        hit = lookup_preset(args.F, args.size, args.variant, table=table)
+        hit = lookup_preset(args.F, args.size, args.variant)
         print(f"F: {hit.row.F}")
         print(f"requested size: {args.size}")
         print(f"matched size: {hit.row.search_space}")
@@ -155,16 +153,11 @@ def cmd_presets(args) -> int:
             print(f"flip_rate: {hit.variant.flip_rate:g}")
         print(f"activation_threshold: {hit.variant.activation_threshold:g}")
         return 0
-    rows = [r for r in table if args.F is None or r.F == args.F]
-    print(
-        "F,search_space,D,acf_flip_rate,acf_activation_threshold,"
-        "imf_sigma,imf_activation_threshold"
-    )
-    for r in rows:
-        print(
-            f"{r.F},{r.search_space},{r.D},{r.acf_flip_rate:g},"
-            f"{r.acf_activation_threshold:g},{r.imf_sigma:g},{r.imf_activation_threshold:g}"
-        )
+    print(",".join(COLUMNS))
+    for r in load_preset_table():
+        if args.F is None or r.F == args.F:
+            values = (getattr(r, c) for c in COLUMNS)
+            print(",".join(format(v, "g") if isinstance(v, float) else str(v) for v in values))
     return 0
 
 
@@ -199,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("paper",),
             help="resolve D and variant hyperparameters from the tuned preset table",
         )
-        p.add_argument("--presets-path", help="CSV file replacing the built-in preset table")
         p.add_argument("--master-seed", type=int, default=0)
         p.add_argument("--parallelism", type=int, default=1)
         p.add_argument(
@@ -215,15 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--trials", type=int, default=50, help="number of seeded trials (default 50)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
-                   help=f"oracle size cap (default {DEFAULT_ORACLE_CAP})")
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("presets", help="print the tuned hyperparameter table")
     p.add_argument("-F", "--factors", dest="F", type=int, help="only this factor count")
     p.add_argument("--size", type=int, help="resolve one size (needs --factors and --variant)")
-    p.add_argument("--variant", choices=("brn", "imf", "acf"))
-    p.add_argument("--presets-path", help="CSV file replacing the built-in preset table")
+    p.add_argument("--variant", choices=VARIANT_KINDS)
     p.set_defaults(func=cmd_presets)
 
     return parser

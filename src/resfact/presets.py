@@ -6,31 +6,20 @@ activation threshold, and the imf noise level and activation threshold.
 ``lookup_preset`` resolves a row for a requested size, exactly when the
 size is in the table and by nearest size on a log scale otherwise (the
 result says which).
-
-An alternative table can be supplied as a CSV file path; same header,
-same semantics.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from .factorizer import VariantSpec
 
 PRESET_FACTOR_COUNTS = (2, 3, 4)
-_COLUMNS = (
-    "F",
-    "search_space",
-    "D",
-    "acf_flip_rate",
-    "acf_activation_threshold",
-    "imf_sigma",
-    "imf_activation_threshold",
-)
 
 
 @dataclass(frozen=True)
@@ -42,6 +31,11 @@ class PresetRow:
     acf_activation_threshold: float
     imf_sigma: float
     imf_activation_threshold: float
+
+
+#: The table's columns in file order, each with the type its cells parse to.
+COLUMN_TYPES = get_type_hints(PresetRow)
+COLUMNS = tuple(COLUMN_TYPES)
 
 
 @dataclass(frozen=True)
@@ -59,49 +53,13 @@ class PresetLookup:
     row: PresetRow
 
 
-_cache: dict = {}
-
-
-def _parse_rows(lines) -> tuple:
-    reader = csv.DictReader(lines)
-    missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"preset table is missing columns: {missing}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            PresetRow(
-                F=int(rec["F"]),
-                search_space=int(rec["search_space"]),
-                D=int(rec["D"]),
-                acf_flip_rate=float(rec["acf_flip_rate"]),
-                acf_activation_threshold=float(rec["acf_activation_threshold"]),
-                imf_sigma=float(rec["imf_sigma"]),
-                imf_activation_threshold=float(rec["imf_activation_threshold"]),
-            )
-        )
-    if not rows:
-        raise ValueError("preset table contains no rows")
+@functools.cache
+def load_preset_table() -> tuple:
+    """The preset rows shipped inside the package, sorted by (F, search_space)."""
+    text = resources.files("resfact").joinpath("data/presets.csv").read_text()
+    rows = [PresetRow(**{c: COLUMN_TYPES[c](rec[c]) for c in COLUMNS})
+            for rec in csv.DictReader(text.splitlines())]
     return tuple(sorted(rows, key=lambda r: (r.F, r.search_space)))
-
-
-def load_preset_table(path: Optional[str] = None) -> tuple:
-    """Load the preset rows, sorted by (F, search_space).
-
-    ``path`` names a CSV file to load instead of the table shipped
-    inside the package.
-    """
-    key = path or "<builtin>"
-    if key in _cache:
-        return _cache[key]
-    if not path:
-        text = resources.files("resfact").joinpath("data/presets.csv").read_text()
-        rows = _parse_rows(text.splitlines())
-    else:
-        with open(path, newline="") as fh:
-            rows = _parse_rows(fh)
-    _cache[key] = rows
-    return rows
 
 
 def lookup_preset(

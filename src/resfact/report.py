@@ -16,26 +16,9 @@ import sys
 import tempfile
 from typing import Union
 
-from .bench import CapacityReport
+from .bench import CapacityReport, CapacityRow
 
-CSV_COLUMNS = (
-    "variant",
-    "F",
-    "M",
-    "D",
-    "search_space",
-    "trials",
-    "accuracy",
-    "ci_low",
-    "ci_high",
-    "mean_iterations",
-    "sigma",
-    "flip_rate",
-    "activation_threshold",
-    "convergence_threshold",
-    "max_iters",
-    "preset_exact",
-)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(CapacityRow))
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 

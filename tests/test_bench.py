@@ -362,25 +362,20 @@ def test_run_sweep_opens_one_pool_and_matches_serial_bytes(monkeypatch):
     assert serial.count(b"\n") == 4  # header and three rows
 
 
-def test_run_sweep_with_preset_table(tmp_path):
-    table = tmp_path / "table.csv"
-    table.write_text(
-        "F,search_space,D,acf_flip_rate,acf_activation_threshold,"
-        "imf_sigma,imf_activation_threshold\n"
-        "2,16,96,0.05,0,0.01,0\n"
-        "2,10000,128,0.1,0,0.01,0\n"
-    )
+def test_run_sweep_with_preset_table():
+    # 21609 is a row of the built-in table; 40000 is not, and its nearest
+    # row on a log scale is 46225 (21609 is farther).
     cfg = SweepConfig(
-        F=2, variant_kind="acf", search_space_sizes=(16, 49),
-        use_presets=True, presets_path=str(table), trials_per_size=4,
+        F=2, variant_kind="acf", search_space_sizes=(21609, 40000),
+        use_presets=True, trials_per_size=2,
     )
     report = run_sweep(cfg)
     by_size = {r.search_space: r for r in report.rows}
-    assert by_size[16].preset_exact == "true"
-    assert by_size[16].D == 96
-    assert by_size[16].flip_rate == 0.05
-    assert by_size[49].preset_exact == "false"  # nearest row substituted
-    assert by_size[49].D == 96
+    assert by_size[21609].preset_exact == "true"
+    assert (by_size[21609].D, by_size[21609].flip_rate) == (1000, 0.075)
+    assert by_size[21609].activation_threshold == 0.0
+    assert by_size[40000].preset_exact == "false"  # nearest row substituted
+    assert (by_size[40000].D, by_size[40000].flip_rate) == (1000, 0.1)
 
 
 FAULTS_PER_INSTANCE = """

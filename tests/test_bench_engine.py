@@ -50,3 +50,14 @@ def test_bench_engine_figures_carry_their_minimum(bench_engine):
     # Repeats jump between two speed levels; the minimum stands beside the median.
     fig = bench_engine.summary([30.0, 10.0, 20.0, 50.0, 40.0])
     assert (fig["median"], fig["iqr"], fig["min"]) == (30.0, 20.0, 10.0)
+
+
+def test_bench_engine_refuses_a_tree_outside_git(bench_engine, tmp_path, capsys):
+    # A tree exported without its repository could not name its commit.
+    (tmp_path / "src").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        bench_engine.main(["--against", str(tmp_path / "src"), "--label", "after",
+                           "--out", str(tmp_path / "bench.json")])
+    assert exc.value.code == 2
+    assert "git worktree add --detach <dir> <parent>" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from resfact.cli import main
+from resfact.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TABLE_HEADER = (
     "F,search_space,D,acf_flip_rate,acf_activation_threshold,"
@@ -318,14 +323,6 @@ def test_presets_size_lookup_needs_context(capsys):
     assert "--factors" in err
 
 
-def test_presets_custom_path(tmp_path, capsys):
-    table = tmp_path / "t.csv"
-    table.write_text(TABLE_HEADER + "\n2,10,555,0.1,0,0.01,0\n")
-    code, out, _ = run_cli(capsys, "presets", "--presets-path", str(table))
-    assert code == 0
-    assert out.splitlines()[1] == "2,10,555,0.1,0,0.01,0"
-
-
 # --- parser-level behaviour ---
 
 
@@ -339,3 +336,13 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    # Every `resfact ...` line of the README's sh blocks, continuations joined.
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [line for line in lines if line.startswith("resfact ")]
+    assert len(commands) >= 4
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])

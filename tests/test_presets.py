@@ -7,9 +7,6 @@ from resfact.presets import (
     lookup_preset,
 )
 
-HEADER = "F,search_space,D,acf_flip_rate,acf_activation_threshold,imf_sigma,imf_activation_threshold"
-
-
 def test_builtin_table_shape():
     rows = load_preset_table()
     assert len(rows) == 48
@@ -78,31 +75,3 @@ def test_lookup_rejects():
     only_f3 = [r for r in load_preset_table() if r.F == 3]
     with pytest.raises(ValueError):
         lookup_preset(2, 1000, "brn", table=only_f3)
-
-
-def _write_table(path, rows):
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    return str(path)
-
-
-def test_custom_table_rejects_missing_column(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("F,search_space,D\n2,10,100\n")
-    with pytest.raises(ValueError, match="missing columns"):
-        load_preset_table(str(bad))
-
-
-def test_custom_table_rejects_empty(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text(HEADER + "\n")
-    with pytest.raises(ValueError, match="no rows"):
-        load_preset_table(str(empty))
-
-
-def test_custom_table_sorted_on_load(tmp_path):
-    p = _write_table(
-        tmp_path / "unsorted.csv",
-        ["3,50,100,0,0,0.01,0", "2,99,100,0,0,0.01,0", "2,10,100,0,0,0.01,0"],
-    )
-    rows = load_preset_table(p)
-    assert [(r.F, r.search_space) for r in rows] == [(2, 10), (2, 99), (3, 50)]

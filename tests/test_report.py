@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -195,15 +196,35 @@ def _csv_rows(path):
             for name, v in r.items()}) for r in csv.DictReader(fh)]
 
 
-def test_acf_note_renders_from_the_committed_results():
-    # Every number in the 5e6 note comes from the script's arguments and
-    # the rows it wrote beside the note.
+def _acf_script():
     spec = importlib.util.spec_from_file_location(
         "acf_capacity_extension", RESULTS.parent / "scripts" / "acf_capacity_extension.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_acf_note_renders_from_the_committed_results():
+    # Every number in the 5e6 note comes from the script's arguments and
+    # the rows it wrote beside the note.
+    script = _acf_script()
     grid = _csv_rows(RESULTS / "acf_grid_f2_5e6.csv")
     curve = _csv_rows(RESULTS / "acf_extension_curve.csv")
     best = max(grid, key=lambda row: row.accuracy)
     note = script.render_note(script.parse_args([]), grid, best, curve[-1], curve)
     assert note == (RESULTS / "acf_5e6_reproduction_note.md").read_text()
+
+
+def test_acf_note_follows_its_rows():
+    # The reliable size and the cited preset move with the rows they come from.
+    script = _acf_script()
+    grid = _csv_rows(RESULTS / "acf_grid_f2_5e6.csv")
+    curve = _csv_rows(RESULTS / "acf_extension_curve.csv")
+    best = max(grid, key=lambda row: row.accuracy)
+    curve[2] = dataclasses.replace(curve[2], accuracy=1.0)  # 2999824 now decodes fully
+    note = script.render_note(script.parse_args([]), grid, best, curve[-1], curve)
+    assert "extends to about\n3.0e6," in note
+    headline = dataclasses.replace(curve[0], trials=200)  # at 1e6, an exact preset row
+    note = script.render_note(script.parse_args([]), grid, best, headline, curve)
+    assert "M^2 = 1000000 (M = 1000)" in note
+    assert "flip rate 0.1 with\nactivation threshold 0.075." in note
