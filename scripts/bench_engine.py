@@ -319,8 +319,12 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     decodes = [timed(lambda: decode(budget)) for budget in (1, DECODE_SWEEPS)]
     row["decode_us"] = {"us": (decodes[1]["us"] - decodes[0]["us"]) / (DECODE_SWEEPS - 1),
                         "calls": decodes[1]["calls"]}
-    # A tree from before the packed reconstruction rows has no recon_words.
-    packed = {id(a): a for a in kernels.search + getattr(kernels, "recon_words", [])}
+    # Older trees name the packed reconstruction rows recon_words, or have none,
+    # and their recon is a float copy of the books.
+    recon = getattr(kernels, "recon_words", None)
+    if recon is None:
+        recon = [a for a in kernels.recon if a.dtype == np.uint64]
+    packed = {id(a): a for a in kernels.search + recon}
     row["kernel_bytes"] = sum(a.nbytes for a in packed.values())
     return row
 

@@ -1,20 +1,19 @@
 /* Compiled update sweep of the decoder.
  *
- * Built and loaded by _sweep.py.  resfact_run runs whole brn/acf sweeps
- * until the convergence test passes or its budget runs out.
- * resfact_update does one factor's update: unbind, pack, search,
- * activation and reconstruction.  For imf it stops after the search,
- * because imf's noisy real-valued weights stay in numpy.  resfact_ties
- * draws every variant's tie-breaks from the tie stream itself, bit for
- * bit as numpy draws them.  Both the search and the reconstruction read
- * books that resfact_pack packs, as pack() packs each query: element j
- * of a row at bit j % 64 of its word j / 64, 1 for +1 and 0 for -1.
- * Set-up runs here too: resfact_expand turns a codebook's random bytes
- * into +-1, and resfact_init starts every factor at the majority of its
- * packed search rows.
- * Every sum here is an integer sum, so no result depends on the order in
- * which terms are added; the only floating-point operation is the
- * division of each numerator by D, which rounds exactly as numpy's does.
+ * Built and loaded by _sweep.py.  resfact_run runs whole update sweeps
+ * of every variant until the convergence test passes or its budget runs
+ * out.  resfact_ties draws every variant's tie-breaks from the tie stream
+ * itself, bit for bit as numpy draws them.  Both the search and the
+ * reconstruction read books that resfact_pack packs, as pack() packs
+ * each query: element j of a row at bit j % 64 of its word j / 64, 1 for
+ * +1 and 0 for -1.  Set-up runs here too: resfact_expand turns a
+ * codebook's random bytes into +-1, and resfact_init starts every factor
+ * at the majority of its packed search rows.
+ * brn and acf sum integers, in any order; their one floating-point
+ * operation, each numerator / D, rounds exactly as numpy's does.  imf's
+ * noise is numpy's own random_standard_normal_fill (libnpyrandom.a),
+ * added as numpy's expressions add it, unfused (-ffp-contract=off), and
+ * its real-valued sums run in row order.
  */
 
 #include <stdint.h>
@@ -37,6 +36,10 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
+/* numpy/random/distributions.h: fills out[0..n) with the draws of
+ * Generator.standard_normal(n) from the same bit generator. */
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t n, double *out);
+
 /* One factor's constants and scratch buffers, owned by _Kernels in
  * factorizer.py, which takes their addresses once per run and keeps the
  * plans of all factors in one array, in factor order.  search and recon
@@ -44,7 +47,7 @@ typedef struct bitgen {
  * the reconstruction book, one and the same array unless the variant is
  * acf; f is the factor of `factors` it updates.  query (words), unbound
  * (dim), rows (m), weights (m) and sums (64 * words) are scratch; after
- * an update, weights holds the factor's numerators. */
+ * an update, weights holds the factor's reconstruction weights. */
 struct resfact_plan {
     const uint64_t *search, *recon;
     int64_t m, dim, words, factors, f;
@@ -216,21 +219,61 @@ static int64_t signs(const int32_t *restrict sums, int64_t total, int64_t dim,
     return ties;
 }
 
+/* est[j], j < dim, = the sign of the float64 sum, from 0 in row order
+ * k < n, of +-weights[rows[k]] as row rows[k] of the packed `recon` has
+ * bit j set or clear, 0 where it is exactly zero; returns the number of
+ * zeros.  With AVX-512 a word's 64 sums are eight vectors of doubles;
+ * the plain loop multiplies by +-1, which is exact, so both agree. */
+static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, const int64_t *rows,
+                          int64_t n, const double *weights, int8_t *est)
+{
+    int64_t ties = 0;
+    for (int64_t i = 0; i < words; i++) {
+        double sums[64] = {0};
+#if defined(__AVX512F__)
+        __m512d acc[8] = {};
+        for (int64_t k = 0; k < n; k++) {
+            const uint8_t *bits = (const uint8_t *)(recon + rows[k] * words + i);
+            const double w = weights[rows[k]];
+            const __m512d pos = _mm512_set1_pd(w), neg = _mm512_set1_pd(-w);
+            for (int q = 0; q < 8; q++)
+                acc[q] = _mm512_add_pd(acc[q], _mm512_mask_blend_pd(bits[q], neg, pos));
+        }
+        for (int q = 0; q < 8; q++)
+            _mm512_storeu_pd(sums + 8 * q, acc[q]);
+#else
+        for (int64_t k = 0; k < n; k++) {
+            const uint64_t b = recon[rows[k] * words + i];
+            const double w = weights[rows[k]];
+            for (int t = 0; t < 64; t++)
+                sums[t] += (double)(2 * (int)(b >> t & 1) - 1) * w;
+        }
+#endif
+        for (int64_t t = 0; t < 64 && 64 * i + t < dim; t++) {
+            est[64 * i + t] = (int8_t)((sums[t] > 0) - (sums[t] < 0));
+            ties += sums[t] == 0;
+        }
+    }
+    return ties;
+}
+
 /* Factor p->f's update within a sweep, on the (factors, dim) int8
  * estimates `working` and the (factors, m) float64 `attentions`:
  *
  * 1. unbind: x times every other factor's row of working;
  * 2. pack the result into the query and search: the numerators, left in
- *    p->weights, and attentions[f] = numerator / dim;
- * 3. unless `reconstruct` is 0 (imf), where it returns 0 here: the rows
- *    whose attention is above `threshold` (strict) survive, and
- *    working[f] becomes the sign of their numerator-weighted sum, with 0
- *    where that sum is exactly zero.
+ *    p->weights as the weights, and attentions[f] = numerator / dim;
+ * 3. with `noise` (imf; NULL for brn and acf), for M normals z drawn as
+ *    noise.standard_normal(M) draws them, alpha += sigma * z and
+ *    weight += (dim * sigma) * z, as numpy computes them;
+ * 4. the rows whose attention is above `threshold` (strict) survive, and
+ *    working[f] becomes the sign of their weighted sum (superpose, or
+ *    real_signs for imf), with 0 where that sum is exactly zero.
  *
  * Returns the number of zeros left in working[f]: dim if no row
  * survives, since working[f] is then all zeros. */
-int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *working,
-                       double *attentions, double threshold, int64_t reconstruct)
+static int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *working,
+                              double *attentions, double threshold, double sigma, bitgen_t *noise)
 {
     const int64_t m = p->m, dim = p->dim;
     int8_t *u = p->unbound;
@@ -245,10 +288,18 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
     pack(u, dim, p->words, p->query);
     search(p->search, m, p->words, p->query, dim, p->weights);
     double *alpha = attentions + p->f * m;
-    for (int64_t i = 0; i < m; i++)
-        alpha[i] = p->weights[i] / (double)dim;
-    if (!reconstruct)
-        return 0;
+    if (noise) {
+        random_standard_normal_fill(noise, m, alpha);  /* then replaced */
+        const double scale = (double)dim * sigma;
+        for (int64_t i = 0; i < m; i++) {
+            const double z = alpha[i];
+            alpha[i] = p->weights[i] / (double)dim + sigma * z;
+            p->weights[i] += scale * z;
+        }
+    } else {
+        for (int64_t i = 0; i < m; i++)
+            alpha[i] = p->weights[i] / (double)dim;
+    }
 
     /* The survivors, in row order, branchless: in dense brn about half the
      * rows survive, at random.  With AVX-512, eight rows at a time: the
@@ -269,6 +320,8 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
         p->rows[n] = i;
         n += alpha[i] > threshold;
     }
+    if (noise)
+        return real_signs(p->recon, p->words, dim, p->rows, n, p->weights, working + p->f * dim);
     const int64_t total = superpose(p->recon, p->words, dim, p->rows, n, p->weights, p->sums);
     return signs(p->sums, total, dim, working + p->f * dim);
 }
@@ -280,7 +333,7 @@ int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *wo
  * the value is bit 7 of the next byte of a 32-bit buffer that
  * next_uint32 refills and that is used low byte first.  The buffer
  * starts empty on every call, as on every numpy call.  All ties of
- * every variant are drawn here, imf's by one call per factor update. */
+ * every variant are drawn here. */
 void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
 {
     uint32_t buf = 0;
@@ -336,22 +389,23 @@ static int all_above(const double *attentions, int64_t factors, int64_t m, doubl
     return 1;
 }
 
-/* Runs brn/acf update sweeps over the factors of plans[0..factors), in
- * order, on the (factors, dim) `working` estimates and (factors, m)
- * `attentions`, in place.  Each factor's zeros after its update are
- * resolved from `ties` at once, before the next factor unbinds it; a
- * factor with no survivor thus draws all dim values.  The sweeps stop
- * after the first one where every factor's maximum attention is above
- * `convergence`, or after `budget` sweeps.  Returns the number of
- * sweeps run and sets *converged to whether the last one passed. */
+/* Runs update sweeps over the factors of plans[0..factors), in order, on
+ * the (factors, dim) `working` estimates and (factors, m) `attentions`,
+ * in place, imf's with noise of std `sigma` from `noise` (else NULL).
+ * Each factor's zeros after its update are resolved from `ties` at once,
+ * before the next factor unbinds it; a factor with no survivor thus
+ * draws all dim values.  The sweeps stop after the first one where every
+ * factor's maximum attention is above `convergence`, or after `budget`
+ * sweeps.  Returns the number of sweeps run and sets *converged to
+ * whether the last one passed. */
 int64_t resfact_run(const struct resfact_plan *plans, const int8_t *x, int8_t *working,
-                    double *attentions, double threshold, double convergence,
-                    int64_t budget, bitgen_t *ties, int64_t *converged)
+                    double *attentions, double threshold, double sigma, double convergence,
+                    int64_t budget, bitgen_t *ties, bitgen_t *noise, int64_t *converged)
 {
     const int64_t factors = plans->factors, dim = plans->dim;
     for (int64_t sweep = 1; sweep <= budget; sweep++) {
         for (int64_t f = 0; f < factors; f++)
-            if (resfact_update(plans + f, x, working, attentions, threshold, 1))
+            if (resfact_update(plans + f, x, working, attentions, threshold, sigma, noise))
                 resfact_ties(working + f * dim, dim, ties);
         if (all_above(attentions, factors, plans->m, convergence)) {
             *converged = 1;

@@ -1,18 +1,19 @@
 """Loader of the update sweep's compiled kernels (``_sweep.c``).
 
 Importing this module loads the kernels from a shared library in the
-package directory.  The library's name hashes the source, the compiler
-flags and the host CPU's flags, so an edited source or another CPU gets
-a library of its own, and an import that finds its library never runs
-the compiler.  Otherwise the import builds it with the system ``cc``
+package directory, linked with numpy's ``random/lib/libnpyrandom.a``,
+which draws ``imf``'s noise.  The library's name hashes the source, the
+compiler flags, that archive and the host CPU's flags, so each of them
+gets a library of its own, and an import that finds its library never
+runs the compiler.  Otherwise the import builds it with the system ``cc``
 into a file of its own and moves that into place with ``os.replace``:
 processes that import at once may each compile, and each one loads a
 complete library.  A build then deletes the libraries of other sources
 or CPUs beside it; a process that has one loaded keeps using it.
 
-There is no fallback: without ``cc`` or a writable package directory,
-the first import on a host fails with an ``ImportError`` that names
-which is missing.
+There is no fallback: without ``cc``, a writable package directory or
+numpy's ``libnpyrandom.a``, the import fails with an ``ImportError``
+that names which is missing.
 """
 
 from __future__ import annotations
@@ -26,8 +27,12 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("_sweep.c")
-FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+#: ``-ffp-contract=off``: ``imf``'s multiply-adds round as numpy's, never fused into FMAs.
+FLAGS = ("-O3", "-march=native", "-shared", "-fPIC", "-ffp-contract=off")
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 
 def _cpu_flags() -> str:
@@ -44,8 +49,11 @@ def _cpu_flags() -> str:
 
 def library_path(source: Path = SOURCE) -> Path:
     """Where the library built from ``source`` on this host lives."""
+    if not NPYRANDOM.is_file():
+        raise ImportError(f"resfact needs numpy's C random library, {NPYRANDOM}")
     digest = hashlib.sha256(source.read_bytes())
     digest.update(" ".join(FLAGS).encode())
+    digest.update(NPYRANDOM.read_bytes())
     digest.update(_cpu_flags().encode())
     return source.with_name(f"{source.stem}-{digest.hexdigest()[:16]}.so")
 
@@ -59,7 +67,7 @@ def _build(source: Path, path: Path) -> None:
                           f"{path.parent} is not writable")
     tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.so")
     try:
-        out = subprocess.run([cc, *FLAGS, "-o", str(tmp), str(source)],
+        out = subprocess.run([cc, *FLAGS, "-o", str(tmp), str(source), str(NPYRANDOM), "-lm"],
                              capture_output=True, text=True)
         if out.returncode != 0:
             raise ImportError(f"{cc} could not build {path} from {source}:\n{out.stderr}")
@@ -99,10 +107,8 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
         _build(source, path)
     lib = ctypes.CDLL(str(path))
     pointer, i64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.resfact_update.argtypes = (pointer, pointer, pointer, pointer, double, i64)
-    lib.resfact_update.restype = i64
-    lib.resfact_run.argtypes = (pointer, pointer, pointer, pointer, double, double, i64,
-                                pointer, ctypes.POINTER(i64))
+    lib.resfact_run.argtypes = (pointer, pointer, pointer, pointer, double, double, double,
+                                i64, pointer, pointer, ctypes.POINTER(i64))
     lib.resfact_run.restype = i64
     lib.resfact_ties.argtypes = (pointer, i64, pointer)
     lib.resfact_ties.restype = None
@@ -131,6 +137,5 @@ def bitgen(bit_generator) -> int:
 
 
 _lib = load()
-update, run, ties, pack, expand, init = (_lib.resfact_update, _lib.resfact_run,
-                                          _lib.resfact_ties, _lib.resfact_pack,
-                                          _lib.resfact_expand, _lib.resfact_init)
+run, ties, pack, expand, init = (_lib.resfact_run, _lib.resfact_ties, _lib.resfact_pack,
+                                  _lib.resfact_expand, _lib.resfact_init)

@@ -8,12 +8,13 @@ similarities), sparsify the attentions with a threshold, and rebuild
 the estimate as the sign of the attention-weighted codevector
 superposition.
 
-Three variants share that loop:
+Three variants share that loop, one compiled call (``_sweep.c``) for
+every one of them:
 
 * ``brn``  -- baseline without added noise; only exactly-zero
   reconstruction sums take random signs (the tie-break stream).
 * ``imf``  -- adds fresh i.i.d. Gaussian noise (std ``sigma``) to every
-  attention read.
+  attention read, and the same noise to the reconstruction weights.
 * ``acf``  -- flips each element of a *reconstruction copy* of every
   codebook once, with probability ``flip_rate``, at initialization; the
   search copy stays clean and the fixed asymmetry plays the role of
@@ -42,10 +43,6 @@ from .vsa import Codebook, as_bipolar
 VARIANT_KINDS = ("brn", "imf", "acf")
 #: Hard cap on the default iteration budget min(M**F, cap).
 DEFAULT_ITER_CAP = 10_000
-#: The float reconstruction block of ``imf``'s dense product is float32 while
-#: M * D is at most this.  Its real-valued weights make that product round,
-#: and the golden digests pin ``imf`` trajectories as it rounds.
-_FLOAT32_LIMIT = 2**22
 #: ``generate_bfm`` draws its uniforms this many at a time (128 KiB of float64).
 _MASK_BLOCK = 1 << 14
 
@@ -285,12 +282,7 @@ def detect_convergence_early(state: FactorizerState, threshold: float) -> bool:
     """
     if np.isnan(state.attentions).any():
         raise ValueError("attentions not populated; run at least one step first")
-    return _converged(state.attentions, threshold)
-
-
-def _converged(attentions: np.ndarray, threshold: float) -> bool:
-    """``detect_convergence_early`` on attentions known to be populated, as ``run`` has them."""
-    return bool((attentions.max(axis=1) > threshold).all())
+    return bool((state.attentions.max(axis=1) > threshold).all())
 
 
 def _pack(book) -> np.ndarray:
@@ -307,132 +299,79 @@ class _Kernels:
     ``search[f]`` is factor f's search codebook bit-packed by ``_pack``,
     so the dot product of a row with a query that the compiled update
     packs the same way is D - 2 * popcount(xor), an exact integer.
-    ``recon_words[f]`` is ``books[f]``, the reconstruction book, in that
-    layout, from which the compiled update sums the rows that survive,
-    exactly, in integers; ``search[f]`` is the same array unless the
-    reconstruction books differ from the search books (``acf``).  Each
-    book is packed once per run.  ``plans`` is a C array of one
-    ``_sweep.Plan`` per factor, which the compiled sweep and
-    ``init_estimates`` read: the addresses of those two layouts and of
-    scratch buffers shared by every factor, taken once.  So one sweep or
-    init at a time may use a ``_Kernels``;
-    after a factor's update, ``_numerators`` holds its numerators.
-
-    ``books[f]`` is factor f's reconstruction book as a C-contiguous int8
-    array, made so once per run whatever the layout of the codebook.
-    ``recon[f]`` is a float copy of it for ``superpose``, the dense BLAS
-    product of ``imf``'s real-valued weights, float32 while
-    ``_FLOAT32_LIMIT`` allows, built on first read; that product rounds.
-    The F copies are views of one (F, M, D) block, since one allocation
-    page-faults far less than F separate ones.  ``brn`` and ``acf`` never
-    read it.
+    ``recon[f]`` is its reconstruction book in that layout, whose
+    surviving rows the compiled update sums; it is ``search[f]`` unless
+    the variant is ``acf``.  Each book is packed once per run.  ``plans``
+    is a C array of one ``_sweep.Plan`` per factor, which the compiled
+    sweep and ``init_estimates`` read: the addresses of those two layouts
+    and of scratch buffers shared by every factor, taken once.  So one
+    sweep or init at a time may use a ``_Kernels``.
     """
 
-    __slots__ = ("search", "recon_words", "books", "dtype", "plans", "_recon", "_x",
-                 "_numerators", "_scratch", "_plan_at", "_x_at")
+    __slots__ = ("search", "recon", "plans", "_x", "_scratch", "_plan_at", "_x_at")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
         if size * dim >= 2**31:
             raise ValueError(f"M * D = {size * dim} would overflow the int32 "
                              "reconstruction sums; it must be below 2**31")
-        self.dtype = np.float32 if size * dim <= _FLOAT32_LIMIT else np.float64
-        self.books = [np.ascontiguousarray(b.codevectors, dtype=np.int8)
-                      for b in pbooks.recon_books]
-        self.recon_words = [_pack(b) for b in self.books]
-        self.search = self.recon_words
+        self.recon = [_pack(b.codevectors) for b in pbooks.recon_books]
+        self.search = self.recon
         if pbooks.recon_books is not pbooks.search_books:
             self.search = [_pack(b.codevectors) for b in pbooks.search_books]
-        self._recon = None
         words = self.search[0].shape[1]
         self._x = np.empty(dim, dtype=np.int8)
-        self._numerators = np.empty(size)
         self._scratch = (np.empty(words, dtype=np.uint64), np.empty(dim, dtype=np.int8),
-                         np.empty(size, dtype=np.int64), self._numerators,
+                         np.empty(size, dtype=np.int64), np.empty(size),
                          np.empty(64 * words, dtype=np.int32))
         scratch = [_sweep.address(a) for a in self._scratch]
         self.plans = (_sweep.Plan * len(self.search))(
             *(_sweep.Plan(_sweep.address(s), _sweep.address(r), size, dim, words,
                           len(self.search), f, *scratch)
-              for f, (s, r) in enumerate(zip(self.search, self.recon_words))))
+              for f, (s, r) in enumerate(zip(self.search, self.recon))))
         self._plan_at = [ctypes.addressof(p) for p in self.plans]
         self._x_at = _sweep.address(self._x)
 
-    @property
-    def recon(self) -> list:
-        """Float copies of the reconstruction books, built once, on first read."""
-        if self._recon is None:
-            self._recon = list(np.array(self.books, dtype=self.dtype))
-        return self._recon
-
-    def superpose(self, f: int, weights: np.ndarray) -> np.ndarray:
-        """Dense float product of M weights with factor f's reconstruction book."""
-        return weights.astype(self.dtype, copy=False) @ self.recon[f]
-
 
 def _bitgen(rng: np.random.Generator, stream: str) -> int:
-    """Address of the ``bitgen_t`` of ``rng``, the ``stream`` stream, for ``resfact_ties``.
+    """Address of the ``bitgen_t`` of ``rng``, the ``stream`` stream, for the compiled code.
 
-    The compiled tie draw is checked to draw like numpy from PCG64, the
-    generator ``derive_streams`` makes, and refuses any other.
+    The compiled draws are checked to draw like numpy from PCG64, the
+    generator ``derive_streams`` makes, and refuse any other.
     """
     bit_generator = rng.bit_generator
     if type(bit_generator) is not np.random.PCG64:
-        raise ValueError(f"the compiled code draws ties only from a PCG64 {stream} stream, "
+        raise ValueError(f"the compiled code draws only from a PCG64 {stream} stream, "
                          f"not {type(bit_generator).__name__}")
     return _sweep.bitgen(bit_generator)
 
 
-def _sweeps(working, attentions, kernels, cfg, streams, ties, budget):
-    """Up to ``budget`` update sweeps over all factors, in place: the one sweep loop.
+def _bitgens(variant: VariantSpec, streams: FactorizerStreams) -> tuple:
+    """The tie and, for ``imf`` only, noise ``bitgen_t`` addresses ``_sweeps`` draws from."""
+    noise = _bitgen(streams.noise, "noise") if variant.kind == "imf" else None
+    return _bitgen(streams.ties, "tie"), noise
 
-    Each factor unbinds the others' latest estimates: those already
-    updated in this sweep, the previous sweep's for the rest; the input
-    vector is ``kernels._x``.  Reconstruction weights are the attention
-    *numerators* (dot products) rather than the normalized attentions:
-    the positive rescaling cannot change any sign, and it keeps
-    exact-zero ties exact in float arithmetic.  The sweeps stop after the
-    first one that passes ``_converged`` at ``cfg.convergence_threshold``.
-    Returns how many ran and whether the last one converged.
 
-    For ``brn`` and ``acf`` one compiled call (``_sweep.run``) runs every
-    sweep.  For ``imf`` the compiled update (``_sweep.update``) only
-    unbinds and searches; the noise, the threshold and the dense float
-    product of its real-valued weights stay in numpy.  In every variant
-    the zeros of a new estimate are tie-breaks, which ``_sweep.ties`` draws
-    from the ``bitgen_t`` at ``ties`` (``_bitgen``) under its lock.
+def _sweeps(working, attentions, kernels, cfg, streams, bitgens, budget):
+    """Up to ``budget`` update sweeps over all factors, in place: one ``_sweep.run`` call.
+
+    Each factor unbinds the others' latest estimates from ``kernels._x``.
+    Reconstruction weights are the attention *numerators*, plus D times
+    ``imf``'s noise: unlike the attentions, they keep ``brn``'s and
+    ``acf``'s ties exact.  Ties come from the tie stream, ``imf``'s noise,
+    ``standard_normal(M)`` per factor update, from the noise stream, both
+    locked, at the addresses ``bitgens`` (``_bitgens``).  The sweeps stop
+    after the first that passes ``detect_convergence_early`` at
+    ``cfg.convergence_threshold``.  Returns how many ran and whether the
+    last one converged.
     """
-    variant = cfg.variant
-    thresh = variant.activation_threshold
-    working_at = _sweep.address(working)
-    at = (kernels._x_at, working_at, _sweep.address(attentions), thresh)
-    if variant.kind != "imf":
-        converged = ctypes.c_int64()
-        with streams.ties.bit_generator.lock:
-            sweeps = _sweep.run(kernels._plan_at[0], *at, cfg.convergence_threshold, budget,
-                                ties, converged)
-        return sweeps, bool(converged.value)
-
-    dim = working.shape[1]
-    for sweep in range(1, budget + 1):
-        for f in range(len(working)):
-            _sweep.update(kernels._plan_at[f], *at, 0)
-            noise = streams.noise.standard_normal(attentions.shape[1])
-            alpha = attentions[f]
-            alpha += variant.sigma * noise
-            alive = alpha > thresh
-            if alive.any():
-                # Real-valued weights would round differently in another
-                # summation order, so imf always takes the dense product.
-                weights = np.where(alive, kernels._numerators + (dim * variant.sigma) * noise, 0.0)
-                working[f] = np.sign(kernels.superpose(f, weights))
-            else:
-                working[f] = 0
-            with streams.ties.bit_generator.lock:
-                _sweep.ties(working_at + f * dim, dim, ties)
-        if _converged(attentions, cfg.convergence_threshold):
-            return sweep, True
-    return budget, False
+    converged = ctypes.c_int64()
+    with streams.ties.bit_generator.lock, streams.noise.bit_generator.lock:
+        sweeps = _sweep.run(kernels._plan_at[0], kernels._x_at, _sweep.address(working),
+                            _sweep.address(attentions), cfg.variant.activation_threshold,
+                            cfg.variant.sigma or 0.0, cfg.convergence_threshold, budget,
+                            bitgens[0], bitgens[1], converged)
+    return sweeps, bool(converged.value)
 
 
 def _advance(estimates, x, kernels, cfg, streams):
@@ -447,7 +386,7 @@ def _advance(estimates, x, kernels, cfg, streams):
                          f"codebooks of dimension {kernels._x.size}")
     attentions = np.empty((len(working), kernels.search[0].shape[0]))
     kernels._x[...] = x
-    _sweeps(working, attentions, kernels, cfg, streams, _bitgen(streams.ties, "tie"), 1)
+    _sweeps(working, attentions, kernels, cfg, streams, _bitgens(cfg.variant, streams), 1)
     return working, attentions
 
 
@@ -501,9 +440,9 @@ def run(
 
     ``on_step`` (if given) observes every post-sweep state; useful for
     trajectory comparisons and debugging.  Each state owns its arrays,
-    which later sweeps leave alone.  Without ``on_step``, a ``brn`` or
-    ``acf`` decode is one compiled call for the whole budget; with it,
-    one call per sweep.  Both run the same sweeps, tie draws included.
+    which later sweeps leave alone.  Without ``on_step``, a decode is one
+    compiled call for the whole budget; with it, one call per sweep.  Both
+    run the same sweeps, tie and noise draws included.
     """
     xv = _check_run_inputs(x, books, cfg)
     streams = derive_streams(cfg.seed)
@@ -511,13 +450,13 @@ def run(
     kernels = pbooks._kernels
     state = init_estimates(pbooks, streams.init)
     kernels._x[...] = xv
-    ties = _bitgen(streams.ties, "tie")
+    bitgens = _bitgens(cfg.variant, streams)
     limit = cfg.resolved_max_iters()
     budget = limit if on_step is None else 1
 
     while state.iteration < limit and not state.converged:
         estimates, attentions = state.estimates.copy(), np.empty_like(state.attentions)
-        sweeps, converged = _sweeps(estimates, attentions, kernels, cfg, streams, ties,
+        sweeps, converged = _sweeps(estimates, attentions, kernels, cfg, streams, bitgens,
                                     min(budget, limit - state.iteration))
         state = FactorizerState(estimates=estimates, attentions=attentions,
                                 iteration=state.iteration + sweeps, converged=converged)

@@ -2,8 +2,8 @@
 
 Unbind, associative search, activation and reconstruction, written the
 direct way.  The package's sweep (``factorizer._advance``) computes the
-same phases on packed bits, and on float blocks for ``imf`` only; the
-tests compare it against these.
+same phases in compiled code on packed bits, summing ``imf``'s
+real-valued weights in float64; the tests compare it against these.
 """
 
 import numpy as np

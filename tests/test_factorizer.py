@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -330,7 +332,6 @@ def test_superpose_kernel_matches_int64_reference(D):
         assert np.array_equal(attentions, ref_attentions)
         assert np.array_equal(new, ref_new)
         assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
-        assert pbooks._kernels._recon is None
 
 
 @pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.05),
@@ -351,8 +352,6 @@ def test_kernels_make_noncontiguous_books_contiguous(layout, variant):
         for b in odd:
             b.codevectors.flags.writeable = False
     assert not (odd[0].codevectors.flags.c_contiguous and odd[0].codevectors.flags.writeable)
-    kernels = factorizer._Kernels(perturb_codebooks(odd, variant, np.random.default_rng(1)))
-    assert all(b.flags.c_contiguous for b in kernels.books)
     cfg = FactorizerConfig(variant=variant, F=2, M=M, D=D, seed=3, max_iters=20)
     got, ref = run(x, odd, cfg), run(x, books, cfg)
     assert got.iterations == ref.iterations and got.indices == ref.indices
@@ -398,59 +397,13 @@ def test_survivor_rows_reconstruct_like_dense(variant, share):
     assert 0.9 * keep <= survivors <= keep
 
 
-def _record_kernels(monkeypatch):
-    """Make every run keep the ``_Kernels`` it builds in the returned list."""
-    built = []
+def _reference_sweep(x, estimates, pbooks, variant, streams):
+    """One sequential sweep built from the int64 and float64 phase references.
 
-    class RecordedKernels(factorizer._Kernels):
-        def __init__(self, pbooks):
-            super().__init__(pbooks)
-            built.append(self)
-
-    monkeypatch.setattr(factorizer, "_Kernels", RecordedKernels)
-    return built
-
-
-@pytest.mark.parametrize(
-    "variant, gathers",
-    [(VariantSpec.brn(0.05), True), (VariantSpec.acf(0.05, 0.05), True),
-     (VariantSpec.imf(0.007, 0.05), False)],
-    ids=["brn-sparse", "acf-sparse", "imf-sparse"],
-)
-def test_sweep_gathers_rows_only_for_few_integer_weights(monkeypatch, variant, gathers):
-    # brn and acf sum their few surviving rows inside the compiled update,
-    # so no product reaches superpose.  imf weights are real-valued:
-    # gathering would change their summation order, so each of its updates
-    # with a survivor takes the dense float product over all M rows.
-    products = []
-
-    class LoggedKernels(factorizer._Kernels):
-        def superpose(self, f, weights):
-            products.append(f)
-            return super().superpose(f, weights)
-
-    monkeypatch.setattr(factorizer, "_Kernels", LoggedKernels)
-    M = 200
-    x, books, _ = _instance(M, 1000, 2, seed=4)
-    survivors = []
-    run(x, books, FactorizerConfig(variant=variant, F=2, M=M, D=1000, seed=4, max_iters=20),
-        on_step=lambda state: survivors.extend(
-            (state.attentions > variant.activation_threshold).sum(axis=1)))
-    assert survivors and max(survivors) < M // 4
-    if gathers:
-        assert products == []
-    else:
-        assert len(products) == sum(n > 0 for n in survivors)
-        assert products
-
-
-def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
-    """One sequential sweep built from the int64 phase references.
-
-    Reconstruction weights are the surviving attentions times D, rounded
-    back to the integer numerators the sweep weights by.  With
-    ``follow``, factor f's new estimate is taken from it instead of
-    reconstructed, so that only the attentions are compared.  Also
+    Reconstruction weights of ``brn`` and ``acf`` are the surviving
+    attentions times D, rounded back to the integer numerators the sweep
+    weights by.  ``imf``'s are the survivors' real-valued weights,
+    numerator + D * sigma * noise, with the noise the search drew.  Also
     returns, per factor, how many reconstruction sums were exactly zero
     (-1 where no attention survived).
     """
@@ -459,12 +412,15 @@ def _reference_sweep(x, estimates, pbooks, variant, streams, follow=None):
     ties = []
     for f in range(len(working)):
         unbound = unbind_others(x, working, f)
+        drawn = copy.deepcopy(streams.noise)  # replays the noise the search draws
         alpha = associative_search(unbound, pbooks.search_books[f], variant, streams.noise)
         attentions[f] = alpha
-        if follow is not None:
-            working[f] = follow[f]
-            continue
-        weights = np.rint(threshold_activation(alpha, variant.activation_threshold) * x.size)
+        if variant.kind == "imf":
+            numerators = pbooks.search_books[f].codevectors.astype(np.int64) @ unbound
+            noisy = numerators + (x.size * variant.sigma) * drawn.standard_normal(alpha.size)
+            weights = np.where(alpha > variant.activation_threshold, noisy, 0.0)
+        else:
+            weights = np.rint(threshold_activation(alpha, variant.activation_threshold) * x.size)
         book = pbooks.recon_books[f]
         ties.append(int((weights @ book.codevectors == 0).sum()) if weights.any() else -1)
         working[f] = reconstruct(weights, book, streams.ties)
@@ -511,12 +467,11 @@ _SWEEP_CASES = (
 
 @pytest.mark.parametrize("F, M, D, variant, regime", _SWEEP_CASES)
 def test_sweep_matches_int64_references(F, M, D, variant, regime):
-    # brn and acf weights are integers, so the sweep must equal the
-    # int64/float64 references bit for bit, tie-break draws included,
-    # whether about half of M survives (many), a few percent (few), none
-    # at all, or the sums tie on half of D.  imf's real-valued weights sum
-    # in another precision, so only its attentions must match where any
-    # survives.
+    # The sweep must equal the int64/float64 references bit for bit,
+    # tie-break and noise draws included, whether about half of M survives
+    # (many), a few percent (few), none at all, or the sums tie on half of
+    # D.  brn and acf weights are integers; imf's are real, and both sides
+    # sum them in float64.
     if regime == "ties":
         x, books = _tied_instance(D)
     else:
@@ -527,10 +482,8 @@ def test_sweep_matches_int64_references(F, M, D, variant, regime):
     estimates = init_estimates(pbooks, streams.init).estimates
     for _ in range(4):
         new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
-        # With no survivor, imf's new estimate is a plain tie-stream draw.
-        follow = new if variant.kind == "imf" and regime != "none" else None
-        ref_new, ref_attentions, ties = _reference_sweep(
-            x, estimates, pbooks, variant, ref_streams, follow)
+        ref_new, ref_attentions, ties = _reference_sweep(x, estimates, pbooks, variant,
+                                                         ref_streams)
         assert np.array_equal(attentions, ref_attentions)
         assert np.array_equal(new, ref_new)
         survivors = (attentions > variant.activation_threshold).sum(axis=1)
@@ -541,48 +494,9 @@ def test_sweep_matches_int64_references(F, M, D, variant, regime):
             assert (survivors == 0).all()
         elif regime == "ties":
             assert ties[0] == D // 2
-        # Only imf's dense product builds the float block, on its first sweep.
-        assert (pbooks._kernels._recon is None) == (variant.kind != "imf" or regime == "none")
         estimates = new
     assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "variant, builds",
-    [(VariantSpec.acf(0.05, 0.05), False), (VariantSpec.imf(0.007, 0.05), True),
-     (VariantSpec.brn(), False), (VariantSpec.brn(0.05), False)],
-    ids=["acf-sparse", "imf", "brn-dense", "brn-sparse"],
-)
-def test_float_block_is_built_on_the_first_dense_product(monkeypatch, variant, builds):
-    # imf's real-valued weights take the dense float product from its first
-    # sweep on; brn and acf sum their surviving rows in the compiled update
-    # and never build the block, whether a few percent of M survive (at
-    # 0.05) or about half (brn at 0).
-    built = _record_kernels(monkeypatch)
-    M = 200
-    x, books, _ = _instance(M, 1000, 2, seed=4)
-    cfg = FactorizerConfig(variant=variant, F=2, M=M, D=1000, seed=4, max_iters=30)
-    blocks = []
-    run(x, books, cfg, on_step=lambda state: blocks.append(built[0]._recon))
-    assert len(built) == 1 and len(blocks) > 1
-    if builds:
-        assert blocks[0] is not None and all(b is blocks[0] for b in blocks)
-    else:
-        assert blocks == [None] * len(blocks)
-
-
-def test_short_brn_decode_builds_no_float_block(monkeypatch):
-    # The shape of the benchmark's set-up-bound workload: a 2-sweep decode
-    # whose four factor updates each keep about half of M.
-    built = _record_kernels(monkeypatch)
-    F, M, D = 2, 100, 4000
-    x, books, truth = _instance(M, D, F, seed=5)
-    survivors = []
-    result = run(x, books, FactorizerConfig(variant=VariantSpec.brn(), F=F, M=M, D=D, seed=5),
-                 on_step=lambda state: survivors.extend((state.attentions > 0).sum(axis=1)))
-    assert result.converged and result.iterations == 2 and result.indices == truth
-    assert len(survivors) == 4 and min(survivors) >= M // 4
-    assert len(built) == 1 and built[0]._recon is None
+    assert ref_streams.noise.bit_generator.state == streams.noise.bit_generator.state
 
 
 def test_attention_of_550_is_not_above_055():
@@ -655,8 +569,8 @@ def _decode_both_ways(monkeypatch, x, books, cfg):
     """Decode with and without ``on_step``, check that both agree, return the plain result.
 
     Agreeing covers the indices, the sweep count, the stop, the final
-    estimates and attentions and the tie stream's state after the run,
-    captured by wrapping ``derive_streams``.  Every state ``on_step`` saw
+    estimates and attentions and the tie and noise streams' states after
+    the run, captured by wrapping ``derive_streams``.  Every state ``on_step`` saw
     must still hold what it held then.
     """
     made = []
@@ -675,6 +589,7 @@ def _decode_both_ways(monkeypatch, x, books, cfg):
     assert np.array_equal(plain.state.estimates, stepped.state.estimates)
     assert np.array_equal(plain.state.attentions, stepped.state.attentions)
     assert made[0].ties.bit_generator.state == made[1].ties.bit_generator.state
+    assert made[0].noise.bit_generator.state == made[1].noise.bit_generator.state
     assert len(seen) == stepped.iterations and seen[-1][0] is stepped.state
     for i, (state, estimates, attentions) in enumerate(seen, 1):
         assert state.iteration == i
@@ -684,8 +599,7 @@ def _decode_both_ways(monkeypatch, x, books, cfg):
     return plain
 
 
-@pytest.mark.parametrize("case", [c for c in GOLDEN_CASES if c[1].kind != "imf"],
-                         ids=[c[0] for c in GOLDEN_CASES if c[1].kind != "imf"])
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_run_paths_agree_on_golden_cases(monkeypatch, case):
     _, variant, F, M, D, seed, max_iters = case
     x, books, _, fact_seed = make_instance(seed, M, F, D)
@@ -726,6 +640,28 @@ def test_run_paths_agree_when_no_attention_survives(monkeypatch, variant, D, con
     assert (result.state.attentions <= 0.9).all()
     assert result.converged == converged
     assert (result.iterations < 20) == converged and result.iterations > 1
+
+
+@pytest.mark.parametrize("max_iters, converged", [(100, True), (3, False)],
+                         ids=["converges", "budget"])
+def test_imf_draws_m_normals_per_factor_update(monkeypatch, max_iters, converged):
+    # Each factor update draws its noise as streams.noise.standard_normal(M)
+    # does, and a run draws no more: none past the sweep that converges or
+    # past the budget, with or without on_step.
+    F, M, D = 3, 40, 500
+    x, books, _ = _instance(M, D, F, seed=7)
+    cfg = FactorizerConfig(variant=VariantSpec.imf(0.02), F=F, M=M, D=D, seed=7,
+                           max_iters=max_iters, convergence_threshold=0.55)
+    made = []
+    monkeypatch.setattr(factorizer, "derive_streams",
+                        lambda seed: made.append(derive_streams(seed)) or made[-1])
+    for on_step in (None, lambda state: None):
+        result = run(x, books, cfg, on_step=on_step)
+        assert result.converged == converged and 1 < result.iterations <= max_iters
+        replay = derive_streams(cfg.seed).noise
+        for _ in range(result.iterations * F):
+            replay.standard_normal(M)
+        assert made[-1].noise.bit_generator.state == replay.bit_generator.state
 
 
 def test_compiled_sweep_refuses_other_tie_generators(monkeypatch):

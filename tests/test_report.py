@@ -3,13 +3,13 @@ import dataclasses
 import importlib.util
 import io
 import json
+import typing
 from pathlib import Path
 
 import pytest
 
 from resfact.bench import CapacityReport, CapacityRow, SweepConfig, run_sweep
 from resfact.report import (
-    CSV_COLUMNS,
     CSV_HEADER,
     emit_report,
     emit_rows,
@@ -23,8 +23,7 @@ EXPECTED_HEADER = (
 )
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 ARTIFACTS = sorted(RESULTS.glob("*.csv"))
-INT_COLUMNS = {"F", "M", "D", "search_space", "trials", "max_iters"}
-STR_COLUMNS = {"variant", "preset_exact"}
+COLUMN_TYPES = typing.get_type_hints(CapacityRow)
 
 
 def _report(rows=()):
@@ -154,12 +153,18 @@ def test_json_bytes_do_not_depend_on_parallelism():
     assert "parallelism" not in json.loads(serial)["config"]
 
 
-def _parse_cell(column: str, text: str):
-    if column in STR_COLUMNS:
-        return text
-    if text == "":
-        return None
-    return int(text) if column in INT_COLUMNS else float(text)
+def _csv_rows(text: str) -> list:
+    """The rows of a report CSV, each cell typed as ``CapacityRow`` declares it."""
+    def cell(column, value):
+        kind = COLUMN_TYPES[column]
+        if kind is str:
+            return value
+        if value == "":
+            return None
+        return int(value) if kind is int else float(value)
+
+    return [CapacityRow(**{c: cell(c, v) for c, v in rec.items()})
+            for rec in csv.DictReader(io.StringIO(text))]
 
 
 def test_emit_rows_writes_the_report_csv(tmp_path, capsysbinary):
@@ -180,20 +185,10 @@ def test_results_artifact_is_a_report_csv(path, tmp_path):
     # is the contract, and re-rendering its parsed rows gives its bytes.
     data = path.read_bytes()
     assert data.decode().split("\n", 1)[0] == CSV_HEADER
-    rows = [CapacityRow(**{c: _parse_cell(c, rec[c]) for c in CSV_COLUMNS})
-            for rec in csv.DictReader(io.StringIO(data.decode()))]
+    rows = _csv_rows(data.decode())
     assert rows
     emit_rows(rows, tmp_path / path.name)
     assert (tmp_path / path.name).read_bytes() == data
-
-
-def _csv_rows(path):
-    """Rows of a results CSV with the attributes the note reads, typed as the sweep types them."""
-    with open(path, newline="") as fh:
-        return [CapacityRow(**{
-            name: (int(v) if name in INT_COLUMNS else v if name in STR_COLUMNS
-                   else float(v) if v else None)
-            for name, v in r.items()}) for r in csv.DictReader(fh)]
 
 
 def _acf_script():
@@ -208,8 +203,8 @@ def test_acf_note_renders_from_the_committed_results():
     # Every number in the 5e6 note comes from the script's arguments and
     # the rows it wrote beside the note.
     script = _acf_script()
-    grid = _csv_rows(RESULTS / "acf_grid_f2_5e6.csv")
-    curve = _csv_rows(RESULTS / "acf_extension_curve.csv")
+    grid = _csv_rows((RESULTS / "acf_grid_f2_5e6.csv").read_text())
+    curve = _csv_rows((RESULTS / "acf_extension_curve.csv").read_text())
     best = max(grid, key=lambda row: row.accuracy)
     note = script.render_note(script.parse_args([]), grid, best, curve[-1], curve)
     assert note == (RESULTS / "acf_5e6_reproduction_note.md").read_text()
@@ -218,8 +213,8 @@ def test_acf_note_renders_from_the_committed_results():
 def test_acf_note_follows_its_rows():
     # The reliable size and the cited preset move with the rows they come from.
     script = _acf_script()
-    grid = _csv_rows(RESULTS / "acf_grid_f2_5e6.csv")
-    curve = _csv_rows(RESULTS / "acf_extension_curve.csv")
+    grid = _csv_rows((RESULTS / "acf_grid_f2_5e6.csv").read_text())
+    curve = _csv_rows((RESULTS / "acf_extension_curve.csv").read_text())
     best = max(grid, key=lambda row: row.accuracy)
     curve[2] = dataclasses.replace(curve[2], accuracy=1.0)  # 2999824 now decodes fully
     note = script.render_note(script.parse_args([]), grid, best, curve[-1], curve)

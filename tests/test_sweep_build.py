@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -80,14 +81,19 @@ def test_a_build_deletes_the_libraries_of_other_sources(tmp_path):
     _sweep.load(source)
     assert sorted(pkg.glob("*.so")) == sorted([_sweep.library_path(source), *kept])
     # The deleted library stays usable in the process that loaded it: with
-    # factor 1's estimate all +1, factor 0's update searches x itself.
+    # factor 1's estimate all +1, factor 0's update in a sweep of budget 1
+    # searches x itself.
     g = np.random.default_rng(0)
     books = [generate_codebook(4, 64, g) for _ in range(2)]
     kernels = _Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
     x = books[0].codevectors[2]
     working, attentions = np.ones((2, 64), dtype=np.int8), np.zeros((2, 4))
-    old.resfact_update(ctypes.addressof(kernels.plans[0]), x.ctypes.data, working.ctypes.data,
-                       attentions.ctypes.data, 0.0, 1)
+    converged = ctypes.c_int64()
+    ties = np.random.default_rng(0).bit_generator
+    with ties.lock:
+        assert old.resfact_run(ctypes.addressof(kernels.plans[0]), x.ctypes.data,
+                               working.ctypes.data, attentions.ctypes.data, 0.0, 0.0, 1.0, 1,
+                               _sweep.bitgen(ties), None, ctypes.byref(converged)) == 1
     assert np.array_equal(attentions[0], books[0].codevectors.astype(np.int64) @ x / 64)
     assert attentions[0][2] == 1.0
 
@@ -97,6 +103,24 @@ def test_a_missing_compiler_is_named(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
     with pytest.raises(ImportError, match="'cc'"):
         _sweep.load(source)
+
+
+def test_a_missing_numpy_random_library_is_named(tmp_path, monkeypatch):
+    source = _package_copy(tmp_path) / "_sweep.c"
+    missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+    monkeypatch.setattr(_sweep, "NPYRANDOM", missing)
+    with pytest.raises(ImportError, match=re.escape(str(missing))):
+        _sweep.load(source)
+
+
+def test_the_library_name_follows_numpy_random_library(tmp_path, monkeypatch):
+    source = _package_copy(tmp_path) / "_sweep.c"
+    archive = tmp_path / "libnpyrandom.a"
+    shutil.copyfile(_sweep.NPYRANDOM, archive)
+    monkeypatch.setattr(_sweep, "NPYRANDOM", archive)
+    before = _sweep.library_path(source)
+    archive.write_bytes(archive.read_bytes() + b"\n")
+    assert _sweep.library_path(source) != before
 
 
 def test_an_unwritable_package_directory_is_named(tmp_path, monkeypatch):
@@ -116,14 +140,18 @@ def test_an_unwritable_package_directory_is_named(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def portable_library(tmp_path_factory):
-    """The kernels built from a package copy without AVX-512: the plain-C reconstruction."""
+    """The kernels built from a package copy without AVX-512: the plain-C reconstructions."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_sweep, "FLAGS", _sweep.FLAGS + ("-mno-avx512f",))
         return _sweep.load(_package_copy(tmp_path_factory.mktemp("portable")) / "_sweep.c")
 
 
 def _decode(lib, x, books, variant, seed, sweeps):
-    """``lib``'s initial estimates, then ``sweeps`` update sweeps of its resfact_run."""
+    """``lib``'s initial estimates, then ``sweeps`` update sweeps of its resfact_run.
+
+    Returns them with the attentions, the sweep count, the stop and the
+    init, tie and noise streams' states after the run.
+    """
     streams = derive_streams(seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
     kernels = _Kernels(pbooks)
@@ -135,12 +163,15 @@ def _decode(lib, x, books, variant, seed, sweeps):
     init = working.copy()
     attentions = np.empty((len(books), books[0].size))
     converged = ctypes.c_int64()
-    with streams.ties.bit_generator.lock:
+    noise = _sweep.bitgen(streams.noise.bit_generator) if variant.kind == "imf" else None
+    with streams.ties.bit_generator.lock, streams.noise.bit_generator.lock:
         done = lib.resfact_run(plans, kernels._x.ctypes.data, working.ctypes.data,
-                               attentions.ctypes.data, variant.activation_threshold, 1.0, sweeps,
-                               _sweep.bitgen(streams.ties.bit_generator), converged)
+                               attentions.ctypes.data, variant.activation_threshold,
+                               variant.sigma or 0.0, 1.0, sweeps,
+                               _sweep.bitgen(streams.ties.bit_generator), noise,
+                               ctypes.byref(converged))
     return (init, working, attentions, done, converged.value, streams.init.bit_generator.state,
-            streams.ties.bit_generator.state)
+            streams.ties.bit_generator.state, streams.noise.bit_generator.state)
 
 
 def _packed(lib, rows):
@@ -158,11 +189,15 @@ def _expanded(lib, raw):
 
 
 @pytest.mark.parametrize("D", [1, 65, 255, 256, 257, 1000])
-@pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.1)], ids=["brn", "acf"])
+@pytest.mark.parametrize("variant",
+                         [VariantSpec.brn(), VariantSpec.acf(0.1), VariantSpec.imf(0.02)],
+                         ids=["brn", "acf", "imf"])
 def test_the_portable_build_decodes_as_the_default_build(portable_library, variant, D):
     # 300 rows: at D = 1000 about half survive, more than the 32 the
     # vectorized sum adds in int16 before it folds them into int32.  An
-    # even number of rows leaves ties in the initial estimates.
+    # even number of rows leaves ties in the initial estimates.  imf's
+    # real-valued sums are exact neither way, so both builds must add the
+    # same terms in the same order.
     g = np.random.default_rng(D)
     books = [generate_codebook(300, D, g) for _ in range(2)]
     x = bind_product(books, (4, 7))
