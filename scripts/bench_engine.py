@@ -5,17 +5,19 @@ For each sweep row it decodes one seeded instance for a few sweeps, to
 reach a typical mid-search state, then sweeps that state as many times
 again, so that any layout the kernels build lazily exists, and times on
 that fixed state one full update sweep (``sweep_us``,
-``factorizer._advance``, which copies the estimates, runs one sweep in
-one compiled call and returns fresh arrays): what each sweep of a
-decode observed through ``on_step`` costs.  It refuses to time a search
-whose attentions in that state are not the exact dot products divided
-by D.  Beside it, ``decode_us`` is the cost per sweep of a whole
-``factorizer.run`` of the same instance without ``on_step``, which can
-never converge at threshold 1.0 and so runs ``DECODE_SWEEPS`` sweeps,
-net of a one-sweep run (its set-up and first sweep): the steady state
-of a long decode.  ``kernel_bytes`` counts the packed rows the sweep
-reads: the search rows, and ``acf``'s reconstruction rows, which ``brn``
-shares with its search rows.
+``factorizer._advance(state, x, kernels, cfg, streams)`` with its
+default budget of one sweep: it copies the state's estimates, checks
+their shape and that of ``x``, runs the sweep in the one compiled call
+``run`` also makes and returns the successor state with fresh arrays):
+what each sweep of a decode observed through ``on_step`` costs.  It
+refuses to time a search whose attentions in that state are not the
+exact dot products divided by D.  Beside it, ``decode_us`` is the cost
+per sweep of a whole ``factorizer.run`` of the same instance without
+``on_step``, which can never converge at threshold 1.0 and so runs
+``DECODE_SWEEPS`` sweeps, net of a one-sweep run (its set-up and first
+sweep): the steady state of a long decode.  ``kernel_bytes`` counts the
+packed rows the sweep reads: the search rows, and ``acf``'s
+reconstruction rows, which ``brn`` shares with its search rows.
 
 For each set-up row it times the steps of a trial up to its first
 sweep, each call on a freshly built instance, as a trial meets them,
@@ -62,8 +64,11 @@ stores this checkout's figures under ``after`` and the other tree's
 under ``before`` in the ``--out`` JSON file,
 beside the entries of earlier runs, with the commit, numpy, BLAS, core
 and BLAS-thread figures of each.  Both trees must be git checkouts, so
-that each run names the commit it measured.  Beyond what resfact itself
-needs, only the standard library is needed.
+that each run names the commit it measured.  ``--against`` cannot time
+a tree whose ``_advance`` still takes the estimates and returns an
+(estimates, attentions) pair instead of taking and returning a
+``FactorizerState``: its set-up and sweep rows fail there.  Beyond what
+resfact itself needs, only the standard library is needed.
 """
 
 from __future__ import annotations
@@ -215,13 +220,14 @@ def check_setup(fz, make_instance, M, D, F, variant, seed) -> None:
         same = same and all(np.array_equal(m, r) for m, r in zip(pbooks.masks, ref_masks))
     same = same and all(np.array_equal(b.codevectors, r)
                         for b, r in zip(pbooks.recon_books, ref_recon))
-    init = fz.init_estimates(pbooks, streams.init).estimates
+    start = fz.init_estimates(pbooks, streams.init)
+    init = start.estimates
     ref_sums = [b.sum(axis=0, dtype=np.int64) for b in ref_books]
     ref_init = [sign_to_bipolar(s, ref_streams.init) for s in ref_sums]
     same = same and np.array_equal(init, np.stack(ref_init))
     # The first sweep's first search: x unbound from the other factors' initial estimates.
     cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=fact_seed)
-    attentions = fz._advance(init, x, fz._Kernels(pbooks), cfg, streams)[1]
+    attentions = fz._advance(start, x, fz._Kernels(pbooks), cfg, streams).attentions
     dots = ref_books[0].astype(np.int64) @ (x * init[1:].prod(axis=0))
     same = same and (variant.kind == "imf" or np.array_equal(attentions[0], dots / D))
     if not same:
@@ -253,8 +259,7 @@ def bench_setup(fz, make_instance, M, D, F, kind, knobs) -> dict:
         streams = fz.derive_streams(seed)
         pbooks = fz.perturb_codebooks(books, variant, streams.masks)
         cfg = fz.FactorizerConfig(variant=variant, F=F, M=M, D=D, seed=seed)
-        init = fz.init_estimates(pbooks, streams.init).estimates
-        return init, x, pbooks._kernels, cfg, streams
+        return fz.init_estimates(pbooks, streams.init), x, pbooks._kernels, cfg, streams
 
     return {
         "M": M, "D": D, "F": F, "variant": kind, **knobs,
@@ -300,7 +305,7 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     pbooks = fz.perturb_codebooks(books, variant, streams.masks)
     kernels = fz._Kernels(pbooks)
     for _ in range(warm):
-        attentions = fz._advance(state.estimates, x, kernels, cfg, streams)[1]
+        attentions = fz._advance(state, x, kernels, cfg, streams).attentions
 
     # Factor 0, updated first, searches x unbound from the others' estimates.
     # imf adds noise to its attentions; brn's and acf's are exact.
@@ -314,17 +319,12 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
         "warm_sweeps": warm,
         "survivors_frac": round(
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
-        "sweep_us": timed(lambda: fz._advance(state.estimates, x, kernels, cfg, streams)),
+        "sweep_us": timed(lambda: fz._advance(state, x, kernels, cfg, streams)),
     }
     decodes = [timed(lambda: decode(budget)) for budget in (1, DECODE_SWEEPS)]
     row["decode_us"] = {"us": (decodes[1]["us"] - decodes[0]["us"]) / (DECODE_SWEEPS - 1),
                         "calls": decodes[1]["calls"]}
-    # Older trees name the packed reconstruction rows recon_words, or have none,
-    # and their recon is a float copy of the books.
-    recon = getattr(kernels, "recon_words", None)
-    if recon is None:
-        recon = [a for a in kernels.recon if a.dtype == np.uint64]
-    packed = {id(a): a for a in kernels.search + recon}
+    packed = {id(a): a for a in kernels.search + kernels.recon}
     row["kernel_bytes"] = sum(a.nbytes for a in packed.values())
     return row
 

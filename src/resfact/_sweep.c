@@ -1,8 +1,10 @@
 /* Compiled update sweep of the decoder.
  *
  * Built and loaded by _sweep.py.  resfact_run runs whole update sweeps
- * of every variant until the convergence test passes or its budget runs
- * out.  resfact_ties draws every variant's tie-breaks from the tie stream
+ * of every variant until the convergence test, the decoder's one stopping
+ * rule, passes or its budget runs out.  One struct resfact_plan describes
+ * the decode: every factor's packed books and the scratch they share.
+ * resfact_ties draws every variant's tie-breaks from the tie stream
  * itself, bit for bit as numpy draws them.  Both the search and the
  * reconstruction read books that resfact_pack packs, as pack() packs
  * each query: element j of a row at bit j % 64 of its word j / 64, 1 for
@@ -40,17 +42,17 @@ typedef struct bitgen {
  * Generator.standard_normal(n) from the same bit generator. */
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t n, double *out);
 
-/* One factor's constants and scratch buffers, owned by _Kernels in
- * factorizer.py, which takes their addresses once per run and keeps the
- * plans of all factors in one array, in factor order.  search and recon
- * each hold m bit-packed rows of `words` 64-bit words, the search and
- * the reconstruction book, one and the same array unless the variant is
- * acf; f is the factor of `factors` it updates.  query (words), unbound
- * (dim), rows (m), weights (m) and sums (64 * words) are scratch; after
- * an update, weights holds the factor's reconstruction weights. */
+/* The constants and scratch buffers of one decode, owned by _Kernels in
+ * factorizer.py, which takes their addresses once per run.  search and
+ * recon each hold the factors' books in factor order, m bit-packed rows
+ * of `words` 64-bit words per factor: the search and the reconstruction
+ * books, one and the same array unless the variant is acf.  query
+ * (words), unbound (dim), rows (m), weights (m) and sums (64 * words)
+ * are scratch that every factor's update shares; after an update,
+ * weights holds that factor's reconstruction weights. */
 struct resfact_plan {
     const uint64_t *search, *recon;
-    int64_t m, dim, words, factors, f;
+    int64_t m, dim, words, factors;
     uint64_t *query;
     int8_t *unbound;
     int64_t *rows;
@@ -257,7 +259,7 @@ static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, con
     return ties;
 }
 
-/* Factor p->f's update within a sweep, on the (factors, dim) int8
+/* Factor f's update within a sweep, on the (factors, dim) int8
  * estimates `working` and the (factors, m) float64 `attentions`:
  *
  * 1. unbind: x times every other factor's row of working;
@@ -272,22 +274,23 @@ static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, con
  *
  * Returns the number of zeros left in working[f]: dim if no row
  * survives, since working[f] is then all zeros. */
-static int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int8_t *working,
-                              double *attentions, double threshold, double sigma, bitgen_t *noise)
+static int64_t resfact_update(const struct resfact_plan *p, int64_t f, const int8_t *x,
+                              int8_t *working, double *attentions, double threshold, double sigma,
+                              bitgen_t *noise)
 {
-    const int64_t m = p->m, dim = p->dim;
+    const int64_t m = p->m, dim = p->dim, book = f * m * p->words;
     int8_t *u = p->unbound;
     memcpy(u, x, (size_t)dim);
     for (int64_t g = 0; g < p->factors; g++) {
-        if (g == p->f)
+        if (g == f)
             continue;
         const int8_t *e = working + g * dim;
         for (int64_t j = 0; j < dim; j++)
             u[j] = (int8_t)(u[j] * e[j]);
     }
     pack(u, dim, p->words, p->query);
-    search(p->search, m, p->words, p->query, dim, p->weights);
-    double *alpha = attentions + p->f * m;
+    search(p->search + book, m, p->words, p->query, dim, p->weights);
+    double *alpha = attentions + f * m;
     if (noise) {
         random_standard_normal_fill(noise, m, alpha);  /* then replaced */
         const double scale = (double)dim * sigma;
@@ -321,9 +324,11 @@ static int64_t resfact_update(const struct resfact_plan *p, const int8_t *x, int
         n += alpha[i] > threshold;
     }
     if (noise)
-        return real_signs(p->recon, p->words, dim, p->rows, n, p->weights, working + p->f * dim);
-    const int64_t total = superpose(p->recon, p->words, dim, p->rows, n, p->weights, p->sums);
-    return signs(p->sums, total, dim, working + p->f * dim);
+        return real_signs(p->recon + book, p->words, dim, p->rows, n, p->weights,
+                          working + f * dim);
+    const int64_t total = superpose(p->recon + book, p->words, dim, p->rows, n, p->weights,
+                                    p->sums);
+    return signs(p->sums, total, dim, working + f * dim);
 }
 
 /* Replaces the zeros of row[0..n), in index order, with +-1 draws from
@@ -357,10 +362,9 @@ void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
  * which superpose() counts with unit weights.  Each factor's zeros are
  * then drawn from `init` by one resfact_ties call, the draws of
  * sign_to_bipolar in vsa.py on the int64 column sums with the same
- * generator.  Uses the plans' shared rows, weights and sums scratch. */
-void resfact_init(const struct resfact_plan *plans, int8_t *working, bitgen_t *init)
+ * generator.  Uses the plan's rows, weights and sums scratch. */
+void resfact_init(const struct resfact_plan *p, int8_t *working, bitgen_t *init)
 {
-    const struct resfact_plan *p = plans;
     const int64_t m = p->m, dim = p->dim;
     for (int64_t i = 0; i < m; i++) {
         p->rows[i] = i;
@@ -368,14 +372,14 @@ void resfact_init(const struct resfact_plan *plans, int8_t *working, bitgen_t *i
     }
     for (int64_t f = 0; f < p->factors; f++) {
         int8_t *est = working + f * dim;
-        superpose(plans[f].search, p->words, dim, p->rows, m, p->weights, p->sums);
+        superpose(p->search + f * m * p->words, p->words, dim, p->rows, m, p->weights, p->sums);
         if (signs(p->sums, m, dim, est))
             resfact_ties(est, dim, init);
     }
 }
 
 /* Whether some attention of every factor is above `convergence` (strict):
- * the test of detect_convergence_early in factorizer.py. */
+ * the decoder's one stopping rule. */
 static int all_above(const double *attentions, int64_t factors, int64_t m, double convergence)
 {
     for (int64_t f = 0; f < factors; f++) {
@@ -389,25 +393,25 @@ static int all_above(const double *attentions, int64_t factors, int64_t m, doubl
     return 1;
 }
 
-/* Runs update sweeps over the factors of plans[0..factors), in order, on
- * the (factors, dim) `working` estimates and (factors, m) `attentions`,
- * in place, imf's with noise of std `sigma` from `noise` (else NULL).
+/* Runs update sweeps over the plan's factors, in order, on the
+ * (factors, dim) `working` estimates and (factors, m) `attentions`, in
+ * place, imf's with noise of std `sigma` from `noise` (else NULL).
  * Each factor's zeros after its update are resolved from `ties` at once,
  * before the next factor unbinds it; a factor with no survivor thus
  * draws all dim values.  The sweeps stop after the first one where every
  * factor's maximum attention is above `convergence`, or after `budget`
  * sweeps.  Returns the number of sweeps run and sets *converged to
  * whether the last one passed. */
-int64_t resfact_run(const struct resfact_plan *plans, const int8_t *x, int8_t *working,
+int64_t resfact_run(const struct resfact_plan *p, const int8_t *x, int8_t *working,
                     double *attentions, double threshold, double sigma, double convergence,
                     int64_t budget, bitgen_t *ties, bitgen_t *noise, int64_t *converged)
 {
-    const int64_t factors = plans->factors, dim = plans->dim;
+    const int64_t factors = p->factors, dim = p->dim;
     for (int64_t sweep = 1; sweep <= budget; sweep++) {
         for (int64_t f = 0; f < factors; f++)
-            if (resfact_update(plans + f, x, working, attentions, threshold, sigma, noise))
+            if (resfact_update(p, f, x, working, attentions, threshold, sigma, noise))
                 resfact_ties(working + f * dim, dim, ties);
-        if (all_above(attentions, factors, plans->m, convergence)) {
+        if (all_above(attentions, factors, p->m, convergence)) {
             *converged = 1;
             return sweep;
         }

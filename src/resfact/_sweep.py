@@ -81,7 +81,7 @@ def _build(source: Path, path: Path) -> None:
 
 
 class Plan(ctypes.Structure):
-    """``struct resfact_plan``: one factor's constants and scratch buffers.
+    """``struct resfact_plan``: one decode's constants and scratch buffers.
 
     Holds raw addresses: whoever fills one keeps the arrays behind them
     alive for as long as the plan is used.
@@ -89,10 +89,9 @@ class Plan(ctypes.Structure):
 
     _fields_ = [("search", ctypes.c_void_p), ("recon", ctypes.c_void_p),
                 ("m", ctypes.c_int64), ("dim", ctypes.c_int64), ("words", ctypes.c_int64),
-                ("factors", ctypes.c_int64), ("f", ctypes.c_int64),
-                ("query", ctypes.c_void_p), ("unbound", ctypes.c_void_p),
-                ("rows", ctypes.c_void_p), ("weights", ctypes.c_void_p),
-                ("sums", ctypes.c_void_p)]
+                ("factors", ctypes.c_int64), ("query", ctypes.c_void_p),
+                ("unbound", ctypes.c_void_p), ("rows", ctypes.c_void_p),
+                ("weights", ctypes.c_void_p), ("sums", ctypes.c_void_p)]
 
 
 def address(a) -> int:

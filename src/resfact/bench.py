@@ -220,19 +220,20 @@ def run_trial(trial_seed: int, cfg: FactorizerConfig) -> TrialResult:
     )
 
 
-def brute_force_oracle(x, books, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
+def brute_force_oracle(x, books) -> OracleResult:
     """Exhaustively find the codevector combination most similar to ``x``.
 
     Ties resolve to the lexicographically smallest index tuple.  Refuses
-    outright when the number of combinations exceeds ``cap``; exhaustive
-    search is a verification tool, not a decoder.
+    outright when the number of combinations exceeds
+    ``DEFAULT_ORACLE_CAP``; exhaustive search is a verification tool, not
+    a decoder.
     """
     books = list(books)
     if len(books) < 2:
         raise ValueError(f"need at least 2 codebooks, got {len(books)}")
     total = math.prod(b.size for b in books)
-    if total > cap:
-        raise ValueError(f"search space {total} exceeds oracle cap {cap}")
+    if total > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"search space {total} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
     xv = np.asarray(x)
     dim = books[0].dim
     for b in books:

@@ -267,29 +267,21 @@ def init_estimates(pbooks: PerturbedCodebooks, rng: np.random.Generator) -> Fact
     """
     init = _bitgen(rng, "init")
     kernels = pbooks._kernels
-    estimates = np.empty((len(kernels.plans), kernels._x.size), dtype=np.int8)
+    plan = kernels.plan
+    estimates = np.empty((plan.factors, plan.dim), dtype=np.int8)
     with rng.bit_generator.lock:
-        _sweep.init(kernels._plan_at[0], _sweep.address(estimates), init)
-    attentions = np.full((len(kernels.plans), pbooks.search_books[0].size), np.nan)
+        _sweep.init(kernels._plan_at, _sweep.address(estimates), init)
+    attentions = np.full((plan.factors, plan.m), np.nan)
     return FactorizerState(estimates=estimates, attentions=attentions)
 
 
-def detect_convergence_early(state: FactorizerState, threshold: float) -> bool:
-    """The decoder's one stopping rule: every factor's max attention exceeds ``threshold``.
-
-    Strict comparison, evaluated on the pre-activation attentions of the
-    latest sweep.
-    """
-    if np.isnan(state.attentions).any():
-        raise ValueError("attentions not populated; run at least one step first")
-    return bool((state.attentions.max(axis=1) > threshold).all())
-
-
-def _pack(book) -> np.ndarray:
-    """An (M, D) +-1 book's rows packed by ``_sweep.pack``: (M, ceil(D / 64)) uint64 words."""
-    rows = np.ascontiguousarray(book, dtype=np.int8)  # .ctypes.data reads it even if read-only
-    out = np.empty((rows.shape[0], -(-rows.shape[1] // 64)), dtype=np.uint64)
-    _sweep.pack(rows.ctypes.data, *rows.shape, out.shape[1], _sweep.address(out))
+def _pack(books) -> np.ndarray:
+    """(M, D) +-1 books packed by ``_sweep.pack`` into one (F, M, ceil(D / 64)) uint64 array."""
+    size, dim = np.shape(books[0])
+    out = np.empty((len(books), size, -(-dim // 64)), dtype=np.uint64)
+    for book, words in zip(books, out):
+        rows = np.ascontiguousarray(book, dtype=np.int8)  # .ctypes.data reads it even if read-only
+        _sweep.pack(rows.ctypes.data, size, dim, out.shape[2], _sweep.address(words))
     return out
 
 
@@ -301,36 +293,33 @@ class _Kernels:
     packs the same way is D - 2 * popcount(xor), an exact integer.
     ``recon[f]`` is its reconstruction book in that layout, whose
     surviving rows the compiled update sums; it is ``search[f]`` unless
-    the variant is ``acf``.  Each book is packed once per run.  ``plans``
-    is a C array of one ``_sweep.Plan`` per factor, which the compiled
-    sweep and ``init_estimates`` read: the addresses of those two layouts
-    and of scratch buffers shared by every factor, taken once.  So one
-    sweep or init at a time may use a ``_Kernels``.
+    the variant is ``acf``.  Each role's books are packed once per run,
+    into one (F, M, words) array that the lists view.  ``plan`` is the
+    one ``_sweep.Plan`` the compiled sweep and ``init_estimates`` read:
+    the addresses of those two arrays and of the scratch buffers every
+    factor shares, taken once.  So one sweep or init at a time may use a
+    ``_Kernels``.
     """
 
-    __slots__ = ("search", "recon", "plans", "_x", "_scratch", "_plan_at", "_x_at")
+    __slots__ = ("search", "recon", "plan", "_scratch", "_plan_at")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
         if size * dim >= 2**31:
             raise ValueError(f"M * D = {size * dim} would overflow the int32 "
                              "reconstruction sums; it must be below 2**31")
-        self.recon = [_pack(b.codevectors) for b in pbooks.recon_books]
-        self.search = self.recon
+        recon = search = _pack([b.codevectors for b in pbooks.recon_books])
         if pbooks.recon_books is not pbooks.search_books:
-            self.search = [_pack(b.codevectors) for b in pbooks.search_books]
-        words = self.search[0].shape[1]
-        self._x = np.empty(dim, dtype=np.int8)
+            search = _pack([b.codevectors for b in pbooks.search_books])
+        self.recon = list(recon)
+        self.search = self.recon if search is recon else list(search)
+        words = search.shape[2]
         self._scratch = (np.empty(words, dtype=np.uint64), np.empty(dim, dtype=np.int8),
                          np.empty(size, dtype=np.int64), np.empty(size),
                          np.empty(64 * words, dtype=np.int32))
-        scratch = [_sweep.address(a) for a in self._scratch]
-        self.plans = (_sweep.Plan * len(self.search))(
-            *(_sweep.Plan(_sweep.address(s), _sweep.address(r), size, dim, words,
-                          len(self.search), f, *scratch)
-              for f, (s, r) in enumerate(zip(self.search, self.recon))))
-        self._plan_at = [ctypes.addressof(p) for p in self.plans]
-        self._x_at = _sweep.address(self._x)
+        self.plan = _sweep.Plan(_sweep.address(search), _sweep.address(recon), size, dim, words,
+                                len(search), *(_sweep.address(a) for a in self._scratch))
+        self._plan_at = ctypes.addressof(self.plan)
 
 
 def _bitgen(rng: np.random.Generator, stream: str) -> int:
@@ -346,48 +335,36 @@ def _bitgen(rng: np.random.Generator, stream: str) -> int:
     return _sweep.bitgen(bit_generator)
 
 
-def _bitgens(variant: VariantSpec, streams: FactorizerStreams) -> tuple:
-    """The tie and, for ``imf`` only, noise ``bitgen_t`` addresses ``_sweeps`` draws from."""
-    noise = _bitgen(streams.noise, "noise") if variant.kind == "imf" else None
-    return _bitgen(streams.ties, "tie"), noise
+def _advance(state, x, kernels, cfg, streams, budget=1) -> FactorizerState:
+    """Up to ``budget`` update sweeps from ``state``: the one ``_sweep.run`` call of a decode.
 
-
-def _sweeps(working, attentions, kernels, cfg, streams, bitgens, budget):
-    """Up to ``budget`` update sweeps over all factors, in place: one ``_sweep.run`` call.
-
-    Each factor unbinds the others' latest estimates from ``kernels._x``.
+    Each factor unbinds the others' latest estimates from the int8 ``x``.
     Reconstruction weights are the attention *numerators*, plus D times
     ``imf``'s noise: unlike the attentions, they keep ``brn``'s and
     ``acf``'s ties exact.  Ties come from the tie stream, ``imf``'s noise,
     ``standard_normal(M)`` per factor update, from the noise stream, both
-    locked, at the addresses ``bitgens`` (``_bitgens``).  The sweeps stop
-    after the first that passes ``detect_convergence_early`` at
-    ``cfg.convergence_threshold``.  Returns how many ran and whether the
-    last one converged.
+    locked.  The sweeps stop after the first where every factor's maximum
+    attention is above ``cfg.convergence_threshold`` (strict), the one
+    stopping rule.  Returns the successor state, with fresh arrays.
     """
+    plan = kernels.plan
+    estimates = np.array(state.estimates, dtype=np.int8, order="C")
+    # The compiled update would read past the end of either.
+    if estimates.shape != (plan.factors, plan.dim) or np.shape(x) != (plan.dim,):
+        raise ValueError(f"estimates of shape {estimates.shape} and an input of shape "
+                         f"{np.shape(x)} for {plan.factors} codebooks of dimension {plan.dim}")
+    x = np.ascontiguousarray(x, dtype=np.int8)
+    attentions = np.empty((plan.factors, plan.m))
+    ties = _bitgen(streams.ties, "tie")
+    noise = _bitgen(streams.noise, "noise") if cfg.variant.kind == "imf" else None
     converged = ctypes.c_int64()
     with streams.ties.bit_generator.lock, streams.noise.bit_generator.lock:
-        sweeps = _sweep.run(kernels._plan_at[0], kernels._x_at, _sweep.address(working),
+        sweeps = _sweep.run(kernels._plan_at, x.ctypes.data, _sweep.address(estimates),
                             _sweep.address(attentions), cfg.variant.activation_threshold,
                             cfg.variant.sigma or 0.0, cfg.convergence_threshold, budget,
-                            bitgens[0], bitgens[1], converged)
-    return sweeps, bool(converged.value)
-
-
-def _advance(estimates, x, kernels, cfg, streams):
-    """One full update sweep over all factors: ``_sweeps`` with a budget of 1.
-
-    Returns fresh (estimates, attentions) arrays.
-    """
-    working = np.array(estimates, dtype=np.int8, order="C")
-    if working.shape != (len(kernels.plans), kernels._x.size):
-        # The compiled update would read and write past the end of working.
-        raise ValueError(f"estimates of shape {working.shape} for {len(kernels.plans)} "
-                         f"codebooks of dimension {kernels._x.size}")
-    attentions = np.empty((len(working), kernels.search[0].shape[0]))
-    kernels._x[...] = x
-    _sweeps(working, attentions, kernels, cfg, streams, _bitgens(cfg.variant, streams), 1)
-    return working, attentions
+                            ties, noise, converged)
+    return FactorizerState(estimates=estimates, attentions=attentions,
+                           iteration=state.iteration + sweeps, converged=bool(converged.value))
 
 
 def step(
@@ -397,17 +374,13 @@ def step(
     cfg: FactorizerConfig,
     streams: FactorizerStreams,
 ) -> FactorizerState:
-    """Apply one update sweep and return the successor state."""
+    """Apply one update sweep and return the successor state, never marked converged."""
     if state.converged:
         raise RuntimeError("step called on a converged state")
     xv = _check_run_inputs(x, pbooks.search_books, cfg)
-    estimates, attentions = _advance(state.estimates, xv, pbooks._kernels, cfg, streams)
-    return FactorizerState(
-        estimates=estimates,
-        attentions=attentions,
-        iteration=state.iteration + 1,
-        converged=False,
-    )
+    successor = _advance(state, xv, pbooks._kernels, cfg, streams)
+    successor.converged = False
+    return successor
 
 
 def _check_run_inputs(x, books, cfg: FactorizerConfig) -> np.ndarray:
@@ -433,33 +406,25 @@ def run(
     """Factorize ``x`` against ``books`` under ``cfg``.
 
     Iterates update sweeps until every factor's max attention exceeds
-    ``cfg.convergence_threshold`` (``detect_convergence_early``, the one
-    stopping rule) or the iteration budget runs out, then decodes each
-    factor as the argmax of its final attention vector.  The whole
-    trajectory is a pure function of ``cfg.seed``.
+    ``cfg.convergence_threshold`` (strict, the one stopping rule) or the
+    iteration budget runs out, then decodes each factor as the argmax of
+    its final attention vector.  The whole trajectory is a pure function
+    of ``cfg.seed``.
 
     ``on_step`` (if given) observes every post-sweep state; useful for
     trajectory comparisons and debugging.  Each state owns its arrays,
     which later sweeps leave alone.  Without ``on_step``, a decode is one
-    compiled call for the whole budget; with it, one call per sweep.  Both
-    run the same sweeps, tie and noise draws included.
+    ``_advance`` call for the whole budget; with it, one call per sweep.
+    Both run the same sweeps, tie and noise draws included.
     """
     xv = _check_run_inputs(x, books, cfg)
     streams = derive_streams(cfg.seed)
     pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
-    kernels = pbooks._kernels
     state = init_estimates(pbooks, streams.init)
-    kernels._x[...] = xv
-    bitgens = _bitgens(cfg.variant, streams)
     limit = cfg.resolved_max_iters()
-    budget = limit if on_step is None else 1
-
     while state.iteration < limit and not state.converged:
-        estimates, attentions = state.estimates.copy(), np.empty_like(state.attentions)
-        sweeps, converged = _sweeps(estimates, attentions, kernels, cfg, streams, bitgens,
-                                    min(budget, limit - state.iteration))
-        state = FactorizerState(estimates=estimates, attentions=attentions,
-                                iteration=state.iteration + sweeps, converged=converged)
+        state = _advance(state, xv, pbooks._kernels, cfg, streams,
+                         limit - state.iteration if on_step is None else 1)
         if on_step is not None:
             on_step(state)
 

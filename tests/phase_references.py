@@ -1,9 +1,10 @@
 """Plain int64 references for the four phases of one factor's update.
 
 Unbind, associative search, activation and reconstruction, written the
-direct way.  The package's sweep (``factorizer._advance``) computes the
-same phases in compiled code on packed bits, summing ``imf``'s
-real-valued weights in float64; the tests compare it against these.
+direct way, and the stopping rule after a sweep.  The package's sweep
+(``factorizer._advance``) computes the same phases in compiled code on
+packed bits, summing ``imf``'s real-valued weights in float64; the tests
+compare it against these.
 """
 
 import numpy as np
@@ -71,3 +72,14 @@ def reconstruct(activated, recon_book: Codebook, rng: np.random.Generator) -> np
         return random_bipolar(recon_book.dim, rng)
     s = w @ recon_book.codevectors.astype(np.float64)
     return sign_to_bipolar(s, rng)
+
+
+def detect_convergence_early(state, threshold: float) -> bool:
+    """The stopping rule: every factor's max attention exceeds ``threshold``.
+
+    Strict comparison, evaluated on the pre-activation attentions of the
+    latest sweep.
+    """
+    if np.isnan(state.attentions).any():
+        raise ValueError("attentions not populated; run at least one step first")
+    return bool((state.attentions.max(axis=1) > threshold).all())

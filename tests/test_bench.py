@@ -124,16 +124,17 @@ def test_oracle_recovers_planted_truth_under_noise():
     assert got.similarity == pytest.approx(1 - 2 * 12 / 256)
 
 
-def test_oracle_rejects():
+def test_oracle_rejects(monkeypatch):
     g = np.random.default_rng(2)
     books = [generate_codebook(4, 32, g) for _ in range(2)]
-    with pytest.raises(ValueError):
-        brute_force_oracle(random_bipolar(32, g), books, cap=15)
     with pytest.raises(ValueError):
         brute_force_oracle(random_bipolar(32, g), books[:1])
     mixed = [books[0], generate_codebook(4, 64, g)]
     with pytest.raises(ValueError):
         brute_force_oracle(random_bipolar(32, g), mixed)
+    monkeypatch.setattr(bench, "DEFAULT_ORACLE_CAP", 15)
+    with pytest.raises(ValueError, match="exceeds oracle cap 15"):
+        brute_force_oracle(random_bipolar(32, g), books)
 
 
 def test_oracle_agreement_easy_regime():

@@ -11,7 +11,6 @@ from resfact.factorizer import (
     FactorizerState,
     VariantSpec,
     derive_streams,
-    detect_convergence_early,
     generate_bfm,
     init_estimates,
     perturb_codebooks,
@@ -21,7 +20,8 @@ from resfact.factorizer import (
 from resfact.vsa import (Codebook, bind_product, generate_codebook, random_bipolar,
                          sign_to_bipolar)
 
-from phase_references import associative_search, reconstruct, threshold_activation, unbind_others
+from phase_references import (associative_search, detect_convergence_early, reconstruct,
+                              threshold_activation, unbind_others)
 from test_golden_trajectories import CASES as GOLDEN_CASES
 
 
@@ -286,6 +286,14 @@ def test_reconstruct_length_mismatch(rng):
 # --- sweep kernels ---
 
 
+def _sweep_once(estimates, x, pbooks, cfg, streams):
+    """One ``factorizer._advance`` sweep from ``estimates``: the new estimates and attentions."""
+    state = FactorizerState(estimates=estimates, attentions=np.full((cfg.F, cfg.M), np.nan))
+    successor = factorizer._advance(state, x, pbooks._kernels, cfg, streams)
+    assert successor.iteration == 1
+    return successor.estimates, successor.attentions
+
+
 @pytest.mark.parametrize("D", [1, 7, 8, 63, 64, 65, 1000, 1500, 4000])
 def test_packed_numerators_are_exact_dots(D):
     # Factor 0's update packs x times factor 1's estimate, here all +1, and
@@ -297,7 +305,7 @@ def test_packed_numerators_are_exact_dots(D):
     estimates = np.ones((2, D), dtype=np.int8)
     rows = books[0].codevectors
     for q in (random_bipolar(D, g), rows[2], -rows[4]):
-        _, attentions = factorizer._advance(estimates, q, pbooks._kernels, cfg, derive_streams(0))
+        _, attentions = _sweep_once(estimates, q, pbooks, cfg, derive_streams(0))
         assert attentions.dtype == np.float64
         assert np.array_equal(attentions[0], (rows.astype(np.int64) @ q.astype(np.int64)) / D)
         assert np.array_equal(attentions[0], associative_search(q, books[0], VariantSpec.brn(), g))
@@ -326,7 +334,7 @@ def test_superpose_kernel_matches_int64_reference(D):
         cfg = FactorizerConfig(variant=variant, F=2, M=6, D=D, seed=D)
         streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
         pbooks = perturb_codebooks(books, variant, streams.masks)
-        new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
+        new, attentions = _sweep_once(estimates, x, pbooks, cfg, streams)
         ref_new, ref_attentions, _ = _reference_sweep(x, estimates, pbooks, variant, ref_streams)
         assert np.array_equal(attentions[0], [1.0] * 5 + [-1.0])
         assert np.array_equal(attentions, ref_attentions)
@@ -388,7 +396,7 @@ def test_survivor_rows_reconstruct_like_dense(variant, share):
     cfg = FactorizerConfig(variant=variant, F=2, M=M, D=D, seed=3)
     streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
-    new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
+    new, attentions = _sweep_once(estimates, x, pbooks, cfg, streams)
     ref_new, ref_attentions, _ = _reference_sweep(x, estimates, pbooks, variant, ref_streams)
     assert np.array_equal(attentions, ref_attentions)
     assert np.array_equal(new, ref_new)
@@ -481,7 +489,7 @@ def test_sweep_matches_int64_references(F, M, D, variant, regime):
     pbooks = perturb_codebooks(books, variant, streams.masks)
     estimates = init_estimates(pbooks, streams.init).estimates
     for _ in range(4):
-        new, attentions = factorizer._advance(estimates, x, pbooks._kernels, cfg, streams)
+        new, attentions = _sweep_once(estimates, x, pbooks, cfg, streams)
         ref_new, ref_attentions, ties = _reference_sweep(x, estimates, pbooks, variant,
                                                          ref_streams)
         assert np.array_equal(attentions, ref_attentions)
@@ -499,28 +507,48 @@ def test_sweep_matches_int64_references(F, M, D, variant, regime):
     assert ref_streams.noise.bit_generator.state == streams.noise.bit_generator.state
 
 
-def test_attention_of_550_is_not_above_055():
-    # Row 0 of each book is the truth.  Factor 1's starting estimate
-    # differs from it in 225 places, so factor 0's best numerator is
-    # exactly 1000 - 2 * 225 = 550; float32 division would put 550 / 1000
-    # above 0.55.
+def _state_of_550(convergence_threshold=0.8):
+    """A state whose next sweep's best attentions are exactly 0.55 and 1.0.
+
+    Row 0 of each book is the truth.  Factor 1's starting estimate
+    differs from it in 225 places, so factor 0's best numerator is
+    exactly 1000 - 2 * 225 = 550.  Returns the input, the books, the
+    config, the streams and the state.
+    """
     D = 1000
     g = np.random.default_rng(3)
     books = [generate_codebook(4, D, g) for _ in range(2)]
     x = bind_product(books, (0, 0))
     start = books[1][0].copy()
     start[g.choice(D, 225, replace=False)] *= -1
-    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=4, D=D, seed=0)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=4, D=D, seed=0,
+                           convergence_threshold=convergence_threshold)
     streams = derive_streams(cfg.seed)
     pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
     state0 = FactorizerState(
         estimates=np.stack([books[0][0], start]), attentions=np.full((2, 4), np.nan)
     )
+    return x, pbooks, cfg, streams, state0
+
+
+def test_attention_of_550_is_not_above_055():
+    # float32 division would put 550 / 1000 above 0.55.
+    x, pbooks, cfg, streams, state0 = _state_of_550()
     state = step(state0, x, pbooks, cfg, streams)
     assert state.attentions[0].max() == 0.55
     assert state.attentions[1].max() == 1.0
     assert not detect_convergence_early(state, 0.55)
     assert detect_convergence_early(state, 0.549)
+
+
+@pytest.mark.parametrize("threshold, converged", [(0.55, False), (0.549, True)])
+def test_compiled_stopping_rule_is_strict(threshold, converged):
+    # The sweep's own test, at the state above: factor 1's best attention
+    # is 1.0, so only the strict comparison keeps 0.55 from converging.
+    x, pbooks, cfg, streams, state0 = _state_of_550(threshold)
+    state = factorizer._advance(state0, x, pbooks._kernels, cfg, streams)
+    assert state.attentions[0].max() == 0.55
+    assert (state.iteration, state.converged) == (1, converged)
 
 
 def test_step_builds_kernels_once(monkeypatch):
@@ -696,6 +724,19 @@ def test_step_refuses_estimates_the_books_do_not_fit(shape):
                             attentions=np.full((2, 8), np.nan))
     with pytest.raises(ValueError, match="estimates of shape"):
         step(state, x, p, cfg, streams)
+
+
+@pytest.mark.parametrize("shape", [(63,), (65,), (2, 64)])
+def test_advance_refuses_an_input_the_books_do_not_fit(shape):
+    # step and run check x against the config first; the compiled update
+    # reads D bytes of whatever x _advance is given.
+    x, books, _ = _instance(8, 64, 2, seed=3)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=8, D=64, seed=3)
+    streams = derive_streams(cfg.seed)
+    p = perturb_codebooks(books, cfg.variant, streams.masks)
+    with pytest.raises(ValueError, match="an input of shape"):
+        factorizer._advance(init_estimates(p, streams.init), np.ones(shape, dtype=np.int8),
+                            p._kernels, cfg, streams)
 
 
 # --- convergence detectors ---

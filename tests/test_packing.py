@@ -40,7 +40,7 @@ def test_pack_words_puts_element_j_at_bit_j_mod_64_of_word_j_div_64():
     # The compiled packer of the decoder's books and queries.
     x = -np.ones((2, 130), dtype=np.int8)
     x[0, [0, 63, 64, 129]] = 1
-    assert _pack(x).tolist() == [[1 | 1 << 63, 1, 1 << 1], [0, 0, 0]]
+    assert _pack([x])[0].tolist() == [[1 | 1 << 63, 1, 1 << 1], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("d", [1, 7, 8, 63, 64, 65, 128, 130, 1000, 4000])
@@ -48,6 +48,6 @@ def test_compiled_packer_is_little_endian_packbits_in_zero_padded_words(d):
     x = np.stack([random_bipolar(d, np.random.default_rng(d + i)) for i in range(3)])
     ref = np.zeros((3, -(-d // 64) * 8), dtype=np.uint8)
     ref[:, : (d + 7) // 8] = np.packbits(x > 0, axis=-1, bitorder="little")
-    packed = _pack(x)
+    packed = _pack([x])[0]
     assert packed.dtype == np.uint64
     assert np.array_equal(packed, ref.view("<u8"))

@@ -91,8 +91,8 @@ def test_a_build_deletes_the_libraries_of_other_sources(tmp_path):
     converged = ctypes.c_int64()
     ties = np.random.default_rng(0).bit_generator
     with ties.lock:
-        assert old.resfact_run(ctypes.addressof(kernels.plans[0]), x.ctypes.data,
-                               working.ctypes.data, attentions.ctypes.data, 0.0, 0.0, 1.0, 1,
+        assert old.resfact_run(kernels._plan_at, x.ctypes.data, working.ctypes.data,
+                               attentions.ctypes.data, 0.0, 0.0, 1.0, 1,
                                _sweep.bitgen(ties), None, ctypes.byref(converged)) == 1
     assert np.array_equal(attentions[0], books[0].codevectors.astype(np.int64) @ x / 64)
     assert attentions[0][2] == 1.0
@@ -155,17 +155,16 @@ def _decode(lib, x, books, variant, seed, sweeps):
     streams = derive_streams(seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
     kernels = _Kernels(pbooks)
-    kernels._x[...] = x
-    plans = ctypes.addressof(kernels.plans[0])
     working = np.empty((len(books), books[0].dim), dtype=np.int8)
     with streams.init.bit_generator.lock:
-        lib.resfact_init(plans, working.ctypes.data, _sweep.bitgen(streams.init.bit_generator))
+        lib.resfact_init(kernels._plan_at, working.ctypes.data,
+                         _sweep.bitgen(streams.init.bit_generator))
     init = working.copy()
     attentions = np.empty((len(books), books[0].size))
     converged = ctypes.c_int64()
     noise = _sweep.bitgen(streams.noise.bit_generator) if variant.kind == "imf" else None
     with streams.ties.bit_generator.lock, streams.noise.bit_generator.lock:
-        done = lib.resfact_run(plans, kernels._x.ctypes.data, working.ctypes.data,
+        done = lib.resfact_run(kernels._plan_at, x.ctypes.data, working.ctypes.data,
                                attentions.ctypes.data, variant.activation_threshold,
                                variant.sigma or 0.0, 1.0, sweeps,
                                _sweep.bitgen(streams.ties.bit_generator), noise,
