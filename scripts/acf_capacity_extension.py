@@ -168,13 +168,15 @@ def parse_args(argv=None):
     ap.add_argument("--conv", type=float, default=0.55,
                     help="convergence threshold, below the (1-2r) attention plateau")
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--out", type=Path, default=RESULTS,
+                    help=f"directory the artifacts are written to (default {RESULTS})")
     return ap.parse_args(argv)
 
 
 def main(argv=None):
     args = parse_args(argv)
 
-    RESULTS.mkdir(exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
     grid_rows = []
@@ -187,7 +189,7 @@ def main(argv=None):
                 f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
                 file=sys.stderr,
             )
-    emit_rows(grid_rows, RESULTS / "acf_grid_f2_5e6.csv")
+    emit_rows(grid_rows, args.out / "acf_grid_f2_5e6.csv")
 
     best = max(grid_rows, key=lambda row: row.accuracy)
     best_r, best_t = best.flip_rate, best.activation_threshold
@@ -216,11 +218,11 @@ def main(argv=None):
             f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
             file=sys.stderr,
         )
-    emit_rows(curve, RESULTS / "acf_extension_curve.csv")
+    emit_rows(curve, args.out / "acf_extension_curve.csv")
 
     note = render_note(args, grid_rows, best, headline, curve)
-    (RESULTS / "acf_5e6_reproduction_note.md").write_text(note)
-    print(f"wrote {RESULTS}/acf_5e6_reproduction_note.md [{time.time()-t0:.0f}s]", file=sys.stderr)
+    (args.out / "acf_5e6_reproduction_note.md").write_text(note)
+    print(f"wrote {args.out}/acf_5e6_reproduction_note.md [{time.time()-t0:.0f}s]", file=sys.stderr)
     return 0
 
 

@@ -1,23 +1,37 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of a trial's set-up, of short trials and of the update sweep.
+"""Micro-benchmark of a trial's set-up, of short trials, of the update sweep and of the search.
 
 For each sweep row it decodes one seeded instance for a few sweeps, to
-reach a typical mid-search state, then sweeps that state as many times
-again, so that any layout the kernels build lazily exists, and times on
-that fixed state one full update sweep (``sweep_us``,
-``factorizer._advance(state, x, kernels, cfg, streams)`` with its
+reach a typical mid-search state, and records the next
+``TRAJECTORY_SWEEPS`` states of that decode.  ``sweep_us`` times one
+full update sweep from each of those states in turn
+(``factorizer._advance(state, x, kernels, cfg, streams)`` with its
 default budget of one sweep: it copies the state's estimates, checks
 their shape and that of ``x``, runs the sweep in the one compiled call
 ``run`` also makes and returns the successor state with fresh arrays):
-what each sweep of a decode observed through ``on_step`` costs.  It
-refuses to time a search whose attentions in that state are not the
-exact dot products divided by D.  Beside it, ``decode_us`` is the cost
-per sweep of a whole ``factorizer.run`` of the same instance without
-``on_step``, which can never converge at threshold 1.0 and so runs
-``DECODE_SWEEPS`` sweeps, net of a one-sweep run (its set-up and first
-sweep): the steady state of a long decode.  ``kernel_bytes`` counts the
-packed rows the sweep reads: the search rows, and ``acf``'s
-reconstruction rows, which ``brn`` shares with its search rows.
+what each sweep of a decode observed through ``on_step`` costs.  The
+states are consecutive, so each factor's search differs from the one
+its kernels kept by as many query bits as in the decode, and
+``searches`` counts how many of the searches that recorded those states
+were full ones and how many updated the kept numerators from the
+changed bits (``None`` for a tree whose kernels keep no search).  It refuses to time a search
+whose attentions are not the exact dot products divided by D.  Beside
+it, ``decode_us`` is the cost per sweep of a whole ``factorizer.run`` of
+the same instance without ``on_step``, which can never converge at
+threshold 1.0 and so runs ``DECODE_SWEEPS`` sweeps, net of a one-sweep
+run (its set-up and first sweep): the steady state of a long decode.
+``kernel_bytes`` counts the packed rows the sweep reads: the search
+rows, and ``acf``'s reconstruction rows, which ``brn`` shares with its
+search rows.
+
+For each crossover row it times one factor's search alone
+(``_sweep.search``), forced to search afresh and forced to update the
+kept numerators, at each count in ``CHANGED_BITS`` of query bits changed
+since the kept query.  ``crossover_bits`` is where the update, linearly
+interpolated between those counts, gets as slow as the full search;
+``delta_limit`` is the most changed bits for which the compiled cost
+rule picks the update.  A tree without ``_sweep.search`` has no
+crossover rows.
 
 For each set-up row it times the steps of a trial up to its first
 sweep, each call on a freshly built instance, as a trial meets them,
@@ -76,6 +90,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import importlib
+import itertools
 import json
 import os
 import platform
@@ -110,10 +126,14 @@ SETUP_ROWS = [
 TRIAL_ROWS = [
     (100, 4000, 2, "brn", {}, 0.55),
 ]
+# (M, D): the search shapes of the benchmark's workloads and of the F=4 preset row at 1e7.
+CROSSOVER_ROWS = [(2236, 1000), (1000, 1000), (215, 1500), (100, 4000), (56, 2000)]
+CHANGED_BITS = (0, 16, 32, 64, 128, 256, 384, 512, 768, 1024, 1536)
 SETUP_STEPS = ("make_instance_us", "perturb_us", "kernel_build_us", "init_us", "first_sweep_us")
 TRIAL_STEPS = ("trial_us",)
 SWEEP_STEPS = ("sweep_us", "decode_us")
 DECODE_SWEEPS = 200
+TRAJECTORY_SWEEPS = 200
 TARGET_S = 0.05
 WARM_CALLS = 5
 
@@ -304,8 +324,7 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     streams = fz.derive_streams(seed)
     pbooks = fz.perturb_codebooks(books, variant, streams.masks)
     kernels = fz._Kernels(pbooks)
-    for _ in range(warm):
-        attentions = fz._advance(state, x, kernels, cfg, streams).attentions
+    attentions = fz._advance(state, x, kernels, cfg, streams).attentions
 
     # Factor 0, updated first, searches x unbound from the others' estimates.
     # imf adds noise to its attentions; brn's and acf's are exact.
@@ -314,12 +333,21 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     if kind != "imf" and not np.array_equal(attentions[0], dots / D):
         raise RuntimeError(f"search at M={M}, D={D} is not the exact dot product")
 
+    searches = getattr(kernels, "searches", None)
+    before = None if searches is None else searches.copy()
+    trajectory = [state]
+    for _ in range(TRAJECTORY_SWEEPS - 1):
+        trajectory.append(fz._advance(trajectory[-1], x, kernels, cfg, streams))
+    states = itertools.cycle(trajectory)
+
     row = {
         "M": M, "D": D, "F": F, "variant": kind, **knobs,
         "warm_sweeps": warm,
         "survivors_frac": round(
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
-        "sweep_us": timed(lambda: fz._advance(state, x, kernels, cfg, streams)),
+        "searches": None if searches is None else dict(
+            zip(("full", "delta"), (int(n) for n in searches - before))),
+        "sweep_us": timed(lambda: fz._advance(next(states), x, kernels, cfg, streams)),
     }
     decodes = [timed(lambda: decode(budget)) for budget in (1, DECODE_SWEEPS)]
     row["decode_us"] = {"us": (decodes[1]["us"] - decodes[0]["us"]) / (DECODE_SWEEPS - 1),
@@ -327,6 +355,46 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     packed = {id(a): a for a in kernels.search + kernels.recon}
     row["kernel_bytes"] = sum(a.nbytes for a in packed.values())
     return row
+
+
+def bench_crossover(fz, sweep, M, D) -> dict:
+    """Factor 0's search of an (M, D) book, afresh and from the changed bits, at ``CHANGED_BITS``."""
+    from resfact.vsa import Codebook
+
+    g = np.random.default_rng(M * D)
+    books = [Codebook(g.integers(0, 2, size=(M, D), dtype=np.int8) * 2 - 1)
+             for _ in range(2)]
+    kernels = fz._Kernels(fz.perturb_codebooks(books, fz.VariantSpec.brn(), g))
+    words = kernels.search[0].shape[1]
+
+    def packed(q):
+        out = np.empty(words, dtype=np.uint64)
+        sweep.pack(q.ctypes.data, 1, D, words, sweep.address(out))
+        return out
+
+    def searches(path, queries):
+        addresses = itertools.cycle([sweep.address(q) for q in queries])
+        return timed(lambda: sweep.search(kernels._plan_at, 0, next(addresses), path))
+
+    q = g.integers(0, 2, size=D, dtype=np.int8) * 2 - 1
+    row = {"M": M, "D": D, "delta_limit": kernels.plan.delta_limit,
+           "full_us": searches(0, [packed(q), packed(q)])}
+    for bits in (b for b in CHANGED_BITS if b <= D):
+        flipped = q.copy()
+        flipped[g.choice(D, bits, replace=False)] *= -1
+        row[f"delta_us_{bits}"] = searches(1, [packed(q), packed(flipped)])
+    return row
+
+
+def crossover_bits(row: dict):
+    """Changed bits where the update's median time reaches the full search's, or None."""
+    full = row["full_us"]["median"]
+    points = [(int(k.rsplit("_", 1)[1]), row[k]["median"]) for k in row
+              if k.startswith("delta_us_")]
+    for (b0, t0), (b1, t1) in zip(points, points[1:]):
+        if t0 < full <= t1:
+            return round(b0 + (b1 - b0) * (full - t0) / (t1 - t0))
+    return None
 
 
 def one_repeat(src: Path) -> dict:
@@ -338,10 +406,13 @@ def one_repeat(src: Path) -> dict:
     if Path(fz.__file__).resolve().parents[1] != src:
         sys.exit(f"bench_engine: resfact was imported from {fz.__file__}, not {src}")
     _retain_freed_memory()
+    sweep = importlib.import_module("resfact._sweep")
     return {"environment": environment(src),
             "setup_rows": [bench_setup(fz, make_instance, *row) for row in SETUP_ROWS],
             "trial_rows": [bench_trial(fz, run_trial, *row) for row in TRIAL_ROWS],
-            "rows": [bench_row(fz, make_instance, *row) for row in ROWS]}
+            "rows": [bench_row(fz, make_instance, *row) for row in ROWS],
+            "crossover_rows": ([bench_crossover(fz, sweep, *row) for row in CROSSOVER_ROWS]
+                               if hasattr(sweep, "search") else [])}
 
 
 def child_repeat(src: Path) -> dict:
@@ -362,9 +433,9 @@ def merge(repeats: list) -> dict:
     """One run from its repeats: median, IQR and minimum of every timed figure."""
     def rows(key, steps):
         merged = []
-        for i, first in enumerate(repeats[0][key]):
+        for i, first in enumerate(repeats[0].get(key, [])):
             row = {k: v for k, v in first.items() if k not in steps}
-            for step in steps:
+            for step in (s for s in steps if s in first):
                 samples = [rep[key][i][step] for rep in repeats]
                 row[step] = {**summary([s["us"] for s in samples]),
                              "calls_per_repeat": [s["calls"] for s in samples]}
@@ -373,9 +444,13 @@ def merge(repeats: list) -> dict:
             merged.append(row)
         return merged
 
+    crossover = rows("crossover_rows", ["full_us"] + [f"delta_us_{b}" for b in CHANGED_BITS])
+    for row in crossover:
+        row["crossover_bits"] = crossover_bits(row)
     return {"environment": repeats[0]["environment"],
             "setup_rows": rows("setup_rows", SETUP_STEPS),
-            "trial_rows": rows("trial_rows", TRIAL_STEPS), "rows": rows("rows", SWEEP_STEPS)}
+            "trial_rows": rows("trial_rows", TRIAL_STEPS), "rows": rows("rows", SWEEP_STEPS),
+            "crossover_rows": crossover}
 
 
 def report(label: str, run: dict) -> None:
@@ -395,9 +470,15 @@ def report(label: str, run: dict) -> None:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} trial of at most"
               f" {row['max_sweeps']} sweeps: {us(row['trial_us'])}")
     for row in run["rows"]:
+        searches = row.get("searches") or {}
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
               f"survivors {row['survivors_frac']:.3f}  sweep {us(row['sweep_us'])}"
-              f"  decode {us(row['decode_us'])}/sweep")
+              f"  decode {us(row['decode_us'])}/sweep"
+              f"  searches full {searches.get('full')} delta {searches.get('delta')}")
+    for row in run["crossover_rows"]:
+        print(f"{label}: M={row['M']} D={row['D']} search {us(row['full_us'])}"
+              f"  delta at {CHANGED_BITS[1]} bits {us(row[f'delta_us_{CHANGED_BITS[1]}'])}"
+              f"  crossover {row['crossover_bits']} bits, rule {row['delta_limit']}")
 
 
 def main(argv=None) -> int:

@@ -24,10 +24,12 @@ def main(argv=None):
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--max-iters", type=int, default=500)
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--out", type=Path, default=RESULTS,
+                    help=f"directory the artifact is written to (default {RESULTS})")
     ap.add_argument("--parallelism", type=int, default=1)
     args = ap.parse_args(argv)
 
-    RESULTS.mkdir(exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     cfg = SweepConfig(
         F=2,
@@ -48,7 +50,7 @@ def main(argv=None):
             file=sys.stderr,
         ),
     )
-    emit_report(report, "csv", RESULTS / "brn_ceiling_f2.csv")
+    emit_report(report, "csv", args.out / "brn_ceiling_f2.csv")
     cap = report.operational_capacity
     print(f"operational capacity: {cap if cap is not None else 'not reached'}")
     return 0

@@ -24,9 +24,11 @@ def main(argv=None):
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--max-iters", type=int, default=1500)
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--out", type=Path, default=RESULTS,
+                    help=f"directory the artifact is written to (default {RESULTS})")
     args = ap.parse_args(argv)
 
-    RESULTS.mkdir(exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     rows = []
     for kind in ("brn", "acf", "imf"):
@@ -47,8 +49,8 @@ def main(argv=None):
             f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
             file=sys.stderr,
         )
-    emit_rows(rows, RESULTS / "noise_benefit_f3_1e7.csv")
-    print(f"wrote {RESULTS}/noise_benefit_f3_1e7.csv")
+    emit_rows(rows, args.out / "noise_benefit_f3_1e7.csv")
+    print(f"wrote {args.out}/noise_benefit_f3_1e7.csv")
     return 0
 
 

@@ -33,9 +33,11 @@ def main(argv=None):
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--max-iters", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--out", type=Path, default=RESULTS,
+                    help=f"directory the artifact is written to (default {RESULTS})")
     args = ap.parse_args(argv)
 
-    RESULTS.mkdir(exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     out = []
     for kind in ("brn", "acf", "imf"):
@@ -57,8 +59,8 @@ def main(argv=None):
                 f"mean_it={row.mean_iterations:.0f} [{time.time()-t0:.0f}s]",
                 file=sys.stderr,
             )
-    emit_rows(out, RESULTS / "convergence_threshold_tuning.csv")
-    print(f"wrote {RESULTS}/convergence_threshold_tuning.csv")
+    emit_rows(out, args.out / "convergence_threshold_tuning.csv")
+    print(f"wrote {args.out}/convergence_threshold_tuning.csv")
     return 0
 
 

@@ -3,19 +3,25 @@
  * Built and loaded by _sweep.py.  resfact_run runs whole update sweeps
  * of every variant until the convergence test, the decoder's one stopping
  * rule, passes or its budget runs out.  One struct resfact_plan describes
- * the decode: every factor's packed books and the scratch they share.
- * resfact_ties draws every variant's tie-breaks from the tie stream
- * itself, bit for bit as numpy draws them.  Both the search and the
- * reconstruction read books that resfact_pack packs, as pack() packs
- * each query: element j of a row at bit j % 64 of its word j / 64, 1 for
- * +1 and 0 for -1.  Set-up runs here too: resfact_expand turns a
- * codebook's random bytes into +-1, and resfact_init starts every factor
- * at the majority of its packed search rows.
- * brn and acf sum integers, in any order; their one floating-point
- * operation, each numerator / D, rounds exactly as numpy's does.  imf's
- * noise is numpy's own random_standard_normal_fill (libnpyrandom.a),
- * added as numpy's expressions add it, unfused (-ffp-contract=off), and
- * its real-valued sums run in row order.
+ * the decode: every factor's packed books, the scratch they share and
+ * what each factor keeps from its last search.  resfact_ties draws every
+ * variant's tie-breaks from the tie stream itself, bit for bit as numpy
+ * draws them.  Both the search and the reconstruction read books that
+ * resfact_pack packs, as pack() packs each query: element j of a row at
+ * bit j % 64 of its word j / 64, 1 for +1 and 0 for -1.  Set-up runs here
+ * too: resfact_expand turns a codebook's random bytes into +-1, and
+ * resfact_init starts every factor at the majority of its packed search
+ * rows.
+ * The search keeps each factor's last query and its int32 numerators,
+ * and updates them from the query bits that changed where that costs
+ * less than searching afresh (resfact_delta_limit); both give the same
+ * integers.  brn and acf compare those integers with the least numerator
+ * that passes each threshold, and their one floating-point operation,
+ * each numerator / D, is done once per resfact_run, at its exit, and
+ * rounds exactly as numpy's does.  imf's noise is numpy's own
+ * random_standard_normal_fill (libnpyrandom.a), added as numpy's
+ * expressions add it, unfused (-ffp-contract=off), and its real-valued
+ * sums run in row order.
  */
 
 #include <stdint.h>
@@ -47,32 +53,253 @@ void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t n, double *out
  * recon each hold the factors' books in factor order, m bit-packed rows
  * of `words` 64-bit words per factor: the search and the reconstruction
  * books, one and the same array unless the variant is acf.  query
- * (words), unbound (dim), rows (m), weights (m) and sums (64 * words)
- * are scratch that every factor's update shares; after an update,
- * weights holds that factor's reconstruction weights. */
+ * (words), unbound (dim), rows (m), weights (m), sums
+ * (64 * words) and changed (2 * 64 * words) are scratch that every
+ * factor's update shares; after an imf update, weights holds that
+ * factor's reconstruction weights.
+ *
+ * What each factor keeps from its last search, kept until the next:
+ * kept[f] (words) is its packed query and nums[f] (64 * mwords, rows
+ * from m on padding) that query's numerators, valid where flags[f] has
+ * KEPT.  columns[f] is factor f's search book by columns, valid where
+ * flags[f] has COLUMNS: for each element j < 64 * words, mwords words
+ * whose bit i % 64 of word i / 64 is bit j of row i, zero from row m on.
+ * flags[f] / PENDING counts the searches that the rule would have made
+ * delta searches before those columns were built.  delta_limit is
+ * resfact_delta_limit(m, words), and searches counts the full searches
+ * ([0]) and the delta ones ([1]). */
 struct resfact_plan {
     const uint64_t *search, *recon;
     int64_t m, dim, words, factors;
     uint64_t *query;
     int8_t *unbound;
-    int64_t *rows;
+    int32_t *rows;
     double *weights;
     int32_t *sums;
+    int64_t mwords, delta_limit;
+    uint64_t *columns, *kept;
+    int32_t *nums, *changed;
+    int64_t *flags, *searches;
 };
+
+enum { KEPT = 1, COLUMNS = 2, PENDING = 4 };
 
 /* out[i] = dim - 2 * popcount(rows[i] ^ query): the dot products of n
  * bit-packed bipolar rows of `words` 64-bit words with a packed query.
  * Padding bits are zero in both, so they cancel in the xor. */
 static void search(const uint64_t *rows, int64_t n, int64_t words,
-                   const uint64_t *query, int64_t dim, double *out)
+                   const uint64_t *query, int64_t dim, int32_t *out)
 {
     for (int64_t i = 0; i < n; i++) {
         const uint64_t *row = rows + i * words;
         int64_t hamming = 0;
         for (int64_t w = 0; w < words; w++)
             hamming += __builtin_popcountll(row[w] ^ query[w]);
-        out[i] = (double)(dim - 2 * hamming);
+        out[i] = (int32_t)(dim - 2 * hamming);
     }
+}
+
+#if defined(__AVX512BW__)
+/* Swaps bit c of a[r] with bit r of a[c], for the 64 x 64 bit matrix
+ * whose row r is lane r % 8 of z[r / 8].  Each round swaps the
+ * off-diagonal j x j blocks of every 2j x 2j block, j = 32, 16, ..., 1,
+ * `mask` picking the columns whose bit j is clear: between vectors for
+ * j >= 8, and from j = 4 on between the lanes that `swap` exchanges, the
+ * lanes with bit j clear (`lower`) taking the upper block's bits. */
+static void transpose64(__m512i z[8])
+{
+    uint64_t mask = 0x00000000FFFFFFFFULL;
+    for (int j = 32; j >= 8; j >>= 1, mask ^= mask << j) {
+        const __m512i mk = _mm512_set1_epi64((long long)mask);
+        for (int i = 0; i < 8; i = (i + j / 8 + 1) & ~(j / 8)) {
+            const __m512i t = _mm512_and_si512(
+                _mm512_xor_si512(_mm512_srli_epi64(z[i], j), z[i + j / 8]), mk);
+            z[i] = _mm512_xor_si512(z[i], _mm512_slli_epi64(t, j));
+            z[i + j / 8] = _mm512_xor_si512(z[i + j / 8], t);
+        }
+    }
+    for (int j = 4; j; j >>= 1, mask ^= mask << j) {
+        const __m512i mk = _mm512_set1_epi64((long long)mask);
+        const __mmask8 lower = j == 4 ? 0x0F : j == 2 ? 0x33 : 0x55;
+        for (int i = 0; i < 8; i++) {
+            const __m512i y = j == 4 ? _mm512_shuffle_i64x2(z[i], z[i], 0x4E)
+                            : j == 2 ? _mm512_permutex_epi64(z[i], 0x4E)
+                                     : _mm512_shuffle_epi32(z[i], 0x4E);
+            const __m512i lo = _mm512_mask_blend_epi64(lower, y, z[i]);
+            const __m512i hi = _mm512_mask_blend_epi64(lower, z[i], y);
+            const __m512i t = _mm512_and_si512(_mm512_xor_si512(_mm512_srli_epi64(lo, j), hi), mk);
+            z[i] = _mm512_xor_si512(z[i], _mm512_mask_blend_epi64(lower, t,
+                                                                  _mm512_slli_epi64(t, j)));
+        }
+    }
+}
+
+/* Fills p->columns[f] from factor f's packed search rows, 64 rows by 64
+ * elements at a time. */
+static void build_columns(const struct resfact_plan *p, int64_t f)
+{
+    const int64_t m = p->m, words = p->words, mwords = p->mwords;
+    const uint64_t *rows = p->search + f * m * words;
+    uint64_t *cols = p->columns + f * 64 * words * mwords, a[64];
+    __m512i z[8];
+    for (int64_t b = 0; b < mwords; b++)
+        for (int64_t w = 0; w < words; w++) {
+            for (int64_t r = 0; r < 64; r++)
+                a[r] = 64 * b + r < m ? rows[(64 * b + r) * words + w] : 0;
+            for (int i = 0; i < 8; i++)
+                z[i] = _mm512_loadu_si512(a + 8 * i);
+            transpose64(z);
+            for (int i = 0; i < 8; i++)
+                _mm512_storeu_si512(a + 8 * i, z[i]);
+            for (int64_t c = 0; c < 64; c++)
+                cols[(64 * w + c) * mwords + b] = a[c];
+        }
+}
+
+/* delta_search() for the 64 * nb rows of column words b0..b0 + nb,
+ * nb = 1, 2, 4 or 8, in nb vectors of 64 int8 lanes: for every element in pos and
+ * in neg, one masked add of +1 or -1, the mask being that column's word
+ * there.  Every 127 elements the lanes, which never pass +-127, are added
+ * to the int32 numerators, times 4, and cleared. */
+static inline __attribute__((always_inline)) void
+delta_block(const uint64_t *cols, int64_t mwords, int64_t b0, int nb, const int32_t *pos,
+            int64_t npos, const int32_t *neg, int64_t nneg, int32_t *nums)
+{
+    __m512i acc[8];
+    const __m512i one = _mm512_set1_epi8(1);
+    for (int64_t k = 0; k < npos + nneg;) {
+        for (int v = 0; v < nb; v++)
+            acc[v] = _mm512_setzero_si512();
+        const int64_t end = npos + nneg - k < 127 ? npos + nneg : k + 127;
+        for (; k < end && k < npos; k++) {
+            const uint64_t *bits = cols + pos[k] * mwords + b0;
+            for (int v = 0; v < nb; v++)
+                acc[v] = _mm512_mask_add_epi8(acc[v], bits[v], acc[v], one);
+        }
+        for (; k < end; k++) {
+            const uint64_t *bits = cols + neg[k - npos] * mwords + b0;
+            for (int v = 0; v < nb; v++)
+                acc[v] = _mm512_mask_sub_epi8(acc[v], bits[v], acc[v], one);
+        }
+        for (int v = 0; v < nb; v++)
+            for (int q = 0; q < 4; q++) {
+                int32_t *n = nums + 64 * (b0 + v) + 16 * q;
+                const __m512i d = _mm512_cvtepi8_epi32(_mm512_extracti32x4_epi32(acc[v], q));
+                _mm512_storeu_si512(n, _mm512_add_epi32(_mm512_loadu_si512(n),
+                                                        _mm512_slli_epi32(d, 2)));
+            }
+    }
+}
+
+/* Moves factor f's kept numerators from its kept query to `query`.  A
+ * changed element j, now q_j = +-1, moves row i's numerator by
+ * 2 * q_j * (2 * b_ij - 1) for its bit b_ij: + or -4 where the bit is
+ * set, and the constant -2 * q_j everywhere.  The changed elements are
+ * listed by their new sign, so that each list takes one add. */
+static void delta_search(const struct resfact_plan *p, int64_t f, const uint64_t *query)
+{
+    const int64_t words = p->words, mwords = p->mwords;
+    const uint64_t *kept = p->kept + f * words;
+    int32_t *pos = p->changed, *neg = p->changed + 64 * words;
+    int64_t npos = 0, nneg = 0;
+    for (int64_t w = 0; w < words; w++)
+        for (uint64_t d = query[w] ^ kept[w]; d; d &= d - 1) {
+            const int t = __builtin_ctzll(d);
+            const int up = (int)(query[w] >> t & 1);
+            pos[npos] = neg[nneg] = (int32_t)(64 * w + t);
+            npos += up;
+            nneg += !up;
+        }
+    const uint64_t *cols = p->columns + f * 64 * words * mwords;
+    int32_t *nums = p->nums + f * 64 * mwords;
+    /* Blocks of 8, then 4, 2 and 1 words: each a constant, so that the
+     * lanes stay in registers. */
+    int64_t b0 = 0;
+    for (; b0 + 8 <= mwords; b0 += 8)
+        delta_block(cols, mwords, b0, 8, pos, npos, neg, nneg, nums);
+    if (mwords & 4) {
+        delta_block(cols, mwords, b0, 4, pos, npos, neg, nneg, nums);
+        b0 += 4;
+    }
+    if (mwords & 2) {
+        delta_block(cols, mwords, b0, 2, pos, npos, neg, nneg, nums);
+        b0 += 2;
+    }
+    if (mwords & 1)
+        delta_block(cols, mwords, b0, 1, pos, npos, neg, nneg, nums);
+    const int32_t base = (int32_t)(2 * (nneg - npos));
+    for (int64_t i = 0; i < 64 * mwords; i++)
+        nums[i] += base;
+}
+#endif
+
+/* The costs, in units of about 5 ps on the machine the rule was fitted
+ * on, of a full search, per row and per row and word, and of a delta
+ * search, per changed bit and per changed bit and column word, fitted
+ * with scripts/bench_engine.py. */
+#define FULL_ROW 340
+#define FULL_WORD 23
+#define DELTA_BIT 200
+#define DELTA_WORD 90
+/* Building a factor's columns costs about as much as 16 full searches of
+ * its book, so a factor first searches afresh through that many updates
+ * that the rule would make delta searches, and then builds them. */
+#define BUILD_AFTER 16
+
+/* The most changed query bits for which a delta search of a book of m
+ * rows of `words` words costs less than a full one, or -1 where there is
+ * no delta search, in builds without AVX-512BW.  The rule changes the
+ * speed of a search, never its numerators. */
+int64_t resfact_delta_limit(int64_t m, int64_t words)
+{
+#if defined(__AVX512BW__)
+    return m * (FULL_ROW + FULL_WORD * words) / (DELTA_BIT + DELTA_WORD * ((m + 63) / 64));
+#else
+    (void)m;
+    (void)words;
+    return -1;
+#endif
+}
+
+/* Sets factor f's numerators, p->nums[f], to those of the packed
+ * `query` against its search book and keeps that query.  With `path` 0
+ * it searches afresh; with 1 it updates the kept numerators from the
+ * changed bits if it can; with -1 it does so if at most delta_limit bits
+ * changed.  Returns 1 where it updated, 0 where it searched afresh. */
+int64_t resfact_search(const struct resfact_plan *p, int64_t f, const uint64_t *query,
+                       int64_t path)
+{
+    const int64_t words = p->words;
+    uint64_t *kept = p->kept + f * words;
+    int64_t delta = 0;
+#if defined(__AVX512BW__)
+    if (path && p->flags[f] & KEPT && p->delta_limit >= 0) {
+        int64_t changed = 0;
+        for (int64_t w = 0; w < words; w++)
+            changed += __builtin_popcountll(query[w] ^ kept[w]);
+        delta = path > 0 || changed <= p->delta_limit;
+        if (delta && !(p->flags[f] & COLUMNS)) {
+            p->flags[f] += PENDING;
+            if (path < 0 && p->flags[f] / PENDING < BUILD_AFTER)
+                delta = 0;
+            else {
+                build_columns(p, f);
+                p->flags[f] |= COLUMNS;
+            }
+        }
+    }
+    if (delta)
+        delta_search(p, f, query);
+    else
+#else
+    (void)path;
+#endif
+        search(p->search + f * p->m * words, p->m, words, query, p->dim,
+               p->nums + f * 64 * p->mwords);
+    memcpy(kept, query, (size_t)words * sizeof *kept);
+    p->flags[f] |= KEPT;
+    p->searches[delta]++;
+    return delta;
 }
 
 #if defined(__AVX512BW__)
@@ -83,15 +310,15 @@ static void search(const uint64_t *rows, int64_t n, int64_t words,
  * are added to sums in int32 and cleared, so they never hold more than
  * run * dim <= INT16_MAX in magnitude. */
 static inline __attribute__((always_inline)) void
-superpose_block(const uint64_t *recon, int64_t words, int64_t w0, int nw, const int64_t *rows,
-                int64_t n, const double *weights, int64_t run, int32_t *sums)
+superpose_block(const uint64_t *recon, int64_t words, int64_t w0, int nw, const int32_t *rows,
+                int64_t n, const int32_t *weights, int64_t run, int32_t *sums)
 {
     __m512i acc[8];
     for (int64_t k = 0; k < n;) {
         for (int i = 0; i < 2 * nw; i++)
             acc[i] = _mm512_setzero_si512();
         for (const int64_t end = n - k < run ? n : k + run; k < end; k++) {
-            const uint8_t *bits = (const uint8_t *)(recon + rows[k] * words + w0);
+            const uint8_t *bits = (const uint8_t *)(recon + (int64_t)rows[k] * words + w0);
             const __m512i w = _mm512_set1_epi16((int16_t)weights[rows[k]]);
             for (int i = 0; i < 2 * nw; i++) {
                 uint32_t mask;
@@ -131,13 +358,13 @@ superpose_block(const uint64_t *recon, int64_t words, int64_t w0, int nw, const 
  * with half the rows, and 3.0 against 7.6 us at M = 2236, D = 1000 with
  * 8% of them (medians of 7).  Built without AVX-512, the plain loop
  * took about 1.8 times as long as that int8 sum built the same way. */
-static int64_t superpose(const uint64_t *recon, int64_t words, int64_t dim, const int64_t *rows,
-                         int64_t n, const double *weights, int32_t *sums)
+static int64_t superpose(const uint64_t *recon, int64_t words, int64_t dim, const int32_t *rows,
+                         int64_t n, const int32_t *weights, int32_t *sums)
 {
     memset(sums, 0, (size_t)(64 * words) * sizeof *sums);
     int64_t total = 0;
     for (int64_t k = 0; k < n; k++)
-        total += (int64_t)weights[rows[k]];
+        total += weights[rows[k]];
 #if defined(__AVX512BW__)
     if (dim <= INT16_MAX) {
         const int64_t run = INT16_MAX / dim;
@@ -152,8 +379,8 @@ static int64_t superpose(const uint64_t *recon, int64_t words, int64_t dim, cons
     (void)dim;
 #endif
     for (int64_t k = 0; k < n; k++) {
-        const uint64_t *bits = recon + rows[k] * words;
-        const int32_t w = (int32_t)weights[rows[k]];
+        const uint64_t *bits = recon + (int64_t)rows[k] * words;
+        const int32_t w = weights[rows[k]];
         for (int64_t i = 0; i < 2 * words; i++) {
             const uint32_t half = (uint32_t)(bits[i / 2] >> 32 * (i % 2));
             int32_t *s = sums + 32 * i;
@@ -224,59 +451,96 @@ static int64_t signs(const int32_t *restrict sums, int64_t total, int64_t dim,
 /* est[j], j < dim, = the sign of the float64 sum, from 0 in row order
  * k < n, of +-weights[rows[k]] as row rows[k] of the packed `recon` has
  * bit j set or clear, 0 where it is exactly zero; returns the number of
- * zeros.  With AVX-512 a word's 64 sums are eight vectors of doubles;
+ * zeros.  With AVX-512BW a word's 64 sums are eight vectors of doubles,
+ * signed by two compare masks and stored with one masked byte store;
  * the plain loop multiplies by +-1, which is exact, so both agree. */
-static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, const int64_t *rows,
+static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, const int32_t *rows,
                           int64_t n, const double *weights, int8_t *est)
 {
     int64_t ties = 0;
     for (int64_t i = 0; i < words; i++) {
-        double sums[64] = {0};
-#if defined(__AVX512F__)
+        const int64_t left = dim - 64 * i;
+#if defined(__AVX512BW__)
         __m512d acc[8] = {};
         for (int64_t k = 0; k < n; k++) {
-            const uint8_t *bits = (const uint8_t *)(recon + rows[k] * words + i);
+            const uint8_t *bits = (const uint8_t *)(recon + (int64_t)rows[k] * words + i);
             const double w = weights[rows[k]];
             const __m512d pos = _mm512_set1_pd(w), neg = _mm512_set1_pd(-w);
             for (int q = 0; q < 8; q++)
                 acc[q] = _mm512_add_pd(acc[q], _mm512_mask_blend_pd(bits[q], neg, pos));
         }
-        for (int q = 0; q < 8; q++)
-            _mm512_storeu_pd(sums + 8 * q, acc[q]);
+        __mmask64 above = 0, below = 0;
+        for (int q = 0; q < 8; q++) {
+            const __m512d zero = _mm512_setzero_pd();
+            above |= (__mmask64)_mm512_cmp_pd_mask(acc[q], zero, _CMP_GT_OQ) << 8 * q;
+            below |= (__mmask64)_mm512_cmp_pd_mask(acc[q], zero, _CMP_LT_OQ) << 8 * q;
+        }
+        const __mmask64 tail = left < 64 ? (1ULL << left) - 1 : ~0ULL;
+        const __m512i s = _mm512_mask_mov_epi8(_mm512_maskz_mov_epi8(above, _mm512_set1_epi8(1)),
+                                               below, _mm512_set1_epi8(-1));
+        _mm512_mask_storeu_epi8(est + 64 * i, tail, s);
+        ties += __builtin_popcountll(~(above | below) & tail);
 #else
+        double sums[64] = {0};
         for (int64_t k = 0; k < n; k++) {
-            const uint64_t b = recon[rows[k] * words + i];
+            const uint64_t b = recon[(int64_t)rows[k] * words + i];
             const double w = weights[rows[k]];
             for (int t = 0; t < 64; t++)
                 sums[t] += (double)(2 * (int)(b >> t & 1) - 1) * w;
         }
-#endif
-        for (int64_t t = 0; t < 64 && 64 * i + t < dim; t++) {
+        for (int64_t t = 0; t < 64 && t < left; t++) {
             est[64 * i + t] = (int8_t)((sums[t] > 0) - (sums[t] < 0));
             ties += sums[t] == 0;
         }
+#endif
     }
     return ties;
 }
 
+/* The least numerator n in [-dim, dim] with n / dim > t, in double
+ * division, or dim + 1 if there is none.  Correctly rounded division is
+ * monotone in n, so n / dim > t holds exactly when n >= least_above(t, dim):
+ * brn's and acf's thresholds compare numerators with it. */
+static int64_t least_above(double t, int64_t dim)
+{
+    int64_t lo = -dim, hi = dim + 1;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if ((double)mid / (double)dim > t)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
 /* Factor f's update within a sweep, on the (factors, dim) int8
- * estimates `working` and the (factors, m) float64 `attentions`:
+ * estimates `working`:
  *
  * 1. unbind: x times every other factor's row of working;
- * 2. pack the result into the query and search: the numerators, left in
- *    p->weights as the weights, and attentions[f] = numerator / dim;
- * 3. with `noise` (imf; NULL for brn and acf), for M normals z drawn as
- *    noise.standard_normal(M) draws them, alpha += sigma * z and
- *    weight += (dim * sigma) * z, as numpy computes them;
- * 4. the rows whose attention is above `threshold` (strict) survive, and
- *    working[f] becomes the sign of their weighted sum (superpose, or
- *    real_signs for imf), with 0 where that sum is exactly zero.
+ * 2. pack the result into the query and search (resfact_search): the
+ *    integer numerators, in p->nums[f];
+ * 3. brn and acf (`noise` NULL): the rows whose numerator is at least
+ *    `least` survive, weighted by their numerators;
+ *    imf: for M normals z drawn as noise.standard_normal(M) draws them,
+ *    attentions[f] = numerator / dim + sigma * z and weight = numerator
+ *    + (dim * sigma) * z, as numpy computes them, and the rows whose
+ *    attention is above `threshold` (strict) survive;
+ * 4. working[f] becomes the sign of the survivors' weighted sum
+ *    (superpose, or real_signs for imf), with 0 where that sum is
+ *    exactly zero.
  *
  * Returns the number of zeros left in working[f]: dim if no row
- * survives, since working[f] is then all zeros. */
+ * survives, since working[f] is then all zeros.
+ *
+ * The survivors are listed in row order, branchless: in dense brn about
+ * half the rows survive, at random.  With AVX-512, 16 (imf: 8) rows at a
+ * time: the indices of those that pass are compressed to the front of a
+ * vector, and all its lanes are stored, which stays within rows[0..m)
+ * since n <= i. */
 static int64_t resfact_update(const struct resfact_plan *p, int64_t f, const int8_t *x,
-                              int8_t *working, double *attentions, double threshold, double sigma,
-                              bitgen_t *noise)
+                              int8_t *working, double *attentions, int64_t least,
+                              double threshold, double sigma, bitgen_t *noise)
 {
     const int64_t m = p->m, dim = p->dim, book = f * m * p->words;
     int8_t *u = p->unbound;
@@ -289,45 +553,49 @@ static int64_t resfact_update(const struct resfact_plan *p, int64_t f, const int
             u[j] = (int8_t)(u[j] * e[j]);
     }
     pack(u, dim, p->words, p->query);
-    search(p->search + book, m, p->words, p->query, dim, p->weights);
-    double *alpha = attentions + f * m;
+    resfact_search(p, f, p->query, -1);
+    const int32_t *nums = p->nums + f * 64 * p->mwords;
+    int64_t n = 0, i = 0;
     if (noise) {
+        double *alpha = attentions + f * m;
         random_standard_normal_fill(noise, m, alpha);  /* then replaced */
         const double scale = (double)dim * sigma;
-        for (int64_t i = 0; i < m; i++) {
-            const double z = alpha[i];
-            alpha[i] = p->weights[i] / (double)dim + sigma * z;
-            p->weights[i] += scale * z;
+        for (int64_t r = 0; r < m; r++) {
+            const double z = alpha[r];
+            alpha[r] = nums[r] / (double)dim + sigma * z;
+            p->weights[r] = nums[r] + scale * z;
         }
-    } else {
-        for (int64_t i = 0; i < m; i++)
-            alpha[i] = p->weights[i] / (double)dim;
+#if defined(__AVX512VL__)
+        const __m512d t = _mm512_set1_pd(threshold);
+        for (__m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7); i + 8 <= m; i += 8) {
+            const __mmask8 pass = _mm512_cmp_pd_mask(_mm512_loadu_pd(alpha + i), t, _CMP_GT_OQ);
+            _mm256_storeu_si256((__m256i *)(p->rows + n), _mm256_maskz_compress_epi32(pass, idx));
+            n += __builtin_popcount(pass);
+            idx = _mm256_add_epi32(idx, _mm256_set1_epi32(8));
+        }
+#endif
+        for (; i < m; i++) {
+            p->rows[n] = (int32_t)i;
+            n += alpha[i] > threshold;
+        }
+        return real_signs(p->recon + book, p->words, dim, p->rows, n, p->weights,
+                          working + f * dim);
     }
-
-    /* The survivors, in row order, branchless: in dense brn about half the
-     * rows survive, at random.  With AVX-512, eight rows at a time: the
-     * indices of those that pass are compressed to the front of a vector,
-     * and all eight lanes are stored, which stays within rows[0..m) since
-     * n <= i. */
-    int64_t n = 0, i = 0;
 #if defined(__AVX512F__)
-    const __m512d t = _mm512_set1_pd(threshold);
-    for (__m512i idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7); i + 8 <= m; i += 8) {
-        const __mmask8 pass = _mm512_cmp_pd_mask(_mm512_loadu_pd(alpha + i), t, _CMP_GT_OQ);
-        _mm512_storeu_si512(p->rows + n, _mm512_maskz_compress_epi64(pass, idx));
+    const __m512i k = _mm512_set1_epi32((int32_t)least);
+    for (__m512i idx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+         i + 16 <= m; i += 16) {
+        const __mmask16 pass = _mm512_cmpge_epi32_mask(_mm512_loadu_si512(nums + i), k);
+        _mm512_storeu_si512(p->rows + n, _mm512_maskz_compress_epi32(pass, idx));
         n += __builtin_popcount(pass);
-        idx = _mm512_add_epi64(idx, _mm512_set1_epi64(8));
+        idx = _mm512_add_epi32(idx, _mm512_set1_epi32(16));
     }
 #endif
     for (; i < m; i++) {
-        p->rows[n] = i;
-        n += alpha[i] > threshold;
+        p->rows[n] = (int32_t)i;
+        n += nums[i] >= least;
     }
-    if (noise)
-        return real_signs(p->recon + book, p->words, dim, p->rows, n, p->weights,
-                          working + f * dim);
-    const int64_t total = superpose(p->recon + book, p->words, dim, p->rows, n, p->weights,
-                                    p->sums);
+    const int64_t total = superpose(p->recon + book, p->words, dim, p->rows, n, nums, p->sums);
     return signs(p->sums, total, dim, working + f * dim);
 }
 
@@ -362,24 +630,42 @@ void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
  * which superpose() counts with unit weights.  Each factor's zeros are
  * then drawn from `init` by one resfact_ties call, the draws of
  * sign_to_bipolar in vsa.py on the int64 column sums with the same
- * generator.  Uses the plan's rows, weights and sums scratch. */
+ * generator.  Uses the plan's rows and sums scratch, and factor f's
+ * nums for the unit weights, so that it no longer keeps a search. */
 void resfact_init(const struct resfact_plan *p, int8_t *working, bitgen_t *init)
 {
     const int64_t m = p->m, dim = p->dim;
-    for (int64_t i = 0; i < m; i++) {
-        p->rows[i] = i;
-        p->weights[i] = 1.0;
-    }
+    for (int64_t i = 0; i < m; i++)
+        p->rows[i] = (int32_t)i;
     for (int64_t f = 0; f < p->factors; f++) {
         int8_t *est = working + f * dim;
-        superpose(p->search + f * m * p->words, p->words, dim, p->rows, m, p->weights, p->sums);
+        int32_t *ones = p->nums + f * 64 * p->mwords;
+        for (int64_t i = 0; i < m; i++)
+            ones[i] = 1;
+        p->flags[f] &= ~KEPT;
+        superpose(p->search + f * m * p->words, p->words, dim, p->rows, m, ones, p->sums);
         if (signs(p->sums, m, dim, est))
             resfact_ties(est, dim, init);
     }
 }
 
+/* Whether every factor has some numerator of at least `least`: brn's and
+ * acf's stopping rule. */
+static int all_reach(const struct resfact_plan *p, int64_t least)
+{
+    for (int64_t f = 0; f < p->factors; f++) {
+        const int32_t *nums = p->nums + f * 64 * p->mwords;
+        int reached = 0;
+        for (int64_t i = 0; i < p->m; i++)
+            reached |= nums[i] >= least;
+        if (!reached)
+            return 0;
+    }
+    return 1;
+}
+
 /* Whether some attention of every factor is above `convergence` (strict):
- * the decoder's one stopping rule. */
+ * imf's stopping rule. */
 static int all_above(const double *attentions, int64_t factors, int64_t m, double convergence)
 {
     for (int64_t f = 0; f < factors; f++) {
@@ -399,23 +685,31 @@ static int all_above(const double *attentions, int64_t factors, int64_t m, doubl
  * Each factor's zeros after its update are resolved from `ties` at once,
  * before the next factor unbinds it; a factor with no survivor thus
  * draws all dim values.  The sweeps stop after the first one where every
- * factor's maximum attention is above `convergence`, or after `budget`
- * sweeps.  Returns the number of sweeps run and sets *converged to
- * whether the last one passed. */
+ * factor's maximum attention is above `convergence` (strict: the
+ * decoder's one stopping rule), or after `budget` sweeps.  brn's and
+ * acf's attentions, numerator / dim, are written once, from the last
+ * sweep's numerators, and both thresholds are compared as numerators.
+ * Returns the number of sweeps run and sets *converged to whether the
+ * last one passed. */
 int64_t resfact_run(const struct resfact_plan *p, const int8_t *x, int8_t *working,
                     double *attentions, double threshold, double sigma, double convergence,
                     int64_t budget, bitgen_t *ties, bitgen_t *noise, int64_t *converged)
 {
-    const int64_t factors = p->factors, dim = p->dim;
-    for (int64_t sweep = 1; sweep <= budget; sweep++) {
-        for (int64_t f = 0; f < factors; f++)
-            if (resfact_update(p, f, x, working, attentions, threshold, sigma, noise))
-                resfact_ties(working + f * dim, dim, ties);
-        if (all_above(attentions, factors, p->m, convergence)) {
-            *converged = 1;
-            return sweep;
-        }
-    }
+    const int64_t factors = p->factors, m = p->m, dim = p->dim;
+    const int64_t survive = least_above(threshold, dim), stop = least_above(convergence, dim);
+    int64_t sweep = 0;
     *converged = 0;
-    return budget;
+    while (sweep < budget && !*converged) {
+        sweep++;
+        for (int64_t f = 0; f < factors; f++)
+            if (resfact_update(p, f, x, working, attentions, survive, threshold, sigma, noise))
+                resfact_ties(working + f * dim, dim, ties);
+        *converged = noise ? all_above(attentions, factors, m, convergence)
+                           : all_reach(p, stop);
+    }
+    if (!noise && sweep)
+        for (int64_t f = 0; f < factors; f++)
+            for (int64_t i = 0; i < m; i++)
+                attentions[f * m + i] = p->nums[f * 64 * p->mwords + i] / (double)dim;
+    return sweep;
 }

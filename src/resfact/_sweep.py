@@ -91,7 +91,11 @@ class Plan(ctypes.Structure):
                 ("m", ctypes.c_int64), ("dim", ctypes.c_int64), ("words", ctypes.c_int64),
                 ("factors", ctypes.c_int64), ("query", ctypes.c_void_p),
                 ("unbound", ctypes.c_void_p), ("rows", ctypes.c_void_p),
-                ("weights", ctypes.c_void_p), ("sums", ctypes.c_void_p)]
+                ("weights", ctypes.c_void_p), ("sums", ctypes.c_void_p),
+                ("mwords", ctypes.c_int64), ("delta_limit", ctypes.c_int64),
+                ("columns", ctypes.c_void_p), ("kept", ctypes.c_void_p),
+                ("nums", ctypes.c_void_p), ("changed", ctypes.c_void_p),
+                ("flags", ctypes.c_void_p), ("searches", ctypes.c_void_p)]
 
 
 def address(a) -> int:
@@ -117,6 +121,10 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     lib.resfact_expand.restype = None
     lib.resfact_init.argtypes = (pointer, pointer, pointer)
     lib.resfact_init.restype = None
+    lib.resfact_search.argtypes = (pointer, i64, pointer, i64)
+    lib.resfact_search.restype = i64
+    lib.resfact_delta_limit.argtypes = (i64, i64)
+    lib.resfact_delta_limit.restype = i64
     return lib
 
 
@@ -136,5 +144,6 @@ def bitgen(bit_generator) -> int:
 
 
 _lib = load()
-run, ties, pack, expand, init = (_lib.resfact_run, _lib.resfact_ties, _lib.resfact_pack,
-                                  _lib.resfact_expand, _lib.resfact_init)
+run, ties, pack, expand, init, search, delta_limit = (
+    _lib.resfact_run, _lib.resfact_ties, _lib.resfact_pack, _lib.resfact_expand,
+    _lib.resfact_init, _lib.resfact_search, _lib.resfact_delta_limit)

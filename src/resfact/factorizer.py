@@ -299,9 +299,16 @@ class _Kernels:
     the addresses of those two arrays and of the scratch buffers every
     factor shares, taken once.  So one sweep or init at a time may use a
     ``_Kernels``.
+
+    Each factor also keeps its last search: its packed query and, in
+    ``nums[f, :M]``, that query's integer numerators, which its next
+    search updates from the bits that changed where that is cheaper
+    (``_sweep.delta_limit``).  The books by columns that such an update
+    reads are built on a factor's first one.  ``searches`` counts the
+    full searches and the updates.
     """
 
-    __slots__ = ("search", "recon", "plan", "_scratch", "_plan_at")
+    __slots__ = ("search", "recon", "nums", "searches", "plan", "_scratch", "_plan_at")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
@@ -313,12 +320,22 @@ class _Kernels:
             search = _pack([b.codevectors for b in pbooks.search_books])
         self.recon = list(recon)
         self.search = self.recon if search is recon else list(search)
-        words = search.shape[2]
-        self._scratch = (np.empty(words, dtype=np.uint64), np.empty(dim, dtype=np.int8),
-                         np.empty(size, dtype=np.int64), np.empty(size),
-                         np.empty(64 * words, dtype=np.int32))
-        self.plan = _sweep.Plan(_sweep.address(search), _sweep.address(recon), size, dim, words,
-                                len(search), *(_sweep.address(a) for a in self._scratch))
+        factors, words, mwords = len(search), search.shape[2], -(-size // 64)
+        self.nums = np.empty((factors, 64 * mwords), dtype=np.int32)
+        self.searches = np.zeros(2, dtype=np.int64)
+        scratch = {"query": np.empty(words, dtype=np.uint64),
+                   "unbound": np.empty(dim, dtype=np.int8),
+                   "rows": np.empty(size, dtype=np.int32), "weights": np.empty(size),
+                   "sums": np.empty(64 * words, dtype=np.int32),
+                   "columns": np.empty(factors * 64 * words * mwords, dtype=np.uint64),
+                   "kept": np.empty((factors, words), dtype=np.uint64), "nums": self.nums,
+                   "changed": np.empty(2 * 64 * words, dtype=np.int32),
+                   "flags": np.zeros(factors, dtype=np.int64), "searches": self.searches}
+        self._scratch = tuple(scratch.values())
+        self.plan = _sweep.Plan(search=_sweep.address(search), recon=_sweep.address(recon),
+                                m=size, dim=dim, words=words, factors=factors, mwords=mwords,
+                                delta_limit=_sweep.delta_limit(size, words),
+                                **{name: _sweep.address(a) for name, a in scratch.items()})
         self._plan_at = ctypes.addressof(self.plan)
 
 
@@ -341,11 +358,16 @@ def _advance(state, x, kernels, cfg, streams, budget=1) -> FactorizerState:
     Each factor unbinds the others' latest estimates from the int8 ``x``.
     Reconstruction weights are the attention *numerators*, plus D times
     ``imf``'s noise: unlike the attentions, they keep ``brn``'s and
-    ``acf``'s ties exact.  Ties come from the tie stream, ``imf``'s noise,
-    ``standard_normal(M)`` per factor update, from the noise stream, both
-    locked.  The sweeps stop after the first where every factor's maximum
-    attention is above ``cfg.convergence_threshold`` (strict), the one
-    stopping rule.  Returns the successor state, with fresh arrays.
+    ``acf``'s ties exact.  ``brn`` and ``acf`` compare the numerators
+    themselves with the least one whose attention passes each threshold,
+    and form their attentions once, from the last sweep's numerators.
+    Ties come from the tie stream, ``imf``'s noise, ``standard_normal(M)``
+    per factor update, from the noise stream, both locked.  The sweeps
+    stop after the first where every factor's maximum attention is above
+    ``cfg.convergence_threshold`` (strict), the one stopping rule.  Each
+    factor's search starts from what ``kernels`` kept of its last one,
+    whatever state that came from.  Returns the successor state, with
+    fresh arrays.
     """
     plan = kernels.plan
     estimates = np.array(state.estimates, dtype=np.int8, order="C")

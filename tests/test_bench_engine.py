@@ -2,7 +2,7 @@
 
 The script reads private parts of the decoder (``_advance``, ``_Kernels``),
 so a change there can break it without failing any other test.  Each of
-its three kinds of row runs once here, at a tiny shape and with a short
+its four kinds of row runs once here, at a tiny shape and with a short
 timing batch.
 """
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from resfact import factorizer
+from resfact import _sweep, factorizer
 from resfact.bench import make_instance, run_trial
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_engine.py"
@@ -38,12 +38,27 @@ def test_bench_engine_rows_run(bench_engine, kind, knobs):
     assert trial["max_sweeps"] >= 1 and trial["trial_us"]["us"] > 0
     row = bench_engine.bench_row(factorizer, make_instance, M, D, F, kind, knobs, 3)
     assert row["sweep_us"]["us"] > 0
+    # Every factor searches once per recorded sweep, afresh or from the changed bits.
+    assert sum(row["searches"].values()) == F * (bench_engine.TRAJECTORY_SWEEPS - 1)
     # Net of the set-up, a decode of DECODE_SWEEPS sweeps still costs time per sweep.
     assert row["decode_us"]["us"] > 0 and row["decode_us"]["calls"] >= 1
     # acf packs its perturbed reconstruction books beside the search books;
     # brn reconstructs from its search rows.
     packed_books = 2 * F if kind == "acf" else F
     assert row["kernel_bytes"] == packed_books * M * -(-D // 64) * 8
+
+
+def test_bench_engine_crossover_row_runs(bench_engine):
+    # Both paths are timed at every changed-bit count up to D.
+    row = bench_engine.bench_crossover(factorizer, _sweep, 70, 300)
+    assert row["delta_limit"] == _sweep.delta_limit(70, -(-300 // 64))
+    assert row["full_us"]["us"] > 0
+    assert [k for k in row if k.startswith("delta_us_")] == [
+        f"delta_us_{b}" for b in bench_engine.CHANGED_BITS if b <= 300]
+    merged = {"full_us": {"median": 2.0}, "delta_us_0": {"median": 0.5},
+              "delta_us_16": {"median": 1.0}, "delta_us_32": {"median": 3.0}}
+    assert bench_engine.crossover_bits(merged) == 24
+    assert bench_engine.crossover_bits({**merged, "delta_us_32": {"median": 1.5}}) is None
 
 
 def test_bench_engine_figures_carry_their_minimum(bench_engine):

@@ -459,7 +459,8 @@ _SWEEP_VARIANTS = {
 }
 # Shapes with no survivor regime to check: the packing's tail bytes and F = 4.
 _SWEEP_EDGES = {"d1": (2, 40, 1), "d7": (2, 40, 7), "d8": (2, 40, 8), "d63": (3, 40, 63),
-                "d64": (2, 40, 64), "d65": (2, 40, 65), "f4-d997": (4, 30, 997)}
+                "d64": (2, 40, 64), "d65": (2, 40, 65), "d127": (2, 40, 127),
+                "f4-d997": (4, 30, 997)}
 _SWEEP_CASES = (
     [pytest.param(*shape, variant, regime, id=f"{vid}-{sid}")
      for sid, shape in {"f2": (2, 300, 1000), "f3": (3, 120, 1500)}.items()
@@ -507,6 +508,100 @@ def test_sweep_matches_int64_references(F, M, D, variant, regime):
     assert ref_streams.noise.bit_generator.state == streams.noise.bit_generator.state
 
 
+def _packed_query(q):
+    """``q`` packed as the compiled update packs its queries."""
+    out = np.empty(-(-q.size // 64), dtype=np.uint64)
+    _sweep.pack(np.ascontiguousarray(q, dtype=np.int8).ctypes.data, 1, q.size, out.size,
+                _sweep.address(out))
+    return out
+
+
+# M and D on both sides of a 64-bit word: a delta search reads the books
+# by columns, whose padding rows and columns must not count.
+@pytest.mark.parametrize("M, D", [(2, 1), (5, 63), (64, 64), (65, 130), (129, 777), (300, 1000)])
+def test_delta_search_numerators_are_exact_dots(M, D):
+    # Every search is forced to one path, afresh (0) or from the bits that
+    # changed since the query it kept (1), through 0, 1, a few, D / 2 and
+    # all D changed bits.  Builds without a delta search search afresh.
+    g = np.random.default_rng(M * D)
+    books = [generate_codebook(M, D, g) for _ in range(2)]
+    kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
+    delta = kernels.plan.delta_limit >= 0
+    q = random_bipolar(D, g)
+    for path in (0, 1):
+        for changed in (0, 1, min(3, D), D // 2, D):
+            q = q.copy()
+            q[g.choice(D, changed, replace=False)] *= -1
+            packed = _packed_query(q)
+            assert _sweep.search(kernels._plan_at, 1, _sweep.address(packed), path) == path * delta
+            assert np.array_equal(kernels.nums[1, :M], books[1].codevectors.astype(np.int64) @ q)
+    assert list(kernels.searches) == [5 + 5 * (not delta), 5 * delta]
+
+
+@pytest.mark.parametrize("variant", [VariantSpec.brn(), VariantSpec.acf(0.05, 0.05),
+                                     VariantSpec.imf(0.02)], ids=["brn", "acf", "imf"])
+@pytest.mark.parametrize("M, D", [(40, 1000), (70, 127)])
+def test_sweeps_from_states_near_and_far_from_the_kept_queries(M, D, variant):
+    # Each _advance starts where factor 0's query differs from the one it
+    # kept by 0, 1, a few, D / 2 or all D bits, or from an unrelated state
+    # and back.  The first 20 repeat one state, past the 16 updates after
+    # which a factor builds the books by columns that delta searches read.
+    # Both paths and every switch between them must give the int64
+    # references' numerators, attentions and estimates.
+    x, books, _ = _instance(M, D, 2, seed=M)
+    cfg = FactorizerConfig(variant=variant, F=2, M=M, D=D, seed=5)
+    streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
+    pbooks = perturb_codebooks(books, variant, streams.masks)
+    kernels = pbooks._kernels
+    search = [b.codevectors.astype(np.int64) for b in pbooks.search_books]
+    g = np.random.default_rng(D)
+    start = init_estimates(pbooks, streams.init).estimates
+    unrelated = np.stack([random_bipolar(D, g), random_bipolar(D, g)])
+    for changed in [0] * 20 + [1, 3, D // 2, D, 0, 2, "unrelated", 1, "unrelated", 0]:
+        if changed == "unrelated":
+            start, unrelated = unrelated, start
+        else:
+            start = start.copy()
+            start[1, g.choice(D, changed, replace=False)] *= -1
+        new, attentions = _sweep_once(start, x, pbooks, cfg, streams)
+        ref_new, ref_attentions, _ = _reference_sweep(x, start, pbooks, variant, ref_streams)
+        assert np.array_equal(attentions, ref_attentions)
+        assert np.array_equal(new, ref_new)
+        assert np.array_equal(kernels.nums[0, :M], search[0] @ (x * start[1]))
+        assert np.array_equal(kernels.nums[1, :M], search[1] @ (x * new[0]))
+    assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
+    assert ref_streams.noise.bit_generator.state == streams.noise.bit_generator.state
+    assert kernels.searches[0] > 0
+    assert (kernels.searches[1] > 0) == (kernels.plan.delta_limit >= 0)
+
+
+def test_activation_thresholds_at_and_just_below_an_attention():
+    # brn and acf keep a row when its numerator is at least the least one
+    # whose attention is above the threshold.  At a threshold equal to an
+    # attention n / D that row drops; at the next double below it stays.
+    # 0.1 + 0.2 is above 300 / 1000, so 300 drops there too.
+    M, D = 6, 1000
+    x, books, truth = _instance(M, D, 2, seed=9)
+    g = np.random.default_rng(9)
+    estimates = np.stack([random_bipolar(D, g), books[1][truth[1]]])
+    estimates[1, g.choice(D, 350, replace=False)] *= -1  # factor 0's best numerator: 300
+    numerators = books[0].codevectors.astype(np.int64) @ (x * estimates[1])
+    assert numerators.max() == 300
+    for variant in (VariantSpec.brn, lambda t: VariantSpec.acf(0.05, t)):
+        for n in sorted(set(numerators[numerators > 0])):
+            for t, keeps in ((n / D, False), (np.nextafter(n / D, 0), True),
+                             (0.1 + 0.2 if n == 300 else n / D, False)):
+                cfg = FactorizerConfig(variant=variant(float(t)), F=2, M=M, D=D, seed=4)
+                streams, ref_streams = derive_streams(cfg.seed), derive_streams(cfg.seed)
+                pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
+                new, attentions = _sweep_once(estimates, x, pbooks, cfg, streams)
+                ref_new, ref_attentions, _ = _reference_sweep(x, estimates, pbooks, cfg.variant,
+                                                              ref_streams)
+                assert np.array_equal(attentions, ref_attentions)
+                assert np.array_equal(new, ref_new)
+                assert ((attentions[0] > t) == (numerators > n - keeps)).all()
+
+
 def _state_of_550(convergence_threshold=0.8):
     """A state whose next sweep's best attentions are exactly 0.55 and 1.0.
 
@@ -541,7 +636,8 @@ def test_attention_of_550_is_not_above_055():
     assert detect_convergence_early(state, 0.549)
 
 
-@pytest.mark.parametrize("threshold, converged", [(0.55, False), (0.549, True)])
+@pytest.mark.parametrize("threshold, converged",
+                         [(0.55, False), (np.nextafter(0.55, 0), True), (0.549, True)])
 def test_compiled_stopping_rule_is_strict(threshold, converged):
     # The sweep's own test, at the state above: factor 1's best attention
     # is 1.0, so only the strict comparison keeps 0.55 from converging.

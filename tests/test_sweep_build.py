@@ -150,7 +150,8 @@ def _decode(lib, x, books, variant, seed, sweeps):
     """``lib``'s initial estimates, then ``sweeps`` update sweeps of its resfact_run.
 
     Returns them with the attentions, the sweep count, the stop and the
-    init, tie and noise streams' states after the run.
+    init, tie and noise streams' states after the run, and apart from
+    those the numbers of full and of delta searches.
     """
     streams = derive_streams(seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
@@ -170,7 +171,8 @@ def _decode(lib, x, books, variant, seed, sweeps):
                                _sweep.bitgen(streams.ties.bit_generator), noise,
                                ctypes.byref(converged))
     return (init, working, attentions, done, converged.value, streams.init.bit_generator.state,
-            streams.ties.bit_generator.state, streams.noise.bit_generator.state)
+            streams.ties.bit_generator.state, streams.noise.bit_generator.state), \
+        kernels.searches.tolist()
 
 
 def _packed(lib, rows):
@@ -200,8 +202,8 @@ def test_the_portable_build_decodes_as_the_default_build(portable_library, varia
     g = np.random.default_rng(D)
     books = [generate_codebook(300, D, g) for _ in range(2)]
     x = bind_product(books, (4, 7))
-    got = _decode(portable_library, x, books, variant, D, 12)
-    ref = _decode(_sweep._lib, x, books, variant, D, 12)
+    got, _ = _decode(portable_library, x, books, variant, D, 12)
+    ref, _ = _decode(_sweep._lib, x, books, variant, D, 12)
     for a, b in zip(got[:3], ref[:3]):
         assert np.array_equal(a, b)
     assert got[3:] == ref[3:]
@@ -211,3 +213,26 @@ def test_the_portable_build_decodes_as_the_default_build(portable_library, varia
     raw = g.integers(-128, 128, size=300 * D, dtype=np.int8)
     assert np.array_equal(_expanded(portable_library, raw), _expanded(_sweep._lib, raw))
     assert np.array_equal(_expanded(_sweep._lib, raw), np.where(raw < 0, 1, -1))
+
+
+@pytest.mark.parametrize("D", [1000, 1001])
+@pytest.mark.parametrize("variant",
+                         [VariantSpec.brn(), VariantSpec.acf(0.05, 0.05), VariantSpec.imf(0.005)],
+                         ids=["brn", "acf", "imf"])
+def test_the_portable_build_decodes_as_the_default_builds_delta_searches(portable_library,
+                                                                        variant, D):
+    # 60 sweeps of an instance that decodes early, at a stopping level no
+    # attention passes: past the 16 updates after which the default build
+    # moves each factor's kept numerators by the query bits that changed.
+    # The portable build searches afresh every time.
+    g = np.random.default_rng(D)
+    books = [generate_codebook(300, D, g) for _ in range(2)]
+    x = bind_product(books, (4, 7))
+    got, portable = _decode(portable_library, x, books, variant, D, 60)
+    ref, default = _decode(_sweep._lib, x, books, variant, D, 60)
+    for a, b in zip(got[:3], ref[:3]):
+        assert np.array_equal(a, b)
+    assert got[3:] == ref[3:]
+    assert portable == [120, 0]
+    assert sum(default) == 120
+    assert (default[1] > 0) == (_sweep.delta_limit(300, -(-D // 64)) >= 0)
