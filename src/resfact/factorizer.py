@@ -321,21 +321,24 @@ class _Kernels:
         self.recon = list(recon)
         self.search = self.recon if search is recon else list(search)
         factors, words, mwords = len(search), search.shape[2], -(-size // 64)
-        self.nums = np.empty((factors, 64 * mwords), dtype=np.int32)
-        self.searches = np.zeros(2, dtype=np.int64)
-        scratch = {"query": np.empty(words, dtype=np.uint64),
-                   "unbound": np.empty(dim, dtype=np.int8),
-                   "rows": np.empty(size, dtype=np.int32), "weights": np.empty(size),
-                   "sums": np.empty(64 * words, dtype=np.int32),
-                   "columns": np.empty(factors * 64 * words * mwords, dtype=np.uint64),
-                   "kept": np.empty((factors, words), dtype=np.uint64), "nums": self.nums,
-                   "changed": np.empty(2 * 64 * words, dtype=np.int32),
-                   "flags": np.zeros(factors, dtype=np.int64), "searches": self.searches}
-        self._scratch = tuple(scratch.values())
-        self.plan = _sweep.Plan(search=_sweep.address(search), recon=_sweep.address(recon),
-                                m=size, dim=dim, words=words, factors=factors, mwords=mwords,
-                                delta_limit=_sweep.delta_limit(size, words),
-                                **{name: _sweep.address(a) for name, a in scratch.items()})
+        # The scratch in one array per element type, each buffer an offset
+        # into it: u64 holds query, kept and columns; i32 rows, sums,
+        # changed and nums; counts flags and searches.
+        u64 = np.empty((1 + factors + 64 * factors * mwords) * words, dtype=np.uint64)
+        i32 = np.empty(size + 192 * words + 64 * factors * mwords, dtype=np.int32)
+        counts = np.zeros(factors + 2, dtype=np.int64)
+        self.nums = i32[size + 192 * words:].reshape(factors, 64 * mwords)
+        self.searches = counts[factors:]
+        self._scratch = (u64, i32, counts, np.empty(dim, dtype=np.int8), np.empty(size))
+        at64, at32, flags, unbound, weights = (_sweep.address(a) for a in self._scratch)
+        self.plan = _sweep.Plan(
+            search=_sweep.address(search), recon=_sweep.address(recon), m=size, dim=dim,
+            words=words, factors=factors, query=at64, unbound=unbound, rows=at32,
+            weights=weights, sums=at32 + 4 * size, mwords=mwords,
+            delta_limit=_sweep.delta_limit(size, words),
+            columns=at64 + 8 * (1 + factors) * words, kept=at64 + 8 * words,
+            nums=at32 + 4 * (size + 192 * words), changed=at32 + 4 * (size + 64 * words),
+            flags=flags, searches=flags + 8 * factors)
         self._plan_at = ctypes.addressof(self.plan)
 
 
