@@ -107,11 +107,14 @@ ROOT = Path(__file__).resolve().parents[1]
 CHILD = "--child"
 AGAINST_LABEL = "before"
 # (M, D, F, variant, knobs, warm-up sweeps): the shapes of the benchmark's
-# F=3 row at 1e7, its dense brn row at 1e6 and its sparse acf row at 5e6.
+# F=3 row at 1e7, its dense brn row at 1e6 and its sparse acf row at 5e6,
+# and the F=4 preset row at 1e7, brn and acf with its preset knobs.
 ROWS = [
     (215, 1500, 3, "acf", {"flip_rate": 0.05, "activation_threshold": 0.05}, 20),
     (1000, 1000, 2, "brn", {}, 20),
     (2236, 1000, 2, "acf", {"flip_rate": 0.05, "activation_threshold": 0.05}, 20),
+    (56, 2000, 4, "brn", {}, 20),
+    (56, 2000, 4, "acf", {"flip_rate": 0.006, "activation_threshold": 0.025}, 20),
 ]
 # (M, D, F, variant, knobs): set-up at the shapes of all four benchmark
 # workloads, including the set-up-bound brn row at 1e4.

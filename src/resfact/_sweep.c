@@ -63,9 +63,8 @@ void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t n, double *out
  * from m on padding) that query's numerators, valid where flags[f] has
  * KEPT.  columns[f] is factor f's search book by columns, valid where
  * flags[f] has COLUMNS: for each element j < 64 * words, mwords words
- * whose bit i % 64 of word i / 64 is bit j of row i, zero from row m on.
- * flags[f] / PENDING counts the searches that the rule would have made
- * delta searches before those columns were built.  delta_limit is
+ * whose bit i % 64 of word i / 64 is bit j of row i, zero from row m on,
+ * built by the factor's first delta search.  delta_limit is
  * resfact_delta_limit(m, words), and searches counts the full searches
  * ([0]) and the delta ones ([1]). */
 struct resfact_plan {
@@ -82,7 +81,7 @@ struct resfact_plan {
     int64_t *flags, *searches;
 };
 
-enum { KEPT = 1, COLUMNS = 2, PENDING = 4 };
+enum { KEPT = 1, COLUMNS = 2 };
 
 /* out[i] = dim - 2 * popcount(rows[i] ^ query): the dot products of n
  * bit-packed bipolar rows of `words` 64-bit words with a packed query.
@@ -228,32 +227,34 @@ static void delta_search(const struct resfact_plan *p, int64_t f, const uint64_t
     if (mwords & 1)
         delta_block(cols, mwords, b0, 1, pos, npos, neg, nneg, nums);
     const int32_t base = (int32_t)(2 * (nneg - npos));
-    for (int64_t i = 0; i < 64 * mwords; i++)
+    for (int64_t i = 0; i < p->m; i++)
         nums[i] += base;
 }
 #endif
 
-/* The costs, in units of about 5 ps on the machine the rule was fitted
- * on, of a full search, per row and per row and word, and of a delta
- * search, per changed bit and per changed bit and column word, fitted
- * with scripts/bench_engine.py. */
-#define FULL_ROW 340
-#define FULL_WORD 23
-#define DELTA_BIT 200
-#define DELTA_WORD 90
-/* Building a factor's columns costs about as much as 16 full searches of
- * its book, so a factor first searches afresh through that many updates
- * that the rule would make delta searches, and then builds them. */
-#define BUILD_AFTER 16
+/* The costs, in units of 10 ps on the machine the rule was fitted on, of
+ * a full search, per row and per row and word, and of a delta search,
+ * once per search beyond what a full one costs, per changed bit and per
+ * changed bit and column word.  Fitted to single searches of hot books
+ * timed in C, at the search shapes of the preset table, on that
+ * machine's faster speed level (a 64-bit word takes longer on the slower
+ * one, which raises the crossover). */
+#define FULL_ROW 108
+#define FULL_WORD 8
+#define DELTA_SEARCH 3500
+#define DELTA_BIT 114
+#define DELTA_WORD 44
 
 /* The most changed query bits for which a delta search of a book of m
  * rows of `words` words costs less than a full one, or -1 where there is
- * no delta search, in builds without AVX-512BW.  The rule changes the
- * speed of a search, never its numerators. */
+ * no delta search, in builds without AVX-512BW: 4/5 of the crossover
+ * that those costs give, which kept it below every crossover measured.
+ * The rule changes the speed of a search, never its numerators. */
 int64_t resfact_delta_limit(int64_t m, int64_t words)
 {
 #if defined(__AVX512BW__)
-    return m * (FULL_ROW + FULL_WORD * words) / (DELTA_BIT + DELTA_WORD * ((m + 63) / 64));
+    const int64_t saved = m * (FULL_ROW + FULL_WORD * words) - DELTA_SEARCH;
+    return saved > 0 ? 4 * saved / (5 * (DELTA_BIT + DELTA_WORD * ((m + 63) / 64))) : 0;
 #else
     (void)m;
     (void)words;
@@ -279,13 +280,8 @@ int64_t resfact_search(const struct resfact_plan *p, int64_t f, const uint64_t *
             changed += __builtin_popcountll(query[w] ^ kept[w]);
         delta = path > 0 || changed <= p->delta_limit;
         if (delta && !(p->flags[f] & COLUMNS)) {
-            p->flags[f] += PENDING;
-            if (path < 0 && p->flags[f] / PENDING < BUILD_AFTER)
-                delta = 0;
-            else {
-                build_columns(p, f);
-                p->flags[f] |= COLUMNS;
-            }
+            build_columns(p, f);
+            p->flags[f] |= COLUMNS;
         }
     }
     if (delta)

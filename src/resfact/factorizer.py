@@ -304,8 +304,7 @@ class _Kernels:
     ``nums[f, :M]``, that query's integer numerators, which its next
     search updates from the bits that changed where that is cheaper
     (``_sweep.delta_limit``).  The books by columns that such an update
-    reads are built once 16 of a factor's searches could have been
-    updates.  ``searches`` counts the full searches and the updates.
+    reads are built by the factor's first update.  ``searches`` counts the full searches and the updates.
     """
 
     __slots__ = ("search", "recon", "nums", "searches", "plan", "_scratch", "_plan_at")

@@ -544,8 +544,7 @@ def test_delta_search_numerators_are_exact_dots(M, D):
 def test_sweeps_from_states_near_and_far_from_the_kept_queries(M, D, variant):
     # Each _advance starts where factor 0's query differs from the one it
     # kept by 0, 1, a few, D / 2 or all D bits, or from an unrelated state
-    # and back.  The first 20 repeat one state, past the 16 updates after
-    # which a factor builds the books by columns that delta searches read.
+    # and back; the first delta search builds the books by columns.
     # Both paths and every switch between them must give the int64
     # references' numerators, attentions and estimates.
     x, books, _ = _instance(M, D, 2, seed=M)
@@ -557,7 +556,7 @@ def test_sweeps_from_states_near_and_far_from_the_kept_queries(M, D, variant):
     g = np.random.default_rng(D)
     start = init_estimates(pbooks, streams.init).estimates
     unrelated = np.stack([random_bipolar(D, g), random_bipolar(D, g)])
-    for changed in [0] * 20 + [1, 3, D // 2, D, 0, 2, "unrelated", 1, "unrelated", 0]:
+    for changed in [0, 0, 1, 3, D // 2, D, 0, 2, "unrelated", 1, "unrelated", 0]:
         if changed == "unrelated":
             start, unrelated = unrelated, start
         else:

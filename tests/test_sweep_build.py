@@ -222,9 +222,9 @@ def test_the_portable_build_decodes_as_the_default_build(portable_library, varia
 def test_the_portable_build_decodes_as_the_default_builds_delta_searches(portable_library,
                                                                         variant, D):
     # 60 sweeps of an instance that decodes early, at a stopping level no
-    # attention passes: past the 16 updates after which the default build
-    # moves each factor's kept numerators by the query bits that changed.
-    # The portable build searches afresh every time.
+    # attention passes, so that the default build moves each factor's kept
+    # numerators by the query bits that changed.  The portable build
+    # searches afresh every time.
     g = np.random.default_rng(D)
     books = [generate_codebook(300, D, g) for _ in range(2)]
     x = bind_product(books, (4, 7))
