@@ -22,8 +22,13 @@
  * random_standard_normal_fill (libnpyrandom.a), added as numpy's
  * expressions add it, unfused (-ffp-contract=off), and its real-valued
  * sums run in row order.
+ * resfact_flip draws acf's flip masks from a PCG64 state, the uniforms
+ * of Generator.random() bit for bit, and applies them to a book in the
+ * same pass: with AVX-512 in 16 lanes that each jump 16 steps at a time,
+ * otherwise one step after another.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 #if defined(__AVX512F__)
@@ -32,6 +37,9 @@
 
 #if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #error "pack() and superpose_block() read memory as little-endian words"
+#endif
+#if !defined(__SIZEOF_INT128__)
+#error "resfact_flip() steps PCG64's 128-bit state as an unsigned __int128"
 #endif
 
 /* numpy's bitgen_t (numpy/random/bitgen.h): a bit generator's state and
@@ -426,6 +434,138 @@ void resfact_expand(int8_t *bytes, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         bytes[i] = (int8_t)(bytes[i] < 0 ? 1 : -1);
+}
+
+/* numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): the 128-bit LCG
+ * s -> PCG_MULT * s + inc, each draw the XSL-RR output of the state after
+ * its step. */
+typedef unsigned __int128 u128;
+#define PCG_MULT ((u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL)
+
+static uint64_t pcg_output(u128 s)
+{
+    const uint64_t hi = (uint64_t)(s >> 64), x = hi ^ (uint64_t)s;
+    const unsigned r = (unsigned)(hi >> 58);
+    return x >> r | x << (-r & 63);
+}
+
+/* The multiplier *mult and increment *plus of k steps of the LCG, so that
+ * they take s to *mult * s + *plus: numpy's pcg_advance_lcg_128 (Brown,
+ * "Random number generation with arbitrary strides", 1994). */
+static void pcg_jump(uint64_t k, u128 inc, u128 *mult, u128 *plus)
+{
+    u128 a = 1, c = 0, m = PCG_MULT;
+    for (; k; k >>= 1) {
+        if (k & 1) {
+            a *= m;
+            c = c * m + inc;
+        }
+        inc *= m + 1;
+        m *= m;
+    }
+    *mult = a;
+    *plus = c;
+}
+
+#if defined(__AVX512BW__) && defined(__AVX512DQ__)
+/* One jump of 8 lanes of 128-bit states, held as their low and high
+ * words: s -> a * s + c mod 2**128.  The high word of lo * a_lo comes
+ * from four 32-bit products (vpmuludq); the cross terms need only their
+ * low words (vpmullq). */
+static inline __attribute__((always_inline)) void
+lanes_jump(__m512i *lo, __m512i *hi, __m512i alo, __m512i alo_hi32, __m512i ahi,
+           __m512i clo, __m512i chi)
+{
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF), lo_hi32 = _mm512_srli_epi64(*lo, 32);
+    const __m512i p00 = _mm512_mul_epu32(*lo, alo), p01 = _mm512_mul_epu32(*lo, alo_hi32);
+    const __m512i p10 = _mm512_mul_epu32(lo_hi32, alo), p11 = _mm512_mul_epu32(lo_hi32, alo_hi32);
+    const __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(p00, 32), _mm512_add_epi64(
+        _mm512_and_si512(p01, low32), _mm512_and_si512(p10, low32)));
+    __m512i h = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
+                                 _mm512_add_epi64(_mm512_srli_epi64(p01, 32),
+                                                  _mm512_srli_epi64(p10, 32)));
+    h = _mm512_add_epi64(h, _mm512_add_epi64(_mm512_mullo_epi64(*lo, ahi),
+                                             _mm512_mullo_epi64(*hi, alo)));
+    const __m512i l = _mm512_add_epi64(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low32));
+    *lo = _mm512_add_epi64(l, clo);
+    h = _mm512_add_epi64(h, chi);
+    *hi = _mm512_mask_sub_epi64(h, _mm512_cmplt_epu64_mask(*lo, clo), h,
+                                _mm512_set1_epi64(-1));
+}
+
+/* Bit l set where lane l's draw, the XSL-RR output (vprorvq) of its
+ * state, shifted down by 11, is below `below`. */
+static inline __attribute__((always_inline)) __mmask8 lanes_below(__m512i lo, __m512i hi,
+                                                                  __m512i below)
+{
+    const __m512i out = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    return _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), below);
+}
+
+/* resfact_flip() of out[0..64 * blocks) from the state s: 16 lanes in two
+ * vectors, lane l holding the state of draw 16 * t + l, all stepped 16 at
+ * a time; four such rounds give the 64 mask bits of one masked negation. */
+static void flip_lanes(u128 s, u128 inc, int64_t blocks, uint64_t below, const int8_t *book,
+                       int8_t *out)
+{
+    uint64_t lo[16], hi[16];
+    for (int l = 0; l < 16; l++) {
+        s = s * PCG_MULT + inc;
+        lo[l] = (uint64_t)s;
+        hi[l] = (uint64_t)(s >> 64);
+    }
+    u128 a, c;
+    pcg_jump(16, inc, &a, &c);
+    const __m512i alo = _mm512_set1_epi64((long long)(uint64_t)a);
+    const __m512i alo_hi32 = _mm512_set1_epi64((long long)((uint64_t)a >> 32));
+    const __m512i ahi = _mm512_set1_epi64((long long)(uint64_t)(a >> 64));
+    const __m512i clo = _mm512_set1_epi64((long long)(uint64_t)c);
+    const __m512i chi = _mm512_set1_epi64((long long)(uint64_t)(c >> 64));
+    const __m512i limit = _mm512_set1_epi64((long long)below), zero = _mm512_setzero_si512();
+    __m512i vlo[2] = {_mm512_loadu_si512(lo), _mm512_loadu_si512(lo + 8)};
+    __m512i vhi[2] = {_mm512_loadu_si512(hi), _mm512_loadu_si512(hi + 8)};
+    for (int64_t b = 0; b < blocks; b++) {
+        uint64_t flips = 0;
+        for (int k = 0; k < 8; k++) {
+            flips |= (uint64_t)lanes_below(vlo[k & 1], vhi[k & 1], limit) << 8 * k;
+            lanes_jump(&vlo[k & 1], &vhi[k & 1], alo, alo_hi32, ahi, clo, chi);
+        }
+        const __m512i x = _mm512_loadu_si512(book + 64 * b);
+        _mm512_storeu_si512(out + 64 * b, _mm512_mask_sub_epi8(x, flips, zero, x));
+    }
+}
+#endif
+
+/* The n draws of numpy's Generator.random() from the PCG64 state
+ * st = {state low word, state high word, inc low word, inc high word},
+ * applied to the +-1 book[0..n): out[i] = -book[i] where draw i, u =
+ * (raw >> 11) * 2**-53, is below p, and book[i] where it is not.  uniform
+ * u < p exactly when raw >> 11 < ceil(p * 2**53), an integer test, for p
+ * in [0, 1].  Leaves st as the n draws leave it; numpy's 32-bit buffer,
+ * which random() neither reads nor writes, is not here.  With AVX-512BW
+ * and DQ, blocks of 64 draws come from flip_lanes() and the state jumps
+ * past them; the rest, and every draw elsewhere, are stepped one by one. */
+void resfact_flip(uint64_t *st, int64_t n, double p, const int8_t *book, int8_t *out)
+{
+    const uint64_t below = (uint64_t)ceil(p * 0x1p53);
+    const u128 inc = (u128)st[3] << 64 | st[2];
+    u128 s = (u128)st[1] << 64 | st[0];
+    int64_t i = 0;
+#if defined(__AVX512BW__) && defined(__AVX512DQ__)
+    if (n >= 64) {
+        u128 a, c;
+        flip_lanes(s, inc, n / 64, below, book, out);
+        i = n / 64 * 64;
+        pcg_jump((uint64_t)i, inc, &a, &c);
+        s = a * s + c;
+    }
+#endif
+    for (; i < n; i++) {
+        s = s * PCG_MULT + inc;
+        out[i] = (int8_t)(pcg_output(s) >> 11 < below ? -book[i] : book[i]);
+    }
+    st[0] = (uint64_t)s;
+    st[1] = (uint64_t)(s >> 64);
 }
 
 /* est[j] = the sign of 2 * sums[j] - total for j < dim, 0 where that is

@@ -125,6 +125,8 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     lib.resfact_search.restype = i64
     lib.resfact_delta_limit.argtypes = (i64, i64)
     lib.resfact_delta_limit.restype = i64
+    lib.resfact_flip.argtypes = (pointer, i64, double, pointer, pointer)
+    lib.resfact_flip.restype = None
     return lib
 
 
@@ -144,6 +146,6 @@ def bitgen(bit_generator) -> int:
 
 
 _lib = load()
-run, ties, pack, expand, init, search, delta_limit = (
+run, ties, pack, expand, init, search, delta_limit, flip = (
     _lib.resfact_run, _lib.resfact_ties, _lib.resfact_pack, _lib.resfact_expand,
-    _lib.resfact_init, _lib.resfact_search, _lib.resfact_delta_limit)
+    _lib.resfact_init, _lib.resfact_search, _lib.resfact_delta_limit, _lib.resfact_flip)

@@ -43,8 +43,8 @@ from .vsa import Codebook, as_bipolar
 VARIANT_KINDS = ("brn", "imf", "acf")
 #: Hard cap on the default iteration budget min(M**F, cap).
 DEFAULT_ITER_CAP = 10_000
-#: ``generate_bfm`` draws its uniforms this many at a time (128 KiB of float64).
-_MASK_BLOCK = 1 << 14
+#: The low 64 bits of a PCG64 state or increment.
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,34 @@ class FactorizeResult:
     state: FactorizerState
 
 
+def _flip(books, flip_rate: float, rng: np.random.Generator) -> list:
+    """Copies of the +-1 int8 ``books``, each element negated where its uniform is below ``flip_rate``.
+
+    The uniforms are those of ``rng.random(book.shape)`` for each book in
+    turn, and ``rng`` is left as those draws leave it: one compiled
+    ``resfact_flip`` call per book draws them from the PCG64 state, which
+    is read once and written back once under the generator's lock.  So
+    ``rng`` must be PCG64, the generator ``derive_streams`` makes; any
+    other raises ``ValueError``.
+    """
+    bit_generator = _pcg64(rng, "mask")
+    flipped = []
+    with bit_generator.lock:
+        state = bit_generator.state
+        pcg = state["state"]
+        st = np.array([pcg["state"] & _WORD, pcg["state"] >> 64,
+                       pcg["inc"] & _WORD, pcg["inc"] >> 64], dtype=np.uint64)
+        for book in books:
+            book = np.ascontiguousarray(book, dtype=np.int8)  # .ctypes.data reads it even if read-only
+            out = np.empty(book.shape, dtype=np.int8)
+            _sweep.flip(_sweep.address(st), book.size, flip_rate, book.ctypes.data,
+                        _sweep.address(out))
+            flipped.append(out)
+        pcg["state"] = int(st[1]) << 64 | int(st[0])
+        bit_generator.state = state
+    return flipped
+
+
 def generate_bfm(size: int, dim: int, flip_rate: float, rng: np.random.Generator) -> np.ndarray:
     """Random bit-flip mask: (size, dim) entries, -1 with probability ``flip_rate``.
 
@@ -212,45 +240,33 @@ def generate_bfm(size: int, dim: int, flip_rate: float, rng: np.random.Generator
     negates every element.
 
     The mask equals ``np.where(rng.random((size, dim)) < flip_rate, -1,
-    1)`` and leaves ``rng`` in the same state: the uniforms are drawn in
-    the same row-major order, ``_MASK_BLOCK`` at a time into one reused
-    float64 buffer, and compared straight into the int8 mask.  The
-    identity is kept because the golden mask and trajectory digests pin
-    the ``acf`` masks; the block draw only drops the (size, dim) float64
-    and int64 temporaries.
+    1)`` and leaves ``rng`` in the same state, since it is ``_flip`` of a
+    book of ones: ``rng`` must be PCG64, the generator ``derive_streams``
+    makes; any other raises ``ValueError``.  The identity is kept because
+    the golden mask and trajectory digests pin the ``acf`` masks.
     """
     if not 0.0 <= flip_rate <= 1.0:
         raise ValueError(f"flip_rate must be in [0, 1], got {flip_rate}")
-    n = size * dim
-    out = np.empty(n, dtype=np.int8)
-    uniforms = np.empty(min(n, _MASK_BLOCK))
-    for start in range(0, n, _MASK_BLOCK):
-        block = out[start:start + _MASK_BLOCK]
-        u = uniforms[: block.size]
-        rng.random(out=u)
-        np.less(u, flip_rate, out=block.view(np.bool_))
-    out *= -2  # flipped 1 -> -2, kept 0 -> 0
-    out += 1  # -> -1 and +1
-    return out.reshape(size, dim)
+    return _flip([np.ones((size, dim), dtype=np.int8)], flip_rate, rng)[0]
 
 
 def perturb_codebooks(books, variant: VariantSpec, rng: np.random.Generator) -> PerturbedCodebooks:
     """Build the per-run codebook copies; only ``acf`` actually perturbs.
 
     The masks are drawn here, once, so the same asymmetry applies at
-    every subsequent iteration.  Each ``acf`` reconstruction book is
-    built in place in its mask's buffer: a product of +-1 arrays, so it
-    needs no validation.
+    every subsequent iteration.  Factor f's ``acf`` reconstruction book is
+    its codevectors times ``generate_bfm(M, D, flip_rate, rng)``, the
+    factors drawn in order, built in one ``_flip`` pass without the mask:
+    a product of +-1 arrays, so it needs no validation.  ``rng`` must be
+    PCG64, the generator ``derive_streams`` makes; any other raises
+    ``ValueError``.  ``brn`` and ``imf`` draw nothing from it.
     """
     search = tuple(books)
     if variant.kind != "acf":
         return PerturbedCodebooks(search_books=search, recon_books=search)
-    recon = []
-    for b in search:
-        mask = generate_bfm(b.size, b.dim, variant.flip_rate, rng)
-        mask *= b.codevectors
-        recon.append(Codebook._unchecked(mask))
-    return PerturbedCodebooks(search_books=search, recon_books=tuple(recon))
+    recon = _flip([b.codevectors for b in search], variant.flip_rate, rng)
+    return PerturbedCodebooks(search_books=search,
+                              recon_books=tuple(Codebook._unchecked(r) for r in recon))
 
 
 def init_estimates(pbooks: PerturbedCodebooks, rng: np.random.Generator) -> FactorizerState:
@@ -341,8 +357,8 @@ class _Kernels:
         self._plan_at = ctypes.addressof(self.plan)
 
 
-def _bitgen(rng: np.random.Generator, stream: str) -> int:
-    """Address of the ``bitgen_t`` of ``rng``, the ``stream`` stream, for the compiled code.
+def _pcg64(rng: np.random.Generator, stream: str):
+    """The bit generator of ``rng``, the ``stream`` stream, if it is PCG64.
 
     The compiled draws are checked to draw like numpy from PCG64, the
     generator ``derive_streams`` makes, and refuse any other.
@@ -351,7 +367,12 @@ def _bitgen(rng: np.random.Generator, stream: str) -> int:
     if type(bit_generator) is not np.random.PCG64:
         raise ValueError(f"the compiled code draws only from a PCG64 {stream} stream, "
                          f"not {type(bit_generator).__name__}")
-    return _sweep.bitgen(bit_generator)
+    return bit_generator
+
+
+def _bitgen(rng: np.random.Generator, stream: str) -> int:
+    """Address of the ``bitgen_t`` of ``rng``, the ``stream`` stream, for the compiled code."""
+    return _sweep.bitgen(_pcg64(rng, stream))
 
 
 def _advance(state, x, kernels, cfg, streams, budget=1) -> FactorizerState:

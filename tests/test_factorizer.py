@@ -120,18 +120,100 @@ def test_generate_bfm_flip_fraction():
 @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 1.0])
 @pytest.mark.parametrize(
     "M, D",
-    [(3, 5), (7, factorizer._MASK_BLOCK + 3), (2236, 1000)],
+    [(3, 5), (7, 16387), (2236, 1000)],
     ids=["small", "row-longer-than-block", "blocks-cut-rows"],
 )
 def test_generate_bfm_is_the_uniform_draw(M, D, p):
     # The digests pin masks drawn from one (M, D) float64 uniform; the
-    # block draw must give the same mask and leave the same stream behind.
+    # compiled draw must give the same mask and leave the same stream behind.
     fast, ref = np.random.default_rng(M + D), np.random.default_rng(M + D)
     mask = generate_bfm(M, D, p, fast)
     assert mask.dtype == np.int8 and mask.shape == (M, D)
     assert np.array_equal(mask, np.where(ref.random((M, D)) < p, -1, 1))
     assert fast.bit_generator.state == ref.bit_generator.state
     assert fast.random() == ref.random()
+
+
+# The compiled draw runs 64 draws at a time in 16 lanes, and the rest one
+# by one: lengths around 16 and 64, and long ones that end mid-block.
+FLIP_LENGTHS = [1, 15, 16, 17, 63, 64, 65, 7 * 16387, 2236 * 1000]
+# 450359962737049 * 2**-53 is dyadic, so u < p at the draws just below it
+# tests that the integer limit is ceil(p * 2**53), not that plus one.
+FLIP_RATES = [0.0, 1e-9, 0.05, np.nextafter(0.05, 0.0), 450359962737049 * 2.0**-53, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "has-uint32"])
+@pytest.mark.parametrize("p", FLIP_RATES)
+@pytest.mark.parametrize("n", FLIP_LENGTHS)
+def test_flip_is_the_uniform_draw(n, p, buffered):
+    fast, ref = np.random.default_rng(n), np.random.default_rng(n)
+    if buffered:
+        # A 32-bit draw leaves half a word in the buffer, which random() neither reads nor clears.
+        for g in (fast, ref):
+            g.integers(0, 2**32, dtype=np.uint32)
+        assert fast.bit_generator.state["has_uint32"] == 1
+    book = np.random.default_rng(n + 1).integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    book.flags.writeable = False
+    flipped, = factorizer._flip([book], p, fast)
+    mask = np.where(ref.random(n) < p, -1, 1)
+    assert flipped.dtype == np.int8 and np.array_equal(flipped, book * mask)
+    assert fast.bit_generator.state == ref.bit_generator.state
+    assert fast.random() == ref.random()
+
+
+def _pcg64_drawing(raw: int, at: int) -> np.random.Generator:
+    """A PCG64 generator whose draw number ``at``, counted from 0, is the 64-bit ``raw``.
+
+    Its state after that draw's step is chosen so that the XSL-RR output
+    is ``raw``, and is then stepped back ``at + 1`` times.
+    """
+    mult, inc, word = 0x2360ED051FC65DA44385DF649FCCF645, 2 * 0x5DEECE66D + 1, 2**64 - 1
+    hi = 0x0123456789ABCDEF
+    rot = hi >> 58
+    state = hi << 64 | hi ^ ((raw << rot | raw >> (64 - rot)) & word)
+    for _ in range(at + 1):
+        state = (state - inc) * pow(mult, -1, 2**128) % 2**128
+    g = np.random.Generator(np.random.PCG64())
+    g.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+    return g
+
+
+@pytest.mark.parametrize("at", [0, 17, 73, 130], ids=["lane-0", "lane-1", "block-1", "tail"])
+@pytest.mark.parametrize("below", [False, True], ids=["at-p", "just-below-p"])
+def test_flip_limit_is_exact_at_a_dyadic_rate(at, below):
+    # p = K * 2**-53 is dyadic: the draw whose 53 leading bits read K is
+    # u = p exactly and is not flipped, the one reading K - 1 is.  Random
+    # draws meet neither, so the stream is set to make draw `at` one of them.
+    K = 450359962737049
+    raw = (K - below) << 11 | 0x7FF
+    fast, ref = _pcg64_drawing(raw, at), _pcg64_drawing(raw, at)
+    u = ref.random(200)
+    assert u[at] == (K - below) * 2.0**-53
+    flipped, = factorizer._flip([np.ones(200, dtype=np.int8)], K * 2.0**-53, fast)
+    assert flipped[at] == (-1 if below else 1)
+    assert np.array_equal(flipped, np.where(u < K * 2.0**-53, -1, 1))
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 65, 7 * 16387])
+def test_generate_bfm_of_any_length_is_the_uniform_draw(n):
+    fast, ref = np.random.default_rng(n), np.random.default_rng(n)
+    mask = generate_bfm(1, n, 0.05, fast)
+    assert np.array_equal(mask[0], np.where(ref.random(n) < 0.05, -1, 1))
+    assert fast.bit_generator.state == ref.bit_generator.state
+    assert fast.random() == ref.random()
+
+
+def test_flip_masks_refuse_other_generators():
+    books = [generate_codebook(8, 64, np.random.default_rng(0)) for _ in range(2)]
+    other = np.random.Generator(np.random.Philox(0))
+    with pytest.raises(ValueError, match="PCG64 mask stream"):
+        perturb_codebooks(books, VariantSpec.acf(flip_rate=0.1), other)
+    with pytest.raises(ValueError, match="PCG64 mask stream"):
+        generate_bfm(8, 64, 0.1, other)
+    # brn and imf draw no masks, so they take any generator.
+    assert perturb_codebooks(books, VariantSpec.brn(), other).masks is None
 
 
 def test_generate_bfm_rejects_rate(rng):

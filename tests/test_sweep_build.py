@@ -215,6 +215,30 @@ def test_the_portable_build_decodes_as_the_default_build(portable_library, varia
     assert np.array_equal(_expanded(_sweep._lib, raw), np.where(raw < 0, 1, -1))
 
 
+def _flipped(lib, rng, p, book):
+    """``book`` flipped by ``lib``'s resfact_flip at rate ``p``, and ``rng``'s PCG64 state after it."""
+    pcg = rng.bit_generator.state["state"]
+    st = np.array([pcg["state"] & (2**64 - 1), pcg["state"] >> 64,
+                   pcg["inc"] & (2**64 - 1), pcg["inc"] >> 64], dtype=np.uint64)
+    out = np.empty_like(book)
+    lib.resfact_flip(st.ctypes.data, book.size, p, book.ctypes.data, out.ctypes.data)
+    return out, st.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 7 * 16387])
+@pytest.mark.parametrize("p", [0.0, 0.05, 450359962737049 * 2.0**-53, 1.0])
+def test_the_portable_build_flips_as_the_default_build(portable_library, p, n):
+    # The portable build steps the stream one draw at a time; the default
+    # one, with AVX-512, runs 16 lanes for each whole block of 64 draws.
+    g = np.random.default_rng(n)
+    book = g.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    got, got_state = _flipped(portable_library, g, p, book)
+    ref, ref_state = _flipped(_sweep._lib, g, p, book)
+    assert np.array_equal(got, ref) and got_state == ref_state
+    assert np.array_equal(ref, book * np.where(g.random(n) < p, -1, 1))
+    assert g.bit_generator.state["state"]["state"] == ref_state[1] << 64 | ref_state[0]
+
+
 @pytest.mark.parametrize("D", [1000, 1001])
 @pytest.mark.parametrize("variant",
                          [VariantSpec.brn(), VariantSpec.acf(0.05, 0.05), VariantSpec.imf(0.005)],
