@@ -20,6 +20,9 @@ it, ``decode_us`` is the cost per sweep of a whole ``factorizer.run`` of
 the same instance without ``on_step``, which can never converge at
 threshold 1.0 and so runs ``DECODE_SWEEPS`` sweeps, net of a one-sweep
 run (its set-up and first sweep): the steady state of a long decode.
+The two runs are called in alternation, so that each pair sees the same
+stretch of machine time and a change of the machine's speed between
+them cannot make the net cost negative.
 ``kernel_bytes`` counts the packed rows the sweep reads: the search
 rows, and ``acf``'s reconstruction rows, which ``brn`` shares with its
 search rows.
@@ -117,12 +120,14 @@ ROWS = [
     (56, 2000, 4, "acf", {"flip_rate": 0.006, "activation_threshold": 0.025}, 20),
 ]
 # (M, D, F, variant, knobs): set-up at the shapes of all four benchmark
-# workloads, including the set-up-bound brn row at 1e4.
+# workloads, including the set-up-bound brn row at 1e4, and of the F=4
+# preset acf row at 1e7.
 SETUP_ROWS = [
     (100, 4000, 2, "brn", {}),
     (215, 1500, 3, "acf", {"flip_rate": 0.05, "activation_threshold": 0.05}),
     (1000, 1000, 2, "brn", {}),
     (2236, 1000, 2, "acf", {"flip_rate": 0.05, "activation_threshold": 0.05}),
+    (56, 2000, 4, "acf", {"flip_rate": 0.006, "activation_threshold": 0.025}),
 ]
 # (M, D, F, variant, knobs, convergence threshold): the benchmark's
 # set-up-bound brn row at 1e4, whose decodes converge in 2 sweeps.
@@ -193,6 +198,28 @@ def timed(fn) -> dict:
     for _ in range(calls):
         fn()
     return {"us": (time.perf_counter() - t0) / calls * 1e6, "calls": calls}
+
+
+def timed_extra(short, long) -> dict:
+    """Microseconds per call that ``long`` takes beyond ``short``, the two called in alternation.
+
+    The pairs of calls fill about twice ``TARGET_S``, the time of a
+    ``timed`` batch of each.
+    """
+    short()
+    long()
+    t0 = time.perf_counter()
+    short()
+    long()
+    calls = max(1, int(2 * TARGET_S / max(time.perf_counter() - t0, 1e-7)))
+    extra = 0.0
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        short()
+        t1 = time.perf_counter()
+        long()
+        extra += time.perf_counter() - t1 - (t1 - t0)
+    return {"us": extra / calls * 1e6, "calls": calls}
 
 
 def timed_fresh(prepare, fn) -> dict:
@@ -352,9 +379,8 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
             zip(("full", "delta"), (int(n) for n in searches - before))),
         "sweep_us": timed(lambda: fz._advance(next(states), x, kernels, cfg, streams)),
     }
-    decodes = [timed(lambda: decode(budget)) for budget in (1, DECODE_SWEEPS)]
-    row["decode_us"] = {"us": (decodes[1]["us"] - decodes[0]["us"]) / (DECODE_SWEEPS - 1),
-                        "calls": decodes[1]["calls"]}
+    extra = timed_extra(lambda: decode(1), lambda: decode(DECODE_SWEEPS))
+    row["decode_us"] = {"us": extra["us"] / (DECODE_SWEEPS - 1), "calls": extra["calls"]}
     packed = {id(a): a for a in kernels.search + kernels.recon}
     row["kernel_bytes"] = sum(a.nbytes for a in packed.values())
     return row

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import re
 import typing
 from pathlib import Path
 
@@ -223,3 +224,101 @@ def test_acf_note_follows_its_rows():
     note = script.render_note(script.parse_args([]), grid, best, headline, curve)
     assert "M^2 = 1000000 (M = 1000)" in note
     assert "flip rate 0.1 with\nactivation threshold 0.075." in note
+
+
+# --- the README's measured results, against the CSVs they come from ---
+
+README = RESULTS.parent / "README.md"
+
+
+def _measured_results() -> str:
+    """The README's "Measured results" section, its lines joined by spaces."""
+    text = README.read_text().split("\n## Measured results", 1)[1].split("\n## ", 1)[0]
+    return " ".join(text.split())
+
+
+def _results(name: str) -> list:
+    return _csv_rows((RESULTS / name).read_text())
+
+
+def _printed(value: float, figure: str) -> str:
+    """``value`` to the decimals of the printed ``figure``."""
+    decimals = len(figure.split(".")[1]) if "." in figure else 0
+    return f"{value:.{decimals}f}"
+
+
+def _size(size: int, figure: str) -> bool:
+    """Whether ``size`` is the printed ``figure``, a size such as 1e5 or 4.6e5, at its digits."""
+    mantissa = figure.split("e")[0]
+    digits = len(mantissa.replace(".", ""))
+    return float(f"{size:.{digits - 1}e}") == float(figure)
+
+
+def _find(pattern: str, text: str) -> tuple:
+    match = re.search(pattern, text)
+    assert match, f"the README's measured results no longer say {pattern!r}"
+    return match.groups()
+
+
+def test_readme_f3_table_is_the_noise_benefit_csv():
+    text = _measured_results()
+    trials, budget = _find(r"F=3, D=1500, size 1e7, tuned hyperparameters, (\d+) trials, "
+                           r"budget (\d+)", text)
+    table = re.findall(r"\| (\w+) \| ([\d.]+) \| ([\d.]+)-([\d.]+) \| (\d+) \|", text)
+    rows = {row.variant: row for row in _results("noise_benefit_f3_1e7.csv")}
+    assert [kind for kind, *_ in table] == list(rows) == ["brn", "acf", "imf"]
+    for kind, *figures in table:
+        row = rows[kind]
+        assert (row.F, row.D, row.trials, row.max_iters) == (3, 1500, int(trials), int(budget))
+        values = (row.accuracy, row.ci_low, row.ci_high, row.mean_iterations)
+        assert [_printed(v, f) for v, f in zip(values, figures)] == figures, kind
+
+
+def test_readme_baseline_ceiling_is_the_brn_ceiling_csv():
+    text = _measured_results()
+    trials, budget, easy_acc, easy_size, low, high, through, fall_acc, fall_size, last_acc, \
+        last_size = _find(
+            r"F=2, D=1000, baseline, (\d+) trials a size, budget (\d+) "
+            r"\(`scripts/brn_capacity_ceiling.py`, `results/brn_ceiling_f2.csv`\): "
+            r"accuracy ([\d.]+) at size ([\d.e]+), ([\d.]+)-([\d.]+) through ([\d.e]+), "
+            r"then a collapse \(([\d.]+) at ([\d.e]+), ([\d.]+) at ([\d.e]+)\)", text)
+    rows = _results("brn_ceiling_f2.csv")
+    assert {(r.F, r.D, r.trials, r.max_iters) for r in rows} == {(2, 1000, int(trials),
+                                                                   int(budget))}
+    assert _size(rows[0].search_space, easy_size)
+    assert _printed(rows[0].accuracy, easy_acc) == easy_acc
+    # Every size after the first, up to the one the text names, holds in the printed band.
+    held = rows[1:[_size(r.search_space, through) for r in rows].index(True) + 1]
+    assert held and [_printed(min(r.accuracy for r in held), low),
+                     _printed(max(r.accuracy for r in held), high)] == [low, high]
+    for acc, size in ((fall_acc, fall_size), (last_acc, last_size)):
+        row, = (r for r in rows if _size(r.search_space, size))
+        assert _printed(row.accuracy, acc) == acc, size
+    # The 200-trial figure beside it is the acceptance test's own, not a CSV row.
+    assert "test_04_baseline_capacity_ceiling` reads 0.205 (CI 0.155-0.266)" in text
+
+
+def test_readme_acf_extension_is_the_grid_and_curve_csvs():
+    text = _measured_results()
+    acc, trials, budget, flip_rate, threshold = _find(
+        r"tops out at ([\d.]+) over (\d+) trials \(budget (\d+)\) at flip rate ([\d.]+), "
+        r"threshold ([\d.]+)", text)
+    grid = _results("acf_grid_f2_5e6.csv")
+    best = max(grid, key=lambda row: row.accuracy)
+    assert len(grid) == 9 and (best.flip_rate, best.activation_threshold) == (
+        float(flip_rate), float(threshold))
+    curve = _results("acf_extension_curve.csv")
+    headline = curve[-1]
+    assert headline.search_space == 2236**2 and _size(headline.search_space, "5e6")
+    assert (headline.trials, headline.max_iters, headline.flip_rate,
+            headline.activation_threshold) == (int(trials), int(budget), float(flip_rate),
+                                               float(threshold))
+    assert _printed(headline.accuracy, acc) == acc
+    times, size = _find(r"the 0.99 bar is reached up to about a (\d+)x extension "
+                        r"\(size ([\d.e]+)\)", text)
+    reliable = max(r.search_space for r in curve if r.accuracy >= 0.99)
+    assert _size(reliable, size)
+    # "about a 21x extension" truncates the ratio to the baseline ceiling,
+    # the largest size at which brn still holds its 0.97-0.98.
+    ceiling = max(r.search_space for r in _results("brn_ceiling_f2.csv") if r.accuracy >= 0.97)
+    assert int(reliable / ceiling) == int(times)
