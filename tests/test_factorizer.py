@@ -137,8 +137,8 @@ def test_generate_bfm_is_the_uniform_draw(M, D, p):
 # The compiled draw runs 64 draws at a time in 16 lanes, and the rest one
 # by one: lengths around 16 and 64, and long ones that end mid-block.
 FLIP_LENGTHS = [1, 15, 16, 17, 63, 64, 65, 7 * 16387, 2236 * 1000]
-# 450359962737049 * 2**-53 is dyadic, so u < p at the draws just below it
-# tests that the integer limit is ceil(p * 2**53), not that plus one.
+# 450359962737049 * 2**-53 is dyadic: random draws never meet it, so
+# test_flip_limit_is_exact_at_a_dyadic_rate sets a draw at it.
 FLIP_RATES = [0.0, 1e-9, 0.05, np.nextafter(0.05, 0.0), 450359962737049 * 2.0**-53, 0.5, 1.0]
 
 
@@ -167,7 +167,8 @@ def _pcg64_drawing(raw: int, at: int) -> np.random.Generator:
     Its state after that draw's step is chosen so that the XSL-RR output
     is ``raw``, and is then stepped back ``at + 1`` times.
     """
-    mult, inc, word = 0x2360ED051FC65DA44385DF649FCCF645, 2 * 0x5DEECE66D + 1, 2**64 - 1
+    mult, word = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1
+    inc = 0x9E3779B97F4A7C15  # any odd increment
     hi = 0x0123456789ABCDEF
     rot = hi >> 58
     state = hi << 64 | hi ^ ((raw << rot | raw >> (64 - rot)) & word)
@@ -179,7 +180,7 @@ def _pcg64_drawing(raw: int, at: int) -> np.random.Generator:
     return g
 
 
-@pytest.mark.parametrize("at", [0, 17, 73, 130], ids=["lane-0", "lane-1", "block-1", "tail"])
+@pytest.mark.parametrize("at", [0, 17, 73, 195], ids=["lane-0", "lane-1", "block-1", "tail"])
 @pytest.mark.parametrize("below", [False, True], ids=["at-p", "just-below-p"])
 def test_flip_limit_is_exact_at_a_dyadic_rate(at, below):
     # p = K * 2**-53 is dyadic: the draw whose 53 leading bits read K is
@@ -194,15 +195,6 @@ def test_flip_limit_is_exact_at_a_dyadic_rate(at, below):
     assert flipped[at] == (-1 if below else 1)
     assert np.array_equal(flipped, np.where(u < K * 2.0**-53, -1, 1))
     assert fast.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("n", [1, 65, 7 * 16387])
-def test_generate_bfm_of_any_length_is_the_uniform_draw(n):
-    fast, ref = np.random.default_rng(n), np.random.default_rng(n)
-    mask = generate_bfm(1, n, 0.05, fast)
-    assert np.array_equal(mask[0], np.where(ref.random(n) < 0.05, -1, 1))
-    assert fast.bit_generator.state == ref.bit_generator.state
-    assert fast.random() == ref.random()
 
 
 def test_flip_masks_refuse_other_generators():
