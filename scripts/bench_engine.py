@@ -14,12 +14,12 @@ states are consecutive, so each factor's search differs from the one
 its kernels kept by as many query bits as in the decode, and
 ``searches`` counts how many of the searches that recorded those states
 were full ones and how many updated the kept numerators from the
-changed bits (``None`` for a tree whose kernels keep no search).  It refuses to time a search
-whose attentions are not the exact dot products divided by D.  Beside
-it, ``decode_us`` is the cost per sweep of a whole ``factorizer.run`` of
-the same instance without ``on_step``, which can never converge at
-threshold 1.0 and so runs ``DECODE_SWEEPS`` sweeps, net of a one-sweep
-run (its set-up and first sweep): the steady state of a long decode.
+changed bits.  It refuses to time a search whose attentions are not
+the exact dot products divided by D.  Beside it, ``decode_us`` is the
+cost per sweep of a whole ``factorizer.run`` of the same instance
+without ``on_step``, which can never converge at threshold 1.0 and so
+runs ``DECODE_SWEEPS`` sweeps, net of a one-sweep run (its set-up and
+first sweep): the steady state of a long decode.
 The two runs are called in alternation, so that each pair sees the same
 stretch of machine time and a change of the machine's speed between
 them cannot make the net cost negative.
@@ -33,8 +33,7 @@ kept numerators, at each count in ``CHANGED_BITS`` of query bits changed
 since the kept query.  ``crossover_bits`` is where the update, linearly
 interpolated between those counts, gets as slow as the full search;
 ``delta_limit`` is the most changed bits for which the compiled cost
-rule picks the update.  A tree without ``_sweep.search`` has no
-crossover rows.
+rule picks the update.
 
 For each set-up row it times the steps of a trial up to its first
 sweep, each call on a freshly built instance, as a trial meets them,
@@ -52,9 +51,7 @@ For each trial row it builds one ``FactorizerConfig`` and times whole
 trials (``bench.run_trial(seed, cfg)``: the instance, the decoder's
 set-up and every sweep) of a shape whose decodes converge within a few
 sweeps (``trial_us``), and records the most sweeps one took: the cost
-of the short trials that most of a capacity sweep runs.  ``--against``
-a tree whose ``run_trial`` still takes (M, F, D, variant, ...) fails on
-that row.
+of the short trials that most of a capacity sweep runs.
 
 Each repeat first sets the glibc malloc thresholds that
 ``bench.run_sweep`` sets for a sweep (``bench._retain_freed_memory``), so
@@ -81,11 +78,8 @@ stores this checkout's figures under ``after`` and the other tree's
 under ``before`` in the ``--out`` JSON file,
 beside the entries of earlier runs, with the commit, numpy, BLAS, core
 and BLAS-thread figures of each.  Both trees must be git checkouts, so
-that each run names the commit it measured.  ``--against`` cannot time
-a tree whose ``_advance`` still takes the estimates and returns an
-(estimates, attentions) pair instead of taking and returning a
-``FactorizerState``: its set-up and sweep rows fail there.  Beyond what
-resfact itself needs, only the standard library is needed.
+that each run names the commit it measured.  Beyond what resfact itself
+needs, only the standard library is needed.
 """
 
 from __future__ import annotations
@@ -363,8 +357,7 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
     if kind != "imf" and not np.array_equal(attentions[0], dots / D):
         raise RuntimeError(f"search at M={M}, D={D} is not the exact dot product")
 
-    searches = getattr(kernels, "searches", None)
-    before = None if searches is None else searches.copy()
+    before = kernels.searches.copy()
     trajectory = [state]
     for _ in range(TRAJECTORY_SWEEPS - 1):
         trajectory.append(fz._advance(trajectory[-1], x, kernels, cfg, streams))
@@ -375,8 +368,7 @@ def bench_row(fz, make_instance, M, D, F, kind, knobs, warm) -> dict:
         "warm_sweeps": warm,
         "survivors_frac": round(
             float(np.mean(state.attentions > variant.activation_threshold)), 4),
-        "searches": None if searches is None else dict(
-            zip(("full", "delta"), (int(n) for n in searches - before))),
+        "searches": dict(zip(("full", "delta"), (int(n) for n in kernels.searches - before))),
         "sweep_us": timed(lambda: fz._advance(next(states), x, kernels, cfg, streams)),
     }
     extra = timed_extra(lambda: decode(1), lambda: decode(DECODE_SWEEPS))
@@ -406,7 +398,7 @@ def bench_crossover(fz, sweep, M, D) -> dict:
         return timed(lambda: sweep.search(kernels._plan_at, 0, next(addresses), path))
 
     q = g.integers(0, 2, size=D, dtype=np.int8) * 2 - 1
-    row = {"M": M, "D": D, "delta_limit": kernels.plan.delta_limit,
+    row = {"M": M, "D": D, "delta_limit": sweep.delta_limit(M, words),
            "full_us": searches(0, [packed(q), packed(q)])}
     for bits in (b for b in CHANGED_BITS if b <= D):
         flipped = q.copy()
@@ -440,8 +432,7 @@ def one_repeat(src: Path) -> dict:
             "setup_rows": [bench_setup(fz, make_instance, *row) for row in SETUP_ROWS],
             "trial_rows": [bench_trial(fz, run_trial, *row) for row in TRIAL_ROWS],
             "rows": [bench_row(fz, make_instance, *row) for row in ROWS],
-            "crossover_rows": ([bench_crossover(fz, sweep, *row) for row in CROSSOVER_ROWS]
-                               if hasattr(sweep, "search") else [])}
+            "crossover_rows": [bench_crossover(fz, sweep, *row) for row in CROSSOVER_ROWS]}
 
 
 def child_repeat(src: Path) -> dict:
@@ -499,11 +490,11 @@ def report(label: str, run: dict) -> None:
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} trial of at most"
               f" {row['max_sweeps']} sweeps: {us(row['trial_us'])}")
     for row in run["rows"]:
-        searches = row.get("searches") or {}
+        searches = row["searches"]
         print(f"{label}: M={row['M']} D={row['D']} {row['variant']} "
               f"survivors {row['survivors_frac']:.3f}  sweep {us(row['sweep_us'])}"
               f"  decode {us(row['decode_us'])}/sweep"
-              f"  searches full {searches.get('full')} delta {searches.get('delta')}")
+              f"  searches full {searches['full']} delta {searches['delta']}")
     for row in run["crossover_rows"]:
         print(f"{label}: M={row['M']} D={row['D']} search {us(row['full_us'])}"
               f"  delta at {CHANGED_BITS[1]} bits {us(row[f'delta_us_{CHANGED_BITS[1]}'])}"

@@ -1,15 +1,16 @@
 /* Compiled update sweep of the decoder.
  *
- * Built and loaded by _sweep.py.  resfact_run runs whole update sweeps
- * of every variant until the convergence test, the decoder's one stopping
- * rule, passes or its budget runs out.  One struct resfact_plan describes
- * the decode: every factor's packed books, the scratch they share and
- * what each factor keeps from its last search.  resfact_ties draws every
- * variant's tie-breaks from the tie stream itself, bit for bit as numpy
- * draws them.  Both the search and the reconstruction read books that
- * resfact_pack packs, as pack() packs each query: element j of a row at
- * bit j % 64 of its word j / 64, 1 for +1 and 0 for -1.  Set-up runs here
- * too: resfact_expand turns a codebook's random bytes into +-1, and
+ * Built and loaded by _sweep.py.  resfact_run runs whole update sweeps of
+ * every variant until the convergence test, the decoder's one stopping
+ * rule, passes or its budget runs out.  One struct resfact_plan, which
+ * resfact_plan sizes and lays out, describes the decode: every factor's
+ * packed books, the scratch they share and what each factor keeps from
+ * its last search.  resfact_ties draws every variant's tie-breaks from
+ * the tie stream itself, bit for bit as numpy draws them.  Both the
+ * search and the reconstruction read books that resfact_pack packs, as
+ * pack() packs each query: element j of a row at bit j % 64 of its
+ * word j / 64, 1 for +1 and 0 for -1.  Set-up runs here too:
+ * resfact_expand turns a codebook's random bytes into +-1, and
  * resfact_init starts every factor at the majority of its packed search
  * rows.
  * The search keeps each factor's last query and its int32 numerators,
@@ -56,36 +57,29 @@ typedef struct bitgen {
  * Generator.standard_normal(n) from the same bit generator. */
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t n, double *out);
 
-/* The constants and scratch buffers of one decode, owned by _Kernels in
- * factorizer.py, which takes their addresses once per run.  search and
- * recon each hold the factors' books in factor order, m bit-packed rows
- * of `words` 64-bit words per factor: the search and the reconstruction
- * books, one and the same array unless the variant is acf.  query
- * (words), unbound (dim), rows (m), weights (m), sums
- * (64 * words) and changed (2 * 64 * words) are scratch that every
- * factor's update shares; after an imf update, weights holds that
- * factor's reconstruction weights.
+/* The constants and scratch buffers of one decode, which resfact_plan
+ * lays out.  search and recon each hold the factors' books in factor
+ * order, m bit-packed rows of `words` 64-bit words per factor: the search
+ * and the reconstruction books, one and the same array unless the variant
+ * is acf.  query, unbound, rows, weights, sums and changed are scratch
+ * that every factor's update shares; after an imf update, weights holds
+ * that factor's reconstruction weights.
  *
  * What each factor keeps from its last search, kept until the next:
- * kept[f] (words) is its packed query and nums[f] (64 * mwords, rows
- * from m on padding) that query's numerators, valid where flags[f] has
- * KEPT.  columns[f] is factor f's search book by columns, valid where
- * flags[f] has COLUMNS: for each element j < 64 * words, mwords words
- * whose bit i % 64 of word i / 64 is bit j of row i, zero from row m on,
- * built by the factor's first delta search.  delta_limit is
- * resfact_delta_limit(m, words), and searches counts the full searches
- * ([0]) and the delta ones ([1]). */
+ * kept[f] is its packed query and nums[f] (rows from m on padding) that
+ * query's numerators, valid where flags[f] has KEPT.  columns[f] is
+ * factor f's search book by columns, valid where flags[f] has COLUMNS:
+ * for each element j < 64 * words, mwords words whose bit i % 64 of word
+ * i / 64 is bit j of row i, zero from row m on, built by the factor's
+ * first delta search.  searches, the caller's array as nums is, counts
+ * the full searches ([0]) and the delta ones ([1]). */
 struct resfact_plan {
     const uint64_t *search, *recon;
-    int64_t m, dim, words, factors;
-    uint64_t *query;
+    int64_t m, dim, words, factors, mwords, delta_limit;
+    uint64_t *query, *columns, *kept;
     int8_t *unbound;
-    int32_t *rows;
+    int32_t *rows, *sums, *changed, *nums;
     double *weights;
-    int32_t *sums;
-    int64_t mwords, delta_limit;
-    uint64_t *columns, *kept;
-    int32_t *nums, *changed;
     int64_t *flags, *searches;
 };
 
@@ -268,6 +262,38 @@ int64_t resfact_delta_limit(int64_t m, int64_t words)
     (void)words;
     return -1;
 #endif
+}
+
+/* Lays out the plan of a decode of `factors` books of m rows and
+ * dimension dim, packed in search and recon, with the caller's nums
+ * ((factors, 64 * ceil(m / 64)) int32) and searches (2 int64): the struct
+ * at the start of `block`, each scratch buffer after it from a 64-byte
+ * boundary of the block on, and every factor's flags cleared.  Returns
+ * the bytes that takes; with `block` NULL it only returns them.  Every
+ * build lays plans out alike, so either drives a plan the other laid out. */
+int64_t resfact_plan(void *block, const uint64_t *search, const uint64_t *recon, int64_t m,
+                     int64_t dim, int64_t factors, int32_t *nums, int64_t *searches)
+{
+    const int64_t words = (dim + 63) / 64, mwords = (m + 63) / 64;
+    struct resfact_plan p = {search, recon, m, dim, words, factors, mwords,
+                             resfact_delta_limit(m, words), .nums = nums, .searches = searches};
+    uintptr_t at = (uintptr_t)block + (sizeof p + 63) / 64 * 64;
+#define CARVE(buffer, n) (p.buffer = (void *)at, at += ((n) * sizeof *p.buffer + 63) / 64 * 64)
+    CARVE(query, words);
+    CARVE(unbound, dim);
+    CARVE(rows, m);
+    CARVE(weights, m);
+    CARVE(sums, 64 * words);
+    CARVE(changed, 2 * 64 * words);
+    CARVE(kept, factors * words);
+    CARVE(columns, factors * 64 * words * mwords);
+    CARVE(flags, factors);
+#undef CARVE
+    if (block) {
+        memcpy(block, &p, sizeof p);
+        memset(p.flags, 0, (size_t)factors * sizeof *p.flags);
+    }
+    return (int64_t)(at - (uintptr_t)block);
 }
 
 /* Sets factor f's numerators, p->nums[f], to those of the packed

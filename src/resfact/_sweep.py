@@ -11,6 +11,9 @@ processes that import at once may each compile, and each one loads a
 complete library.  A build then deletes the libraries of other sources
 or CPUs beside it; a process that has one loaded keeps using it.
 
+The kernels take a decode's plan by its address; ``plan`` sizes it and lays
+it out, so only ``_sweep.c`` knows its fields and the sizes of its buffers.
+
 There is no fallback: without ``cc``, a writable package directory or
 numpy's ``libnpyrandom.a``, the import fails with an ``ImportError``
 that names which is missing.
@@ -80,24 +83,6 @@ def _build(source: Path, path: Path) -> None:
             old.unlink(missing_ok=True)
 
 
-class Plan(ctypes.Structure):
-    """``struct resfact_plan``: one decode's constants and scratch buffers.
-
-    Holds raw addresses: whoever fills one keeps the arrays behind them
-    alive for as long as the plan is used.
-    """
-
-    _fields_ = [("search", ctypes.c_void_p), ("recon", ctypes.c_void_p),
-                ("m", ctypes.c_int64), ("dim", ctypes.c_int64), ("words", ctypes.c_int64),
-                ("factors", ctypes.c_int64), ("query", ctypes.c_void_p),
-                ("unbound", ctypes.c_void_p), ("rows", ctypes.c_void_p),
-                ("weights", ctypes.c_void_p), ("sums", ctypes.c_void_p),
-                ("mwords", ctypes.c_int64), ("delta_limit", ctypes.c_int64),
-                ("columns", ctypes.c_void_p), ("kept", ctypes.c_void_p),
-                ("nums", ctypes.c_void_p), ("changed", ctypes.c_void_p),
-                ("flags", ctypes.c_void_p), ("searches", ctypes.c_void_p)]
-
-
 def address(a) -> int:
     """Address of a writable C-contiguous array's data; cheaper than ``a.ctypes.data``."""
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
@@ -127,6 +112,8 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     lib.resfact_delta_limit.restype = i64
     lib.resfact_flip.argtypes = (pointer, i64, double, pointer, pointer)
     lib.resfact_flip.restype = None
+    lib.resfact_plan.argtypes = (pointer, pointer, pointer, i64, i64, i64, pointer, pointer)
+    lib.resfact_plan.restype = i64
     return lib
 
 
@@ -146,6 +133,7 @@ def bitgen(bit_generator) -> int:
 
 
 _lib = load()
-run, ties, pack, expand, init, search, delta_limit, flip = (
-    _lib.resfact_run, _lib.resfact_ties, _lib.resfact_pack, _lib.resfact_expand,
-    _lib.resfact_init, _lib.resfact_search, _lib.resfact_delta_limit, _lib.resfact_flip)
+plan, run, ties, pack, expand, init, search, delta_limit, flip = (
+    _lib.resfact_plan, _lib.resfact_run, _lib.resfact_ties, _lib.resfact_pack,
+    _lib.resfact_expand, _lib.resfact_init, _lib.resfact_search, _lib.resfact_delta_limit,
+    _lib.resfact_flip)

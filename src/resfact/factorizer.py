@@ -283,11 +283,11 @@ def init_estimates(pbooks: PerturbedCodebooks, rng: np.random.Generator) -> Fact
     """
     init = _bitgen(rng, "init")
     kernels = pbooks._kernels
-    plan = kernels.plan
-    estimates = np.empty((plan.factors, plan.dim), dtype=np.int8)
+    factors, size, dim = kernels.shape
+    estimates = np.empty((factors, dim), dtype=np.int8)
     with rng.bit_generator.lock:
         _sweep.init(kernels._plan_at, _sweep.address(estimates), init)
-    attentions = np.full((plan.factors, plan.m), np.nan)
+    attentions = np.full((factors, size), np.nan)
     return FactorizerState(estimates=estimates, attentions=attentions)
 
 
@@ -302,7 +302,7 @@ def _pack(books) -> np.ndarray:
 
 
 class _Kernels:
-    """Per-run codebook layouts and scratch of the update sweep.
+    """Per-run codebook layouts and the plan of the update sweep.
 
     ``search[f]`` is factor f's search codebook bit-packed by ``_pack``,
     so the dot product of a row with a query that the compiled update
@@ -310,11 +310,11 @@ class _Kernels:
     ``recon[f]`` is its reconstruction book in that layout, whose
     surviving rows the compiled update sums; it is ``search[f]`` unless
     the variant is ``acf``.  Each role's books are packed once per run,
-    into one (F, M, words) array that the lists view.  ``plan`` is the
-    one ``_sweep.Plan`` the compiled sweep and ``init_estimates`` read:
-    the addresses of those two arrays and of the scratch buffers every
-    factor shares, taken once.  So one sweep or init at a time may use a
-    ``_Kernels``.
+    into one (F, M, words) array that the lists view.  ``shape`` is
+    (F, M, D).  ``_plan_at`` is the address of the plan that the compiled
+    sweep and ``init_estimates`` read, which ``_sweep.plan`` lays out in
+    one block, with the scratch every factor shares.  So one sweep or
+    init at a time may use a ``_Kernels``.
 
     Each factor also keeps its last search: its packed query and, in
     ``nums[f, :M]``, that query's integer numerators, which its next
@@ -323,7 +323,7 @@ class _Kernels:
     reads are built by the factor's first update.  ``searches`` counts the full searches and the updates.
     """
 
-    __slots__ = ("search", "recon", "nums", "searches", "plan", "_scratch", "_plan_at")
+    __slots__ = ("search", "recon", "shape", "nums", "searches", "_plan", "_plan_at")
 
     def __init__(self, pbooks: PerturbedCodebooks):
         size, dim = pbooks.search_books[0].codevectors.shape
@@ -335,26 +335,14 @@ class _Kernels:
             search = _pack([b.codevectors for b in pbooks.search_books])
         self.recon = list(recon)
         self.search = self.recon if search is recon else list(search)
-        factors, words, mwords = len(search), search.shape[2], -(-size // 64)
-        # The scratch in one array per element type, each buffer an offset
-        # into it: u64 holds query, kept and columns; i32 rows, sums,
-        # changed and nums; counts flags and searches.
-        u64 = np.empty((1 + factors + 64 * factors * mwords) * words, dtype=np.uint64)
-        i32 = np.empty(size + 192 * words + 64 * factors * mwords, dtype=np.int32)
-        counts = np.zeros(factors + 2, dtype=np.int64)
-        self.nums = i32[size + 192 * words:].reshape(factors, 64 * mwords)
-        self.searches = counts[factors:]
-        self._scratch = (u64, i32, counts, np.empty(dim, dtype=np.int8), np.empty(size))
-        at64, at32, flags, unbound, weights = (_sweep.address(a) for a in self._scratch)
-        self.plan = _sweep.Plan(
-            search=_sweep.address(search), recon=_sweep.address(recon), m=size, dim=dim,
-            words=words, factors=factors, query=at64, unbound=unbound, rows=at32,
-            weights=weights, sums=at32 + 4 * size, mwords=mwords,
-            delta_limit=_sweep.delta_limit(size, words),
-            columns=at64 + 8 * (1 + factors) * words, kept=at64 + 8 * words,
-            nums=at32 + 4 * (size + 192 * words), changed=at32 + 4 * (size + 64 * words),
-            flags=flags, searches=flags + 8 * factors)
-        self._plan_at = ctypes.addressof(self.plan)
+        self.shape = (len(search), size, dim)
+        self.nums = np.empty((len(search), 64 * -(-size // 64)), dtype=np.int32)
+        self.searches = np.zeros(2, dtype=np.int64)
+        args = (_sweep.address(search), _sweep.address(recon), size, dim, len(search),
+                _sweep.address(self.nums), _sweep.address(self.searches))
+        self._plan = np.empty(_sweep.plan(None, *args), dtype=np.uint8)
+        self._plan_at = _sweep.address(self._plan)
+        _sweep.plan(self._plan_at, *args)
 
 
 def _pcg64(rng: np.random.Generator, stream: str):
@@ -392,14 +380,14 @@ def _advance(state, x, kernels, cfg, streams, budget=1) -> FactorizerState:
     whatever state that came from.  Returns the successor state, with
     fresh arrays.
     """
-    plan = kernels.plan
+    factors, size, dim = kernels.shape
     estimates = np.array(state.estimates, dtype=np.int8, order="C")
     # The compiled update would read past the end of either.
-    if estimates.shape != (plan.factors, plan.dim) or np.shape(x) != (plan.dim,):
+    if estimates.shape != (factors, dim) or np.shape(x) != (dim,):
         raise ValueError(f"estimates of shape {estimates.shape} and an input of shape "
-                         f"{np.shape(x)} for {plan.factors} codebooks of dimension {plan.dim}")
+                         f"{np.shape(x)} for {factors} codebooks of dimension {dim}")
     x = np.ascontiguousarray(x, dtype=np.int8)
-    attentions = np.empty((plan.factors, plan.m))
+    attentions = np.empty((factors, size))
     ties = _bitgen(streams.ties, "tie")
     noise = _bitgen(streams.noise, "noise") if cfg.variant.kind == "imf" else None
     converged = ctypes.c_int64()
@@ -419,13 +407,11 @@ def step(
     cfg: FactorizerConfig,
     streams: FactorizerStreams,
 ) -> FactorizerState:
-    """Apply one update sweep and return the successor state, never marked converged."""
+    """Apply one update sweep and return the successor state, converged where ``run`` stops."""
     if state.converged:
         raise RuntimeError("step called on a converged state")
     xv = _check_run_inputs(x, pbooks.search_books, cfg)
-    successor = _advance(state, xv, pbooks._kernels, cfg, streams)
-    successor.converged = False
-    return successor
+    return _advance(state, xv, pbooks._kernels, cfg, streams)
 
 
 def _check_run_inputs(x, books, cfg: FactorizerConfig) -> np.ndarray:

@@ -600,7 +600,7 @@ def test_delta_search_numerators_are_exact_dots(M, D):
     g = np.random.default_rng(M * D)
     books = [generate_codebook(M, D, g) for _ in range(2)]
     kernels = factorizer._Kernels(perturb_codebooks(books, VariantSpec.brn(), g))
-    delta = kernels.plan.delta_limit >= 0
+    delta = _sweep.delta_limit(M, -(-D // 64)) >= 0
     q = random_bipolar(D, g)
     for path in (0, 1):
         for changed in (0, 1, min(3, D), D // 2, D):
@@ -645,7 +645,7 @@ def test_sweeps_from_states_near_and_far_from_the_kept_queries(M, D, variant):
     assert ref_streams.ties.bit_generator.state == streams.ties.bit_generator.state
     assert ref_streams.noise.bit_generator.state == streams.noise.bit_generator.state
     assert kernels.searches[0] > 0
-    assert (kernels.searches[1] > 0) == (kernels.plan.delta_limit >= 0)
+    assert (kernels.searches[1] > 0) == (_sweep.delta_limit(M, -(-D // 64)) >= 0)
 
 
 def test_activation_thresholds_at_and_just_below_an_attention():
@@ -711,11 +711,16 @@ def test_attention_of_550_is_not_above_055():
 
 @pytest.mark.parametrize("threshold, converged",
                          [(0.55, False), (np.nextafter(0.55, 0), True), (0.549, True)])
-def test_compiled_stopping_rule_is_strict(threshold, converged):
+@pytest.mark.parametrize("entry", ["_advance", "step"])
+def test_compiled_stopping_rule_is_strict(entry, threshold, converged):
     # The sweep's own test, at the state above: factor 1's best attention
     # is 1.0, so only the strict comparison keeps 0.55 from converging.
+    # step returns the same verdict.
     x, pbooks, cfg, streams, state0 = _state_of_550(threshold)
-    state = factorizer._advance(state0, x, pbooks._kernels, cfg, streams)
+    if entry == "step":
+        state = step(state0, x, pbooks, cfg, streams)
+    else:
+        state = factorizer._advance(state0, x, pbooks._kernels, cfg, streams)
     assert state.attentions[0].max() == 0.55
     assert (state.iteration, state.converged) == (1, converged)
 
@@ -730,7 +735,9 @@ def test_step_builds_kernels_once(monkeypatch):
 
     monkeypatch.setattr(factorizer, "_Kernels", CountingKernels)
     x, books, _ = _instance(8, 64, 2, seed=3)
-    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=8, D=64, seed=3)
+    # Threshold 1.0: no sweep converges, so step takes all three.
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=8, D=64, seed=3,
+                           convergence_threshold=1.0)
     streams = derive_streams(cfg.seed)
     p = perturb_codebooks(books, cfg.variant, streams.masks)
     state = init_estimates(p, streams.init)

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resfact import _sweep
-from resfact.factorizer import VariantSpec, _Kernels, derive_streams, perturb_codebooks
+from resfact import _sweep, factorizer
+from resfact.factorizer import (FactorizerConfig, VariantSpec, _Kernels, derive_streams,
+                                init_estimates, perturb_codebooks)
 from resfact.vsa import bind_product, generate_codebook
 
 PACKAGE = Path(_sweep.__file__).parent
@@ -146,33 +147,61 @@ def portable_library(tmp_path_factory):
         return _sweep.load(_package_copy(tmp_path_factory.mktemp("portable")) / "_sweep.c")
 
 
-def _decode(lib, x, books, variant, seed, sweeps):
+#: Bytes of 0xA5 after each plan that ``_laid_out`` lays out, which no kernel may write.
+GUARD = 64
+
+
+def _laid_out(lib, kernels):
+    """A plan that ``lib``'s resfact_plan lays out over ``kernels``' packed books.
+
+    Returns the block, which ends in ``GUARD`` guard bytes past the size
+    resfact_plan gives, the plan's numerators and its search counts.
+    """
+    factors, size, dim = kernels.shape
+    nums, searches = np.empty_like(kernels.nums), np.zeros(2, dtype=np.int64)
+    args = (kernels.search[0].ctypes.data, kernels.recon[0].ctypes.data, size, dim, factors,
+            nums.ctypes.data, searches.ctypes.data)
+    block = np.full(lib.resfact_plan(None, *args) + GUARD, 0xA5, dtype=np.uint8)
+    assert lib.resfact_plan(block.ctypes.data, *args) == block.size - GUARD
+    return block, nums, searches
+
+
+def _decode(lib, x, books, variant, seed, sweeps, queries=()):
     """``lib``'s initial estimates, then ``sweeps`` update sweeps of its resfact_run.
 
-    Returns them with the attentions, the sweep count, the stop and the
-    init, tie and noise streams' states after the run, and apart from
-    those the numbers of full and of delta searches.
+    The plan is one that ``lib`` lays out itself.  After the sweeps
+    factor 1 searches each packed query of ``queries`` from the changed
+    bits where the build can, then afresh.  Returns the estimates before
+    and after, the attentions and factor by factor the numerators, then
+    the sweep count, the stop and the init, tie and noise streams' states
+    after the run, and apart from those the numbers of full and of delta
+    searches.  Checks that no kernel wrote past the plan.
     """
     streams = derive_streams(seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
     kernels = _Kernels(pbooks)
+    block, nums, searches = _laid_out(lib, kernels)
     working = np.empty((len(books), books[0].dim), dtype=np.int8)
     with streams.init.bit_generator.lock:
-        lib.resfact_init(kernels._plan_at, working.ctypes.data,
+        lib.resfact_init(block.ctypes.data, working.ctypes.data,
                          _sweep.bitgen(streams.init.bit_generator))
     init = working.copy()
     attentions = np.empty((len(books), books[0].size))
     converged = ctypes.c_int64()
     noise = _sweep.bitgen(streams.noise.bit_generator) if variant.kind == "imf" else None
     with streams.ties.bit_generator.lock, streams.noise.bit_generator.lock:
-        done = lib.resfact_run(kernels._plan_at, x.ctypes.data, working.ctypes.data,
+        done = lib.resfact_run(block.ctypes.data, x.ctypes.data, working.ctypes.data,
                                attentions.ctypes.data, variant.activation_threshold,
                                variant.sigma or 0.0, 1.0, sweeps,
                                _sweep.bitgen(streams.ties.bit_generator), noise,
                                ctypes.byref(converged))
-    return (init, working, attentions, done, converged.value, streams.init.bit_generator.state,
-            streams.ties.bit_generator.state, streams.noise.bit_generator.state), \
-        kernels.searches.tolist()
+    for query in queries:
+        for path in (1, 0):
+            lib.resfact_search(block.ctypes.data, 1, query.ctypes.data, path)
+    assert (block[-GUARD:] == 0xA5).all()
+    return (init, working, attentions, nums[:, :books[0].size], done, converged.value,
+            streams.init.bit_generator.state, streams.ties.bit_generator.state,
+            streams.noise.bit_generator.state), searches.tolist()
 
 
 def _packed(lib, rows):
@@ -204,9 +233,9 @@ def test_the_portable_build_decodes_as_the_default_build(portable_library, varia
     x = bind_product(books, (4, 7))
     got, _ = _decode(portable_library, x, books, variant, D, 12)
     ref, _ = _decode(_sweep._lib, x, books, variant, D, 12)
-    for a, b in zip(got[:3], ref[:3]):
+    for a, b in zip(got[:4], ref[:4]):
         assert np.array_equal(a, b)
-    assert got[3:] == ref[3:]
+    assert got[4:] == ref[4:]
     # The set-up kernels give the same bytes, across whole 64-byte blocks and tails.
     rows = books[0].codevectors
     assert np.array_equal(_packed(portable_library, rows), _packed(_sweep._lib, rows))
@@ -254,9 +283,42 @@ def test_the_portable_build_decodes_as_the_default_builds_delta_searches(portabl
     x = bind_product(books, (4, 7))
     got, portable = _decode(portable_library, x, books, variant, D, 60)
     ref, default = _decode(_sweep._lib, x, books, variant, D, 60)
-    for a, b in zip(got[:3], ref[:3]):
+    for a, b in zip(got[:4], ref[:4]):
         assert np.array_equal(a, b)
-    assert got[3:] == ref[3:]
+    assert got[4:] == ref[4:]
     assert portable == [120, 0]
     assert sum(default) == 120
     assert (default[1] > 0) == (_sweep.delta_limit(300, -(-D // 64)) >= 0)
+
+
+@pytest.mark.parametrize("M, D", [(2, 1), (65, 130), (300, 1000)])
+@pytest.mark.parametrize("build", ["default", "portable"])
+def test_a_plan_stays_within_its_block(portable_library, build, M, D):
+    # A plan in a block of the size resfact_plan gives, followed by guard
+    # bytes, through the init, 20 sweeps and then searches of factor 1
+    # from the changed bits (which build its books by columns) and afresh:
+    # _decode checks the guard bytes, and the estimates, numerators and
+    # search counts are those of a _Kernels decode.  Rows and dimensions
+    # on both sides of a 64-bit word lay out padded buffers.
+    lib = portable_library if build == "portable" else _sweep._lib
+    g = np.random.default_rng(M * D)
+    books = [generate_codebook(M, D, g) for _ in range(2)]
+    x = bind_product(books, (1, 0))
+    queries = list(_packed(_sweep._lib, g.integers(0, 2, size=(3, D), dtype=np.int8) * 2 - 1))
+    got, searches = _decode(lib, x, books, VariantSpec.brn(), M, 20, queries)
+    cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=M, D=D, seed=M,
+                           convergence_threshold=1.0)
+    streams = derive_streams(cfg.seed)
+    pbooks = perturb_codebooks(books, cfg.variant, streams.masks)
+    start = init_estimates(pbooks, streams.init)
+    state = factorizer._advance(start, x, pbooks._kernels, cfg, streams, 20)
+    for query in queries:
+        for path in (1, 0):
+            _sweep.search(pbooks._kernels._plan_at, 1, query.ctypes.data, path)
+    for a, b in zip(got[:4], (start.estimates, state.estimates, state.attentions,
+                              pbooks._kernels.nums[:, :M])):
+        assert np.array_equal(a, b)
+    assert got[4] == state.iteration == 20
+    kept = pbooks._kernels.searches.tolist()
+    assert searches == (kept if build == "default" else [sum(kept), 0])
+    assert (kept[1] >= len(queries)) == (_sweep.delta_limit(M, -(-D // 64)) >= 0)
