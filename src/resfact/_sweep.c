@@ -5,12 +5,16 @@
  * rule, passes or its budget runs out.  One struct resfact_plan, which
  * resfact_plan sizes and lays out, describes the decode: every factor's
  * packed books, the scratch they share and what each factor keeps from
- * its last search.  resfact_ties draws every variant's tie-breaks from
- * the tie stream itself, bit for bit as numpy draws them.  Both the
- * search and the reconstruction read books that resfact_pack packs, as
- * pack() packs each query: element j of a row at bit j % 64 of its
- * word j / 64, 1 for +1 and 0 for -1.  Set-up runs here too:
- * resfact_expand turns a codebook's random bytes into +-1, and
+ * its last search.  Both the search and the reconstruction read books
+ * that resfact_pack packs, as pack() packs the input and the estimates:
+ * element j of a row at bit j % 64 of its word j / 64, 1 for +1 and 0
+ * for -1.  resfact_run keeps every factor's estimate packed from its
+ * entry to its exit, so a factor's query is the xor of packed words, its
+ * new estimate comes out of the sign test as packed words, and its ties
+ * are drawn into them.  resfact_ties draws the ties of an int8 row, the
+ * initial estimates', from the tie stream itself, bit for bit as numpy
+ * draws them, and the packed ties take the same draws.  Set-up runs here
+ * too: resfact_expand turns a codebook's random bytes into +-1, and
  * resfact_init starts every factor at the majority of its packed search
  * rows.
  * The search keeps each factor's last query and its int32 numerators,
@@ -19,14 +23,17 @@
  * integers.  brn and acf compare those integers with the least numerator
  * that passes each threshold, and their one floating-point operation,
  * each numerator / D, is done once per resfact_run, at its exit, and
- * rounds exactly as numpy's does.  imf's noise is numpy's own
- * random_standard_normal_fill (libnpyrandom.a), added as numpy's
- * expressions add it, unfused (-ffp-contract=off), and its real-valued
- * sums run in row order.
+ * rounds exactly as numpy's does.  imf's noise is the draws of
+ * Generator.standard_normal(M) from the noise stream's PCG64 state,
+ * made by resfact_normals: numpy's ziggurat on words from the same
+ * jump-ahead lanes as resfact_flip's, with every rejected draw handed to
+ * numpy's own random_standard_normal (libnpyrandom.a).  The noise is
+ * added as numpy's expressions add it, unfused (-ffp-contract=off), and
+ * imf's real-valued sums run in row order.
  * resfact_flip draws acf's flip masks from a PCG64 state, the uniforms
  * of Generator.random() bit for bit, and applies them to a book in the
- * same pass: with AVX-512 in 16 lanes that each jump 16 steps at a time,
- * otherwise one step after another.
+ * same pass.  Both PCG64 draws run, with AVX-512, in 16 lanes that each
+ * jump 16 steps at a time, otherwise one step after another.
  */
 
 #include <math.h>
@@ -53,17 +60,19 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* numpy/random/distributions.h: fills out[0..n) with the draws of
- * Generator.standard_normal(n) from the same bit generator. */
-void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t n, double *out);
+/* numpy/random/distributions.h: one draw of Generator.standard_normal()
+ * from the bit generator, which it reads by next_uint64 and next_double. */
+double random_standard_normal(bitgen_t *bitgen_state);
 
 /* The constants and scratch buffers of one decode, which resfact_plan
  * lays out.  search and recon each hold the factors' books in factor
  * order, m bit-packed rows of `words` 64-bit words per factor: the search
  * and the reconstruction books, one and the same array unless the variant
- * is acf.  query, unbound, rows, weights, sums and changed are scratch
- * that every factor's update shares; after an imf update, weights holds
- * that factor's reconstruction weights.
+ * is acf.  est holds every factor's packed estimate and input the packed
+ * input, from resfact_run's entry to its exit.  query, zeros (the tie
+ * mask of a factor's new estimate), rows, weights, sums and changed are
+ * scratch that every factor's update shares; after an imf update,
+ * weights holds that factor's reconstruction weights.
  *
  * What each factor keeps from its last search, kept until the next:
  * kept[f] is its packed query and nums[f] (rows from m on padding) that
@@ -76,8 +85,7 @@ void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t n, double *out
 struct resfact_plan {
     const uint64_t *search, *recon;
     int64_t m, dim, words, factors, mwords, delta_limit;
-    uint64_t *query, *columns, *kept;
-    int8_t *unbound;
+    uint64_t *query, *columns, *kept, *est, *input, *zeros;
     int32_t *rows, *sums, *changed, *nums;
     double *weights;
     int64_t *flags, *searches;
@@ -267,24 +275,29 @@ int64_t resfact_delta_limit(int64_t m, int64_t words)
 /* Lays out the plan of a decode of `factors` books of m rows and
  * dimension dim, packed in search and recon, with the caller's nums
  * ((factors, 64 * ceil(m / 64)) int32) and searches (2 int64): the struct
- * at the start of `block`, each scratch buffer after it from a 64-byte
- * boundary of the block on, and every factor's flags cleared.  Returns
- * the bytes that takes; with `block` NULL it only returns them.  Every
- * build lays plans out alike, so either drives a plan the other laid out. */
+ * at the start of `block`, which must be 8-byte aligned as the struct is,
+ * each scratch buffer after it from a 64-byte address on, and every
+ * factor's flags cleared.  Returns the bytes that takes wherever the
+ * block starts, 63 of them for the alignment; with `block` NULL it only
+ * returns them.  Every build lays plans out alike, so either drives a
+ * plan the other laid out. */
 int64_t resfact_plan(void *block, const uint64_t *search, const uint64_t *recon, int64_t m,
                      int64_t dim, int64_t factors, int32_t *nums, int64_t *searches)
 {
     const int64_t words = (dim + 63) / 64, mwords = (m + 63) / 64;
     struct resfact_plan p = {search, recon, m, dim, words, factors, mwords,
                              resfact_delta_limit(m, words), .nums = nums, .searches = searches};
-    uintptr_t at = (uintptr_t)block + (sizeof p + 63) / 64 * 64;
+    const uintptr_t first = ((uintptr_t)block + sizeof p + 63) & ~(uintptr_t)63;
+    uintptr_t at = first;
 #define CARVE(buffer, n) (p.buffer = (void *)at, at += ((n) * sizeof *p.buffer + 63) / 64 * 64)
     CARVE(query, words);
-    CARVE(unbound, dim);
+    CARVE(input, words);
+    CARVE(zeros, words);
     CARVE(rows, m);
     CARVE(weights, m);
     CARVE(sums, 64 * words);
     CARVE(changed, 2 * 64 * words);
+    CARVE(est, factors * words);
     CARVE(kept, factors * words);
     CARVE(columns, factors * 64 * words * mwords);
     CARVE(flags, factors);
@@ -293,7 +306,7 @@ int64_t resfact_plan(void *block, const uint64_t *search, const uint64_t *recon,
         memcpy(block, &p, sizeof p);
         memset(p.flags, 0, (size_t)factors * sizeof *p.flags);
     }
-    return (int64_t)(at - (uintptr_t)block);
+    return (int64_t)(sizeof p + 63 + (at - first));
 }
 
 /* Sets factor f's numerators, p->nums[f], to those of the packed
@@ -422,7 +435,8 @@ static int64_t superpose(const uint64_t *recon, int64_t words, int64_t dim, cons
 }
 
 /* Packs a +-1 vector into zero-padded 64-bit words, element j at bit
- * j % 64 of word j / 64: the one packer of every query and book row.
+ * j % 64 of word j / 64: the one packer of every book row, input and
+ * estimate.
  * An element is +1 where its sign bit is clear.  With AVX-512BW, 64
  * elements at a time give one word, the complement of their sign bits.
  * Otherwise, and for the rest, eight elements are read as one word, and
@@ -494,68 +508,78 @@ static void pcg_jump(uint64_t k, u128 inc, u128 *mult, u128 *plus)
 }
 
 #if defined(__AVX512BW__) && defined(__AVX512DQ__)
-/* One jump of 8 lanes of 128-bit states, held as their low and high
- * words: s -> a * s + c mod 2**128.  The high word of lo * a_lo comes
- * from four 32-bit products (vpmuludq); the cross terms need only their
- * low words (vpmullq). */
-static inline __attribute__((always_inline)) void
-lanes_jump(__m512i *lo, __m512i *hi, __m512i alo, __m512i alo_hi32, __m512i ahi,
-           __m512i clo, __m512i chi)
+/* 16 PCG64 streams in two vectors of 8 lanes, each lane's 128-bit state
+ * held as its low and high words, and a = alo + 2**64 * ahi and c = clo +
+ * 2**64 * chi, the multiplier and increment of 16 steps.  Lane l of vector
+ * v holds the state of draw 8 * v + l, and each lanes_draw() of vector v
+ * moves its lanes 16 draws on. */
+struct lanes {
+    __m512i lo[2], hi[2], alo, alo_hi32, ahi, clo, chi;
+};
+
+/* The lanes of the draws after the state s. */
+static inline __attribute__((always_inline)) void lanes_start(struct lanes *l, u128 s, u128 inc)
 {
-    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF), lo_hi32 = _mm512_srli_epi64(*lo, 32);
-    const __m512i p00 = _mm512_mul_epu32(*lo, alo), p01 = _mm512_mul_epu32(*lo, alo_hi32);
-    const __m512i p10 = _mm512_mul_epu32(lo_hi32, alo), p11 = _mm512_mul_epu32(lo_hi32, alo_hi32);
+    uint64_t lo[16], hi[16];
+    for (int k = 0; k < 16; k++) {
+        s = s * PCG_MULT + inc;
+        lo[k] = (uint64_t)s;
+        hi[k] = (uint64_t)(s >> 64);
+    }
+    u128 a, c;
+    pcg_jump(16, inc, &a, &c);
+    l->alo = _mm512_set1_epi64((long long)(uint64_t)a);
+    l->alo_hi32 = _mm512_set1_epi64((long long)((uint64_t)a >> 32));
+    l->ahi = _mm512_set1_epi64((long long)(uint64_t)(a >> 64));
+    l->clo = _mm512_set1_epi64((long long)(uint64_t)c);
+    l->chi = _mm512_set1_epi64((long long)(uint64_t)(c >> 64));
+    for (int v = 0; v < 2; v++) {
+        l->lo[v] = _mm512_loadu_si512(lo + 8 * v);
+        l->hi[v] = _mm512_loadu_si512(hi + 8 * v);
+    }
+}
+
+/* The draws of vector v's lanes, the XSL-RR outputs (vprorvq) of their
+ * states, which then jump: s -> a * s + c mod 2**128.  The high word of
+ * lo * a_lo comes from four 32-bit products (vpmuludq); the cross terms
+ * need only their low words (vpmullq). */
+static inline __attribute__((always_inline)) __m512i lanes_draw(struct lanes *l, int v)
+{
+    const __m512i lo = l->lo[v], hi = l->hi[v];
+    const __m512i out = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF), lo_hi32 = _mm512_srli_epi64(lo, 32);
+    const __m512i p00 = _mm512_mul_epu32(lo, l->alo), p01 = _mm512_mul_epu32(lo, l->alo_hi32);
+    const __m512i p10 = _mm512_mul_epu32(lo_hi32, l->alo);
+    const __m512i p11 = _mm512_mul_epu32(lo_hi32, l->alo_hi32);
     const __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(p00, 32), _mm512_add_epi64(
         _mm512_and_si512(p01, low32), _mm512_and_si512(p10, low32)));
     __m512i h = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
                                  _mm512_add_epi64(_mm512_srli_epi64(p01, 32),
                                                   _mm512_srli_epi64(p10, 32)));
-    h = _mm512_add_epi64(h, _mm512_add_epi64(_mm512_mullo_epi64(*lo, ahi),
-                                             _mm512_mullo_epi64(*hi, alo)));
-    const __m512i l = _mm512_add_epi64(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low32));
-    *lo = _mm512_add_epi64(l, clo);
-    h = _mm512_add_epi64(h, chi);
-    *hi = _mm512_mask_sub_epi64(h, _mm512_cmplt_epu64_mask(*lo, clo), h,
-                                _mm512_set1_epi64(-1));
+    h = _mm512_add_epi64(h, _mm512_add_epi64(_mm512_mullo_epi64(lo, l->ahi),
+                                             _mm512_mullo_epi64(hi, l->alo)));
+    const __m512i low = _mm512_add_epi64(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low32));
+    l->lo[v] = _mm512_add_epi64(low, l->clo);
+    h = _mm512_add_epi64(h, l->chi);
+    l->hi[v] = _mm512_mask_sub_epi64(h, _mm512_cmplt_epu64_mask(l->lo[v], l->clo), h,
+                                     _mm512_set1_epi64(-1));
+    return out;
 }
 
-/* Bit l set where lane l's draw, the XSL-RR output (vprorvq) of its
- * state, shifted down by 11, is below `below`. */
-static inline __attribute__((always_inline)) __mmask8 lanes_below(__m512i lo, __m512i hi,
-                                                                  __m512i below)
-{
-    const __m512i out = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
-    return _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), below);
-}
-
-/* resfact_flip() of out[0..64 * blocks) from the state s: 16 lanes in two
- * vectors, lane l holding the state of draw 16 * t + l, all stepped 16 at
- * a time; four such rounds give the 64 mask bits of one masked negation. */
+/* resfact_flip() of out[0..64 * blocks) from the state s: draw i of the
+ * block is below `below`, shifted down by 11, where bit i of its masked
+ * negation is set. */
 static void flip_lanes(u128 s, u128 inc, int64_t blocks, uint64_t below, const int8_t *book,
                        int8_t *out)
 {
-    uint64_t lo[16], hi[16];
-    for (int l = 0; l < 16; l++) {
-        s = s * PCG_MULT + inc;
-        lo[l] = (uint64_t)s;
-        hi[l] = (uint64_t)(s >> 64);
-    }
-    u128 a, c;
-    pcg_jump(16, inc, &a, &c);
-    const __m512i alo = _mm512_set1_epi64((long long)(uint64_t)a);
-    const __m512i alo_hi32 = _mm512_set1_epi64((long long)((uint64_t)a >> 32));
-    const __m512i ahi = _mm512_set1_epi64((long long)(uint64_t)(a >> 64));
-    const __m512i clo = _mm512_set1_epi64((long long)(uint64_t)c);
-    const __m512i chi = _mm512_set1_epi64((long long)(uint64_t)(c >> 64));
+    struct lanes l;
+    lanes_start(&l, s, inc);
     const __m512i limit = _mm512_set1_epi64((long long)below), zero = _mm512_setzero_si512();
-    __m512i vlo[2] = {_mm512_loadu_si512(lo), _mm512_loadu_si512(lo + 8)};
-    __m512i vhi[2] = {_mm512_loadu_si512(hi), _mm512_loadu_si512(hi + 8)};
     for (int64_t b = 0; b < blocks; b++) {
         uint64_t flips = 0;
-        for (int k = 0; k < 8; k++) {
-            flips |= (uint64_t)lanes_below(vlo[k & 1], vhi[k & 1], limit) << 8 * k;
-            lanes_jump(&vlo[k & 1], &vhi[k & 1], alo, alo_hi32, ahi, clo, chi);
-        }
+        for (int k = 0; k < 8; k++)
+            flips |= (uint64_t)_mm512_cmplt_epu64_mask(
+                _mm512_srli_epi64(lanes_draw(&l, k & 1), 11), limit) << 8 * k;
         const __m512i x = _mm512_loadu_si512(book + 64 * b);
         _mm512_storeu_si512(out + 64 * b, _mm512_mask_sub_epi8(x, flips, zero, x));
     }
@@ -594,34 +618,240 @@ void resfact_flip(uint64_t *st, int64_t n, double p, const int8_t *book, int8_t 
     st[1] = (uint64_t)(s >> 64);
 }
 
-/* est[j] = the sign of 2 * sums[j] - total for j < dim, 0 where that is
- * exactly zero; returns the number of zeros.  The restrict pointers tell
- * the compiler that the int8 stores alias no sum, so it vectorizes the
- * loop. */
-static int64_t signs(const int32_t *restrict sums, int64_t total, int64_t dim,
-                     int8_t *restrict est)
+/* numpy's ziggurat tables of standard_normal, ki_double and wi_double,
+ * which libnpyrandom.a keeps as local symbols: a raw word w draws
+ * x = rabs * zig_w[idx], negated if bit 8 of w is set, for idx = w & 0xFF
+ * and rabs = w >> 9 & (2**52 - 1), and accepts it at once where rabs <
+ * zig_k[idx]. */
+static uint64_t zig_k[256];
+static double zig_w[256];
+
+/* A bit generator whose first word is `first` and every later one 0 (a
+ * draw accepted at once), and whose doubles are 0.5 (which ends the
+ * tail's loop); `calls` counts the draws. */
+struct probe {
+    uint64_t first;
+    int calls;
+};
+
+static uint64_t probe_word(void *st)
 {
+    struct probe *pr = st;
+    return pr->calls++ ? 0 : pr->first;
+}
+
+static double probe_double(void *st)
+{
+    ((struct probe *)st)->calls++;
+    return 0.5;
+}
+
+/* Calls random_standard_normal on a probe of first word w; returns the
+ * draw and sets *rejected to whether it asked for a second word. */
+static double probe(uint64_t w, int *rejected)
+{
+    struct probe pr = {w, 0};
+    bitgen_t g = {&pr, probe_word, NULL, probe_double, NULL};
+    const double x = random_standard_normal(&g);
+    *rejected = pr.calls > 1;
+    return x;
+}
+
+/* Reads the tables back from random_standard_normal once, as the library
+ * loads, in about 0.2 ms: zig_k[i] is the least rabs that it rejects,
+ * found by bisection, or 2**52 where it rejects none, and zig_w[i] its
+ * draw of rabs = 1, which is zig_w[i] itself wherever that draw is
+ * accepted (elsewhere only rabs = 0 is, which draws 0 whatever zig_w[i]
+ * is). */
+__attribute__((constructor)) static void read_ziggurat(void)
+{
+    int rejected;
+    for (uint64_t i = 0; i < 256; i++) {
+        uint64_t lo = 0, hi = 1ULL << 52;
+        while (lo < hi) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+            probe(mid << 9 | i, &rejected);
+            if (rejected)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        zig_k[i] = lo;
+        zig_w[i] = probe(1 << 9 | i, &rejected);
+    }
+}
+
+/* The words of a PCG64 stream, generated ahead: buf[at..end) are not yet
+ * read, s is the state after buf[end - 1], and `made` counts every word
+ * generated.  As a bitgen_t's state (next_word, next_double) it lends
+ * them to numpy's random_standard_normal. */
+#define STREAM_WORDS 512
+struct stream {
+    u128 s, inc;
+    int64_t at, end, made;
+    uint64_t buf[STREAM_WORDS];
+};
+
+/* Replaces buf by the next k words, k rounded up to 16 and at most
+ * STREAM_WORDS: with AVX-512BW and DQ from 16 lanes, else step by step. */
+static void refill(struct stream *w, int64_t k)
+{
+    k = k < STREAM_WORDS ? (k + 15) / 16 * 16 : STREAM_WORDS;
+#if defined(__AVX512BW__) && defined(__AVX512DQ__)
+    struct lanes l;
+    u128 a, c;
+    lanes_start(&l, w->s, w->inc);
+    for (int64_t i = 0; i < k; i += 8)
+        _mm512_storeu_si512(w->buf + i, lanes_draw(&l, (int)(i / 8 & 1)));
+    pcg_jump((uint64_t)k, w->inc, &a, &c);
+    w->s = a * w->s + c;
+#else
+    for (int64_t i = 0; i < k; i++) {
+        w->s = w->s * PCG_MULT + w->inc;
+        w->buf[i] = pcg_output(w->s);
+    }
+#endif
+    w->at = 0;
+    w->end = k;
+    w->made += k;
+}
+
+static uint64_t next_word(void *st)
+{
+    struct stream *w = st;
+    if (w->at == w->end)
+        refill(w, 16);
+    return w->buf[w->at++];
+}
+
+/* PCG64's next_double in numpy: the top 53 bits of a word, times 2**-53. */
+static double next_double(void *st)
+{
+    return (double)(next_word(st) >> 11) * 0x1p-53;
+}
+
+/* numpy's first try at a normal from the word w: sets *out to its draw and
+ * returns whether it is accepted. */
+static inline int zig1(uint64_t w, double *out)
+{
+    const uint64_t idx = w & 0xFF, rabs = w >> 9 & 0x000FFFFFFFFFFFFFULL;
+    const double x = (double)rabs * zig_w[idx];
+    *out = w >> 8 & 1 ? -x : x;
+    return rabs < zig_k[idx];
+}
+
+#if defined(__AVX512BW__) && defined(__AVX512DQ__)
+/* zig1() of words[0..8) into out[0..8): bit l of the result is set where
+ * draw l is accepted.  The tables are gathered by idx, and the sign bit
+ * is set by xor, as negation sets it. */
+static inline __attribute__((always_inline)) __mmask8 zig8(const uint64_t *words, double *out)
+{
+    const __m512i w = _mm512_loadu_si512(words);
+    const __m512i idx = _mm512_and_si512(w, _mm512_set1_epi64(0xFF));
+    const __m512i rabs = _mm512_and_si512(_mm512_srli_epi64(w, 9),
+                                          _mm512_set1_epi64(0x000FFFFFFFFFFFFFLL));
+    const __m512d x = _mm512_mul_pd(_mm512_cvtepu64_pd(rabs), _mm512_i64gather_pd(idx, zig_w, 8));
+    const __m512i sign = _mm512_and_si512(_mm512_slli_epi64(w, 55), _mm512_set1_epi64(INT64_MIN));
+    _mm512_storeu_pd(out, _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(x), sign)));
+    return _mm512_cmplt_epu64_mask(rabs, _mm512_i64gather_epi64(idx, zig_k, 8));
+}
+#endif
+
+/* The n draws of numpy's Generator.standard_normal(n) into out[0..n),
+ * from the PCG64 state st (as in resfact_flip), which is left as those
+ * draws leave it.  Each draw is numpy's ziggurat on the next word: where
+ * the first try is accepted, as it is for about 99% of draws, it is made
+ * here, eight at a time with AVX-512; otherwise numpy's own
+ * random_standard_normal draws it from that word on, reading the stream's
+ * words as numpy's PCG64 would give them.  The state then jumps past the
+ * words read. */
+void resfact_normals(uint64_t *st, int64_t n, double *out)
+{
+    const u128 start = (u128)st[1] << 64 | st[0];
+    struct stream w = {.s = start, .inc = (u128)st[3] << 64 | st[2]};
+    bitgen_t g = {&w, next_word, NULL, next_double, NULL};
+    for (int64_t i = 0; i < n;) {
+        if (w.at == w.end)
+            refill(&w, n - i);
+        const int64_t stop = i + (w.end - w.at < n - i ? w.end - w.at : n - i);
+#if defined(__AVX512BW__) && defined(__AVX512DQ__)
+        /* The next eight draws' words do not wait for this eight's verdict,
+         * only the rare exit does. */
+        for (; i + 8 <= stop; i += 8, w.at += 8) {
+            const __mmask8 ok = zig8(w.buf + w.at, out + i);
+            if (ok != 0xFF) {
+                const int taken = __builtin_ctz(~(unsigned)ok);
+                i += taken;
+                w.at += taken;
+                break;
+            }
+        }
+#endif
+        for (; i < stop && zig1(w.buf[w.at], out + i); i++)
+            w.at++;
+        if (i < stop)
+            out[i++] = random_standard_normal(&g);
+    }
+    u128 a, c;
+    pcg_jump((uint64_t)(w.made - (w.end - w.at)), w.inc, &a, &c);
+    const u128 s = a * start + c;
+    st[0] = (uint64_t)s;
+    st[1] = (uint64_t)(s >> 64);
+}
+
+/* The bits of word w of a packed row of dimension dim that hold elements. */
+static inline uint64_t valid(int64_t dim, int64_t w)
+{
+    return dim - 64 * w < 64 ? (1ULL << (dim - 64 * w)) - 1 : ~0ULL;
+}
+
+/* Sets bit j of est where 2 * sums[j] - total is positive and bit j of
+ * zeros where it is exactly zero, for j < dim, and clears both from dim
+ * on; returns the number of zeros.  With integers, 2 * s > t exactly when
+ * s > floor(t / 2), and 2 * s == t when t is even and s == t / 2, so the
+ * int32 sums are compared with one int32 without doubling: with AVX-512,
+ * 16 at a time, straight into mask bits.  |total| <= m * dim < 2**31. */
+static int64_t signs(const int32_t *sums, int64_t total, int64_t dim, uint64_t *est,
+                     uint64_t *zeros)
+{
+    const int32_t half = (int32_t)(total >= 0 ? total / 2 : -((1 - total) / 2));
+    const uint64_t even = total % 2 ? 0 : ~0ULL;
     int64_t ties = 0;
-    for (int64_t j = 0; j < dim; j++) {
-        const int64_t s = 2 * (int64_t)sums[j] - total;
-        est[j] = (int8_t)((s > 0) - (s < 0));
-        ties += s == 0;
+    for (int64_t w = 0; w < (dim + 63) / 64; w++) {
+        const int32_t *s = sums + 64 * w;
+        uint64_t above = 0, equal = 0;
+#if defined(__AVX512F__)
+        for (int q = 0; q < 4; q++) {
+            const __m512i v = _mm512_loadu_si512(s + 16 * q), h = _mm512_set1_epi32(half);
+            above |= (uint64_t)_mm512_cmpgt_epi32_mask(v, h) << 16 * q;
+            equal |= (uint64_t)_mm512_cmpeq_epi32_mask(v, h) << 16 * q;
+        }
+#else
+        for (int t = 0; t < 64; t++) {
+            above |= (uint64_t)(s[t] > half) << t;
+            equal |= (uint64_t)(s[t] == half) << t;
+        }
+#endif
+        est[w] = above & valid(dim, w);
+        zeros[w] = equal & even & valid(dim, w);
+        ties += __builtin_popcountll(zeros[w]);
     }
     return ties;
 }
 
-/* est[j], j < dim, = the sign of the float64 sum, from 0 in row order
- * k < n, of +-weights[rows[k]] as row rows[k] of the packed `recon` has
- * bit j set or clear, 0 where it is exactly zero; returns the number of
- * zeros.  With AVX-512BW a word's 64 sums are eight vectors of doubles,
- * signed by two compare masks and stored with one masked byte store;
- * the plain loop multiplies by +-1, which is exact, so both agree. */
+/* Bit j of est, j < dim, is set where the float64 sum, from 0 in row
+ * order k < n, of +-weights[rows[k]] as row rows[k] of the packed `recon`
+ * has bit j set or clear, is positive, and bit j of zeros where it is
+ * exactly zero; both are clear from dim on.  Returns the number of zeros.
+ * With AVX-512BW a word's 64 sums are eight vectors of doubles, signed by
+ * two compare masks; the plain loop multiplies by +-1, which is exact, so
+ * both agree. */
 static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, const int32_t *rows,
-                          int64_t n, const double *weights, int8_t *est)
+                          int64_t n, const double *weights, uint64_t *est, uint64_t *zeros)
 {
     int64_t ties = 0;
     for (int64_t i = 0; i < words; i++) {
-        const int64_t left = dim - 64 * i;
+        uint64_t above = 0, below = 0;
 #if defined(__AVX512BW__)
         __m512d acc[8] = {};
         for (int64_t k = 0; k < n; k++) {
@@ -631,17 +861,11 @@ static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, con
             for (int q = 0; q < 8; q++)
                 acc[q] = _mm512_add_pd(acc[q], _mm512_mask_blend_pd(bits[q], neg, pos));
         }
-        __mmask64 above = 0, below = 0;
         for (int q = 0; q < 8; q++) {
             const __m512d zero = _mm512_setzero_pd();
-            above |= (__mmask64)_mm512_cmp_pd_mask(acc[q], zero, _CMP_GT_OQ) << 8 * q;
-            below |= (__mmask64)_mm512_cmp_pd_mask(acc[q], zero, _CMP_LT_OQ) << 8 * q;
+            above |= (uint64_t)_mm512_cmp_pd_mask(acc[q], zero, _CMP_GT_OQ) << 8 * q;
+            below |= (uint64_t)_mm512_cmp_pd_mask(acc[q], zero, _CMP_LT_OQ) << 8 * q;
         }
-        const __mmask64 tail = left < 64 ? (1ULL << left) - 1 : ~0ULL;
-        const __m512i s = _mm512_mask_mov_epi8(_mm512_maskz_mov_epi8(above, _mm512_set1_epi8(1)),
-                                               below, _mm512_set1_epi8(-1));
-        _mm512_mask_storeu_epi8(est + 64 * i, tail, s);
-        ties += __builtin_popcountll(~(above | below) & tail);
 #else
         double sums[64] = {0};
         for (int64_t k = 0; k < n; k++) {
@@ -650,11 +874,14 @@ static int64_t real_signs(const uint64_t *recon, int64_t words, int64_t dim, con
             for (int t = 0; t < 64; t++)
                 sums[t] += (double)(2 * (int)(b >> t & 1) - 1) * w;
         }
-        for (int64_t t = 0; t < 64 && t < left; t++) {
-            est[64 * i + t] = (int8_t)((sums[t] > 0) - (sums[t] < 0));
-            ties += sums[t] == 0;
+        for (int t = 0; t < 64; t++) {
+            above |= (uint64_t)(sums[t] > 0) << t;
+            below |= (uint64_t)(sums[t] < 0) << t;
         }
 #endif
+        est[i] = above & valid(dim, i);
+        zeros[i] = ~(above | below) & valid(dim, i);
+        ties += __builtin_popcountll(zeros[i]);
     }
     return ties;
 }
@@ -676,51 +903,50 @@ static int64_t least_above(double t, int64_t dim)
     return lo;
 }
 
-/* Factor f's update within a sweep, on the (factors, dim) int8
- * estimates `working`:
+/* Factor f's update within a sweep, on the packed estimates p->est:
  *
- * 1. unbind: x times every other factor's row of working;
- * 2. pack the result into the query and search (resfact_search): the
- *    integer numerators, in p->nums[f];
+ * 1. unbind: the query is the product of the input and every other
+ *    factor's estimate, in packed bits the xor of their words,
+ *    complemented where the number of -1s among the factors' elements is
+ *    even, that is where F is even; the padding bits are cleared;
+ * 2. search (resfact_search): the integer numerators, in p->nums[f];
  * 3. brn and acf (`noise` NULL): the rows whose numerator is at least
  *    `least` survive, weighted by their numerators;
- *    imf: for M normals z drawn as noise.standard_normal(M) draws them,
+ *    imf: for M normals z drawn as noise.standard_normal(M) draws them
+ *    (resfact_normals, from the PCG64 state `noise`),
  *    attentions[f] = numerator / dim + sigma * z and weight = numerator
  *    + (dim * sigma) * z, as numpy computes them, and the rows whose
  *    attention is above `threshold` (strict) survive;
- * 4. working[f] becomes the sign of the survivors' weighted sum
- *    (superpose, or real_signs for imf), with 0 where that sum is
+ * 4. est[f] becomes the sign of the survivors' weighted sum (superpose,
+ *    or real_signs for imf), and p->zeros marks where that sum is
  *    exactly zero.
  *
- * Returns the number of zeros left in working[f]: dim if no row
- * survives, since working[f] is then all zeros.
+ * Returns the number of zeros: dim if no row survives.
  *
  * The survivors are listed in row order, branchless: in dense brn about
  * half the rows survive, at random.  With AVX-512, 16 (imf: 8) rows at a
  * time: the indices of those that pass are compressed to the front of a
  * vector, and all its lanes are stored, which stays within rows[0..m)
  * since n <= i. */
-static int64_t resfact_update(const struct resfact_plan *p, int64_t f, const int8_t *x,
-                              int8_t *working, double *attentions, int64_t least,
-                              double threshold, double sigma, bitgen_t *noise)
+static int64_t resfact_update(const struct resfact_plan *p, int64_t f, double *attentions,
+                              int64_t least, double threshold, double sigma, uint64_t *noise)
 {
-    const int64_t m = p->m, dim = p->dim, book = f * m * p->words;
-    int8_t *u = p->unbound;
-    memcpy(u, x, (size_t)dim);
-    for (int64_t g = 0; g < p->factors; g++) {
-        if (g == f)
-            continue;
-        const int8_t *e = working + g * dim;
-        for (int64_t j = 0; j < dim; j++)
-            u[j] = (int8_t)(u[j] * e[j]);
-    }
-    pack(u, dim, p->words, p->query);
-    resfact_search(p, f, p->query, -1);
+    const int64_t m = p->m, dim = p->dim, words = p->words, book = f * m * words;
+    const uint64_t even = p->factors % 2 ? 0 : ~0ULL;
+    uint64_t *q = p->query, *est = p->est + f * words;
+    for (int64_t w = 0; w < words; w++)
+        q[w] = p->input[w] ^ even;
+    for (int64_t g = 0; g < p->factors; g++)
+        if (g != f)
+            for (int64_t w = 0; w < words; w++)
+                q[w] ^= p->est[g * words + w];
+    q[words - 1] &= valid(dim, words - 1);
+    resfact_search(p, f, q, -1);
     const int32_t *nums = p->nums + f * 64 * p->mwords;
     int64_t n = 0, i = 0;
     if (noise) {
         double *alpha = attentions + f * m;
-        random_standard_normal_fill(noise, m, alpha);  /* then replaced */
+        resfact_normals(noise, m, alpha);  /* then replaced */
         const double scale = (double)dim * sigma;
         for (int64_t r = 0; r < m; r++) {
             const double z = alpha[r];
@@ -740,8 +966,7 @@ static int64_t resfact_update(const struct resfact_plan *p, int64_t f, const int
             p->rows[n] = (int32_t)i;
             n += alpha[i] > threshold;
         }
-        return real_signs(p->recon + book, p->words, dim, p->rows, n, p->weights,
-                          working + f * dim);
+        return real_signs(p->recon + book, words, dim, p->rows, n, p->weights, est, p->zeros);
     }
 #if defined(__AVX512F__)
     const __m512i k = _mm512_set1_epi32((int32_t)least);
@@ -757,8 +982,8 @@ static int64_t resfact_update(const struct resfact_plan *p, int64_t f, const int
         p->rows[n] = (int32_t)i;
         n += nums[i] >= least;
     }
-    const int64_t total = superpose(p->recon + book, p->words, dim, p->rows, n, nums, p->sums);
-    return signs(p->sums, total, dim, working + f * dim);
+    const int64_t total = superpose(p->recon + book, words, dim, p->rows, n, nums, p->sums);
+    return signs(p->sums, total, dim, est, p->zeros);
 }
 
 /* Replaces the zeros of row[0..n), in index order, with +-1 draws from
@@ -767,8 +992,8 @@ static int64_t resfact_update(const struct resfact_plan *p, int64_t f, const int
  * an int8 by Lemire's bounded method with range 1, which never rejects:
  * the value is bit 7 of the next byte of a 32-bit buffer that
  * next_uint32 refills and that is used low byte first.  The buffer
- * starts empty on every call, as on every numpy call.  All ties of
- * every variant are drawn here. */
+ * starts empty on every call, as on every numpy call.  The initial
+ * estimates' ties are drawn here. */
 void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
 {
     uint32_t buf = 0;
@@ -786,28 +1011,68 @@ void resfact_ties(int8_t *row, int64_t n, bitgen_t *ties)
     }
 }
 
+/* resfact_ties() of a packed row: sets the bits of est[0..words) that
+ * `zeros` marks, visited in index order by their trailing zero counts,
+ * where the draw is +1, with the same draws from a fresh buffer. */
+static void packed_ties(uint64_t *est, const uint64_t *zeros, int64_t words, bitgen_t *ties)
+{
+    uint32_t buf = 0;
+    int left = 0;
+    for (int64_t w = 0; w < words; w++)
+        for (uint64_t z = zeros[w]; z; z &= z - 1) {
+            if (!left) {
+                buf = ties->next_uint32(ties->state);
+                left = 4;
+            }
+            est[w] |= (uint64_t)(buf >> 7 & 1) << __builtin_ctzll(z);
+            buf >>= 8;
+            left--;
+        }
+}
+
+/* Writes the packed row est as +-1 into row[0..dim), 0 where `zeros`,
+ * unless NULL, has the bit set: with AVX-512BW, 64 elements at a time by
+ * one masked blend and one masked store. */
+static void unpack(const uint64_t *est, const uint64_t *zeros, int64_t dim, int8_t *row)
+{
+    for (int64_t w = 0; w < (dim + 63) / 64; w++) {
+        const uint64_t keep = zeros ? ~zeros[w] : ~0ULL;
+#if defined(__AVX512BW__)
+        const __m512i s = _mm512_mask_blend_epi8(est[w], _mm512_set1_epi8(-1), _mm512_set1_epi8(1));
+        _mm512_mask_storeu_epi8(row + 64 * w, valid(dim, w), _mm512_maskz_mov_epi8(keep, s));
+#else
+        for (int64_t t = 0; t < 64 && 64 * w + t < dim; t++)
+            row[64 * w + t] = (int8_t)(keep >> t & 1 ? (est[w] >> t & 1 ? 1 : -1) : 0);
+#endif
+    }
+}
+
 /* Sets each factor's row of the (factors, dim) `working`, in factor
  * order, to the majority of the m packed rows of its search book: the
  * sign of each column's sum, 2 * c - m for c rows with the bit set,
  * which superpose() counts with unit weights.  Each factor's zeros are
  * then drawn from `init` by one resfact_ties call, the draws of
  * sign_to_bipolar in vsa.py on the int64 column sums with the same
- * generator.  Uses the plan's rows and sums scratch, and factor f's
- * nums for the unit weights, so that it no longer keeps a search. */
+ * generator.  Uses the plan's rows, sums, est and zeros scratch, and
+ * factor f's nums for the unit weights, so that it no longer keeps a
+ * search. */
 void resfact_init(const struct resfact_plan *p, int8_t *working, bitgen_t *init)
 {
     const int64_t m = p->m, dim = p->dim;
     for (int64_t i = 0; i < m; i++)
         p->rows[i] = (int32_t)i;
     for (int64_t f = 0; f < p->factors; f++) {
-        int8_t *est = working + f * dim;
+        int8_t *row = working + f * dim;
+        uint64_t *est = p->est + f * p->words;
         int32_t *ones = p->nums + f * 64 * p->mwords;
         for (int64_t i = 0; i < m; i++)
             ones[i] = 1;
         p->flags[f] &= ~KEPT;
         superpose(p->search + f * m * p->words, p->words, dim, p->rows, m, ones, p->sums);
-        if (signs(p->sums, m, dim, est))
-            resfact_ties(est, dim, init);
+        const int64_t ties = signs(p->sums, m, dim, est, p->zeros);
+        unpack(est, p->zeros, dim, row);
+        if (ties)
+            resfact_ties(row, dim, init);
     }
 }
 
@@ -843,32 +1108,39 @@ static int all_above(const double *attentions, int64_t factors, int64_t m, doubl
 
 /* Runs update sweeps over the plan's factors, in order, on the
  * (factors, dim) `working` estimates and (factors, m) `attentions`, in
- * place, imf's with noise of std `sigma` from `noise` (else NULL).
- * Each factor's zeros after its update are resolved from `ties` at once,
- * before the next factor unbinds it; a factor with no survivor thus
- * draws all dim values.  The sweeps stop after the first one where every
- * factor's maximum attention is above `convergence` (strict: the
- * decoder's one stopping rule), or after `budget` sweeps.  brn's and
- * acf's attentions, numerator / dim, are written once, from the last
- * sweep's numerators, and both thresholds are compared as numerators.
- * Returns the number of sweeps run and sets *converged to whether the
- * last one passed. */
+ * place, imf's with noise of std `sigma` from the PCG64 state `noise`
+ * (as resfact_normals takes it, and left as the draws leave it; else
+ * NULL).  The input x and the estimates are packed into the plan at
+ * entry, and the estimates written back at exit.  Each factor's zeros
+ * after its update are resolved from `ties` at once, before the next
+ * factor unbinds it; a factor with no survivor thus draws all dim
+ * values.  The sweeps stop after the first one where every factor's
+ * maximum attention is above `convergence` (strict: the decoder's one
+ * stopping rule), or after `budget` sweeps.  brn's and acf's attentions,
+ * numerator / dim, are written once, from the last sweep's numerators,
+ * and both thresholds are compared as numerators.  Returns the number of
+ * sweeps run and sets *converged to whether the last one passed. */
 int64_t resfact_run(const struct resfact_plan *p, const int8_t *x, int8_t *working,
                     double *attentions, double threshold, double sigma, double convergence,
-                    int64_t budget, bitgen_t *ties, bitgen_t *noise, int64_t *converged)
+                    int64_t budget, bitgen_t *ties, uint64_t *noise, int64_t *converged)
 {
-    const int64_t factors = p->factors, m = p->m, dim = p->dim;
+    const int64_t factors = p->factors, m = p->m, dim = p->dim, words = p->words;
     const int64_t survive = least_above(threshold, dim), stop = least_above(convergence, dim);
     int64_t sweep = 0;
+    pack(x, dim, words, p->input);
+    for (int64_t f = 0; f < factors; f++)
+        pack(working + f * dim, dim, words, p->est + f * words);
     *converged = 0;
     while (sweep < budget && !*converged) {
         sweep++;
         for (int64_t f = 0; f < factors; f++)
-            if (resfact_update(p, f, x, working, attentions, survive, threshold, sigma, noise))
-                resfact_ties(working + f * dim, dim, ties);
+            if (resfact_update(p, f, attentions, survive, threshold, sigma, noise))
+                packed_ties(p->est + f * words, p->zeros, words, ties);
         *converged = noise ? all_above(attentions, factors, m, convergence)
                            : all_reach(p, stop);
     }
+    for (int64_t f = 0; f < factors; f++)
+        unpack(p->est + f * words, NULL, dim, working + f * dim);
     if (!noise && sweep)
         for (int64_t f = 0; f < factors; f++)
             for (int64_t i = 0; i < m; i++)

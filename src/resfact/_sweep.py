@@ -2,7 +2,9 @@
 
 Importing this module loads the kernels from a shared library in the
 package directory, linked with numpy's ``random/lib/libnpyrandom.a``,
-which draws ``imf``'s noise.  The library's name hashes the source, the
+whose ``random_standard_normal`` draws the rare ``imf`` normals that
+the compiled ziggurat rejects; loading the library reads that
+function's tables back once.  The library's name hashes the source, the
 compiler flags, that archive and the host CPU's flags, so each of them
 gets a library of its own, and an import that finds its library never
 runs the compiler.  Otherwise the import builds it with the system ``cc``
@@ -112,6 +114,8 @@ def load(source: Path = SOURCE) -> ctypes.CDLL:
     lib.resfact_delta_limit.restype = i64
     lib.resfact_flip.argtypes = (pointer, i64, double, pointer, pointer)
     lib.resfact_flip.restype = None
+    lib.resfact_normals.argtypes = (pointer, i64, pointer)
+    lib.resfact_normals.restype = None
     lib.resfact_plan.argtypes = (pointer, pointer, pointer, i64, i64, i64, pointer, pointer)
     lib.resfact_plan.restype = i64
     return lib
@@ -133,7 +137,7 @@ def bitgen(bit_generator) -> int:
 
 
 _lib = load()
-plan, run, ties, pack, expand, init, search, delta_limit, flip = (
+plan, run, ties, pack, expand, init, search, delta_limit, flip, normals = (
     _lib.resfact_plan, _lib.resfact_run, _lib.resfact_ties, _lib.resfact_pack,
     _lib.resfact_expand, _lib.resfact_init, _lib.resfact_search, _lib.resfact_delta_limit,
-    _lib.resfact_flip)
+    _lib.resfact_flip, _lib.resfact_normals)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -204,31 +205,44 @@ class FactorizeResult:
     state: FactorizerState
 
 
+@contextmanager
+def _pcg_words(rng: np.random.Generator, stream: str):
+    """The PCG64 state of ``rng``, the ``stream`` stream, as the compiled draws take it.
+
+    Yields 4 uint64 words, the state's low and high words, then the
+    increment's, holding the generator's lock, and writes the state that
+    the draws leave in them back into the generator after the block.
+    numpy's 32-bit buffer (``has_uint32``, ``uinteger``) is left as it
+    was.  ``rng`` must be PCG64, the generator ``derive_streams`` makes;
+    any other raises ``ValueError``.
+    """
+    bit_generator = _pcg64(rng, stream)
+    with bit_generator.lock:
+        state = bit_generator.state
+        pcg = state["state"]
+        st = np.array([pcg["state"] & _WORD, pcg["state"] >> 64,
+                       pcg["inc"] & _WORD, pcg["inc"] >> 64], dtype=np.uint64)
+        yield st
+        pcg["state"] = int(st[1]) << 64 | int(st[0])
+        bit_generator.state = state
+
+
 def _flip(books, flip_rate: float, rng: np.random.Generator) -> list:
     """Copies of the +-1 int8 ``books``, each element negated where its uniform is below ``flip_rate``.
 
     The uniforms are those of ``rng.random(book.shape)`` for each book in
     turn, and ``rng`` is left as those draws leave it: one compiled
     ``resfact_flip`` call per book draws them from the PCG64 state, which
-    is read once and written back once under the generator's lock.  So
-    ``rng`` must be PCG64, the generator ``derive_streams`` makes; any
-    other raises ``ValueError``.
+    is read once and written back once (``_pcg_words``).
     """
-    bit_generator = _pcg64(rng, "mask")
     flipped = []
-    with bit_generator.lock:
-        state = bit_generator.state
-        pcg = state["state"]
-        st = np.array([pcg["state"] & _WORD, pcg["state"] >> 64,
-                       pcg["inc"] & _WORD, pcg["inc"] >> 64], dtype=np.uint64)
+    with _pcg_words(rng, "mask") as st:
         for book in books:
             book = np.ascontiguousarray(book, dtype=np.int8)  # .ctypes.data reads it even if read-only
             out = np.empty(book.shape, dtype=np.int8)
             _sweep.flip(_sweep.address(st), book.size, flip_rate, book.ctypes.data,
                         _sweep.address(out))
             flipped.append(out)
-        pcg["state"] = int(st[1]) << 64 | int(st[0])
-        bit_generator.state = state
     return flipped
 
 
@@ -372,8 +386,10 @@ def _advance(state, x, kernels, cfg, streams, budget=1) -> FactorizerState:
     ``acf``'s ties exact.  ``brn`` and ``acf`` compare the numerators
     themselves with the least one whose attention passes each threshold,
     and form their attentions once, from the last sweep's numerators.
-    Ties come from the tie stream, ``imf``'s noise, ``standard_normal(M)``
-    per factor update, from the noise stream, both locked.  The sweeps
+    Ties come from the tie stream, locked.  ``imf``'s noise, the draws of
+    ``standard_normal(M)`` per factor update, comes from the noise
+    stream's PCG64 state, which is read before the call and written back
+    after it, under the stream's lock (``_pcg_words``).  The sweeps
     stop after the first where every factor's maximum attention is above
     ``cfg.convergence_threshold`` (strict), the one stopping rule.  Each
     factor's search starts from what ``kernels`` kept of its last one,
@@ -389,13 +405,14 @@ def _advance(state, x, kernels, cfg, streams, budget=1) -> FactorizerState:
     x = np.ascontiguousarray(x, dtype=np.int8)
     attentions = np.empty((factors, size))
     ties = _bitgen(streams.ties, "tie")
-    noise = _bitgen(streams.noise, "noise") if cfg.variant.kind == "imf" else None
     converged = ctypes.c_int64()
-    with streams.ties.bit_generator.lock, streams.noise.bit_generator.lock:
+    with streams.ties.bit_generator.lock, (
+            _pcg_words(streams.noise, "noise") if cfg.variant.kind == "imf"
+            else nullcontext()) as noise:
         sweeps = _sweep.run(kernels._plan_at, x.ctypes.data, _sweep.address(estimates),
                             _sweep.address(attentions), cfg.variant.activation_threshold,
                             cfg.variant.sigma or 0.0, cfg.convergence_threshold, budget,
-                            ties, noise, converged)
+                            ties, None if noise is None else _sweep.address(noise), converged)
     return FactorizerState(estimates=estimates, attentions=attentions,
                            iteration=state.iteration + sweeps, converged=bool(converged.value))
 

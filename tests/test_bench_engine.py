@@ -27,8 +27,9 @@ def bench_engine(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, knobs", [("acf", {"flip_rate": 0.05, "activation_threshold": 0.05}), ("brn", {})],
-    ids=["acf", "brn"],
+    "kind, knobs", [("acf", {"flip_rate": 0.05, "activation_threshold": 0.05}), ("brn", {}),
+                    ("imf", {"sigma": 0.007, "activation_threshold": 0.05})],
+    ids=["acf", "brn", "imf"],
 )
 def test_bench_engine_rows_run(bench_engine, kind, knobs):
     M, D, F = 40, 200, 2

@@ -769,6 +769,69 @@ def test_compiled_ties_draw_like_numpy(n):
             assert ours.bit_generator.state == ref.bit_generator.state
 
 
+def _normals(rng, n):
+    """``n`` normals of ``_sweep.normals`` from ``rng``'s PCG64 state, which they move on."""
+    out = np.empty(n)
+    with factorizer._pcg_words(rng, "noise") as st:
+        _sweep.normals(_sweep.address(st), n, _sweep.address(out))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 56, 215, 1000, 2236, 4642])
+def test_compiled_normals_are_numpys_standard_normal(n):
+    # The bytes of standard_normal(n) and the stream it leaves, over many
+    # seeds.  Odd seeds first leave half a word in numpy's 32-bit buffer,
+    # which standard_normal neither reads nor clears.
+    for seed in range(60):
+        fast, ref = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+        if seed % 2:
+            for g in (fast, ref):
+                g.integers(0, 2**32, dtype=np.uint32)
+            assert fast.bit_generator.state["has_uint32"] == 1
+        assert _normals(fast, n).tobytes() == ref.standard_normal(n).tobytes()
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("at", [0, 7, 8, 13, 16, 511, 512, 600],
+                         ids=["first", "lane-7", "lane-8", "mid-vector", "round-1",
+                              "last-buffered", "first-refilled", "second-buffer"])
+@pytest.mark.parametrize("idx", [0, 1, 128, 255], ids=["tail", "wedge-1", "wedge-128", "top"])
+def test_compiled_normals_hand_rejected_draws_to_numpy(at, idx):
+    # Draw `at`'s word is the largest rabs of layer idx, with its sign bit
+    # set, which numpy's first try rejects: numpy's own code draws it, from
+    # that word and the ones after it, wherever it falls in a vector of
+    # eight or in the 512 words generated at a time.
+    raw = (2**52 - 1) << 9 | 1 << 8 | idx
+    fast, ref = _pcg64_drawing(raw, at), _pcg64_drawing(raw, at)
+    assert ref.bit_generator.random_raw(at + 1)[-1] == raw
+    ref = _pcg64_drawing(raw, at)
+    assert _normals(fast, at + 40).tobytes() == ref.standard_normal(at + 40).tobytes()
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_long_compiled_normal_draw_meets_the_tail_and_the_wedges():
+    # Over 60000 draws numpy rejects first tries in layer 0 (its tail draws
+    # |x| > r) and in the wedges of other layers (the draw then returned has
+    # |x| <= r), so the draw reads more words than it makes normals.
+    n, r = 60_000, 3.6541528853610088
+    fast, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+    out = _normals(fast, n)
+    assert out.tobytes() == ref.standard_normal(n).tobytes()
+    assert fast.bit_generator.state == ref.bit_generator.state
+    # The words each normal reads, from a replay of one normal at a time.
+    one, raw = np.random.default_rng(2024), np.random.default_rng(2024).bit_generator
+    words = np.zeros(n, dtype=np.int64)
+    for k in range(n):
+        assert one.standard_normal() == out[k]
+        while raw.state != one.bit_generator.state:
+            raw.random_raw()
+            words[k] += 1
+    assert raw.state == fast.bit_generator.state
+    assert words.sum() > n
+    assert (abs(out) > r).any()
+    assert ((words > 1) & (abs(out) <= r)).any()
+
+
 def _decode_both_ways(monkeypatch, x, books, cfg):
     """Decode with and without ``on_step``, check that both agree, return the plain result.
 

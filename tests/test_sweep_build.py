@@ -151,25 +151,31 @@ def portable_library(tmp_path_factory):
 GUARD = 64
 
 
-def _laid_out(lib, kernels):
+def _laid_out(lib, kernels, offset=0):
     """A plan that ``lib``'s resfact_plan lays out over ``kernels``' packed books.
 
-    Returns the block, which ends in ``GUARD`` guard bytes past the size
-    resfact_plan gives, the plan's numerators and its search counts.
+    The block starts ``offset`` bytes past a 64-byte address.  Returns the
+    block, which ends in ``GUARD`` guard bytes past the size resfact_plan
+    gives, the plan's numerators and its search counts.
     """
     factors, size, dim = kernels.shape
     nums, searches = np.empty_like(kernels.nums), np.zeros(2, dtype=np.int64)
     args = (kernels.search[0].ctypes.data, kernels.recon[0].ctypes.data, size, dim, factors,
             nums.ctypes.data, searches.ctypes.data)
-    block = np.full(lib.resfact_plan(None, *args) + GUARD, 0xA5, dtype=np.uint8)
-    assert lib.resfact_plan(block.ctypes.data, *args) == block.size - GUARD
+    need = lib.resfact_plan(None, *args)
+    room = np.full(need + GUARD + 64, 0xA5, dtype=np.uint8)
+    start = (offset - room.ctypes.data) % 64
+    block = room[start:start + need + GUARD]
+    assert block.ctypes.data % 64 == offset
+    assert lib.resfact_plan(block.ctypes.data, *args) == need
     return block, nums, searches
 
 
-def _decode(lib, x, books, variant, seed, sweeps, queries=()):
+def _decode(lib, x, books, variant, seed, sweeps, queries=(), offset=0):
     """``lib``'s initial estimates, then ``sweeps`` update sweeps of its resfact_run.
 
-    The plan is one that ``lib`` lays out itself.  After the sweeps
+    The plan is one that ``lib`` lays out itself, in a block ``offset``
+    bytes past a 64-byte address.  After the sweeps
     factor 1 searches each packed query of ``queries`` from the changed
     bits where the build can, then afresh.  Returns the estimates before
     and after, the attentions and factor by factor the numerators, then
@@ -180,7 +186,7 @@ def _decode(lib, x, books, variant, seed, sweeps, queries=()):
     streams = derive_streams(seed)
     pbooks = perturb_codebooks(books, variant, streams.masks)
     kernels = _Kernels(pbooks)
-    block, nums, searches = _laid_out(lib, kernels)
+    block, nums, searches = _laid_out(lib, kernels, offset)
     working = np.empty((len(books), books[0].dim), dtype=np.int8)
     with streams.init.bit_generator.lock:
         lib.resfact_init(block.ctypes.data, working.ctypes.data,
@@ -188,12 +194,12 @@ def _decode(lib, x, books, variant, seed, sweeps, queries=()):
     init = working.copy()
     attentions = np.empty((len(books), books[0].size))
     converged = ctypes.c_int64()
-    noise = _sweep.bitgen(streams.noise.bit_generator) if variant.kind == "imf" else None
-    with streams.ties.bit_generator.lock, streams.noise.bit_generator.lock:
+    with streams.ties.bit_generator.lock, factorizer._pcg_words(streams.noise, "noise") as st:
         done = lib.resfact_run(block.ctypes.data, x.ctypes.data, working.ctypes.data,
                                attentions.ctypes.data, variant.activation_threshold,
                                variant.sigma or 0.0, 1.0, sweeps,
-                               _sweep.bitgen(streams.ties.bit_generator), noise,
+                               _sweep.bitgen(streams.ties.bit_generator),
+                               st.ctypes.data if variant.kind == "imf" else None,
                                ctypes.byref(converged))
     for query in queries:
         for path in (1, 0):
@@ -244,13 +250,26 @@ def test_the_portable_build_decodes_as_the_default_build(portable_library, varia
     assert np.array_equal(_expanded(_sweep._lib, raw), np.where(raw < 0, 1, -1))
 
 
+def _words(rng):
+    """``rng``'s PCG64 state as the compiled draws take it: 4 uint64 words."""
+    pcg = rng.bit_generator.state["state"]
+    return np.array([pcg["state"] & (2**64 - 1), pcg["state"] >> 64,
+                     pcg["inc"] & (2**64 - 1), pcg["inc"] >> 64], dtype=np.uint64)
+
+
 def _flipped(lib, rng, p, book):
     """``book`` flipped by ``lib``'s resfact_flip at rate ``p``, and ``rng``'s PCG64 state after it."""
-    pcg = rng.bit_generator.state["state"]
-    st = np.array([pcg["state"] & (2**64 - 1), pcg["state"] >> 64,
-                   pcg["inc"] & (2**64 - 1), pcg["inc"] >> 64], dtype=np.uint64)
+    st = _words(rng)
     out = np.empty_like(book)
     lib.resfact_flip(st.ctypes.data, book.size, p, book.ctypes.data, out.ctypes.data)
+    return out, st.tolist()
+
+
+def _normals(lib, rng, n):
+    """``n`` normals of ``lib``'s resfact_normals from ``rng``'s PCG64 state, and that state after them."""
+    st = _words(rng)
+    out = np.empty(n)
+    lib.resfact_normals(st.ctypes.data, n, out.ctypes.data)
     return out, st.tolist()
 
 
@@ -266,6 +285,29 @@ def test_the_portable_build_flips_as_the_default_build(portable_library, p, n):
     assert np.array_equal(got, ref) and got_state == ref_state
     assert np.array_equal(ref, book * np.where(g.random(n) < p, -1, 1))
     assert g.bit_generator.state["state"]["state"] == ref_state[1] << 64 | ref_state[0]
+
+
+@pytest.mark.parametrize("n", [1, 9, 215, 513, 4642])
+def test_the_portable_build_draws_normals_as_the_default_build(portable_library, n):
+    # The portable build steps the stream one word at a time and tries
+    # every draw alone; the default one takes its words from 16 lanes and
+    # tries eight draws at a time.  Both hand numpy the draws it rejects.
+    g = np.random.default_rng(n)
+    got, got_state = _normals(portable_library, g, n)
+    ref, ref_state = _normals(_sweep._lib, g, n)
+    assert got.tobytes() == ref.tobytes() and got_state == ref_state
+    assert ref.tobytes() == g.standard_normal(n).tobytes()
+    assert g.bit_generator.state["state"]["state"] == ref_state[1] << 64 | ref_state[0]
+
+
+@pytest.mark.parametrize("flags", [(), ("-mno-avx512f",)], ids=["default", "portable"])
+def test_the_source_compiles_without_warnings(tmp_path, flags):
+    # Each build compiles only its own kernels, and no helper goes unused in either.
+    cc = shutil.which("cc")
+    out = subprocess.run([cc, *(f for f in _sweep.FLAGS if f != "-shared"), *flags, "-Wall",
+                          "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "sweep.o"),
+                          str(_sweep.SOURCE)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("D", [1000, 1001])
@@ -299,13 +341,21 @@ def test_a_plan_stays_within_its_block(portable_library, build, M, D):
     # from the changed bits (which build its books by columns) and afresh:
     # _decode checks the guard bytes, and the estimates, numerators and
     # search counts are those of a _Kernels decode.  Rows and dimensions
-    # on both sides of a 64-bit word lay out padded buffers.
+    # on both sides of a 64-bit word lay out padded buffers, and blocks
+    # at every 8-byte offset from a 64-byte address move the alignment
+    # padding before the first of them.
     lib = portable_library if build == "portable" else _sweep._lib
     g = np.random.default_rng(M * D)
     books = [generate_codebook(M, D, g) for _ in range(2)]
     x = bind_product(books, (1, 0))
     queries = list(_packed(_sweep._lib, g.integers(0, 2, size=(3, D), dtype=np.int8) * 2 - 1))
-    got, searches = _decode(lib, x, books, VariantSpec.brn(), M, 20, queries)
+    laid_out = [_decode(lib, x, books, VariantSpec.brn(), M, 20, queries, offset)
+                for offset in range(0, 64, 8)]
+    got, searches = laid_out[0]
+    for other, other_searches in laid_out[1:]:
+        for a, b in zip(got[:4], other[:4]):
+            assert np.array_equal(a, b)
+        assert other[4:] == got[4:] and other_searches == searches
     cfg = FactorizerConfig(variant=VariantSpec.brn(), F=2, M=M, D=D, seed=M,
                            convergence_threshold=1.0)
     streams = derive_streams(cfg.seed)
