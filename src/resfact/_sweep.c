@@ -760,7 +760,7 @@ static inline __attribute__((always_inline)) __mmask8 zig8(const uint64_t *words
 /* The n draws of numpy's Generator.standard_normal(n) into out[0..n),
  * from the PCG64 state st (as in resfact_flip), which is left as those
  * draws leave it.  Each draw is numpy's ziggurat on the next word: where
- * the first try is accepted, as it is for about 99% of draws, it is made
+ * the first try is accepted, as it is for nearly every draw, it is made
  * here, eight at a time with AVX-512; otherwise numpy's own
  * random_standard_normal draws it from that word on, reading the stream's
  * words as numpy's PCG64 would give them.  The state then jumps past the
